@@ -37,9 +37,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::chaos::{net_chaos_plan, NetChaos};
-use super::wire::{self, Msg, MsgReader, MsgWriter};
+use super::wire::{self, Msg};
 use super::{LaunchSpec, Launcher, LocalExec, WorkerHandle};
 use crate::batch::{run_supervised, SupervisorOptions};
+use crate::frame::{self, Reader, Writer, HEADER_LEN};
 use crate::journal::{grid_hash, Journal, JOURNAL_FILE};
 use crate::shard::{shard_dir, ShardError};
 
@@ -111,11 +112,11 @@ fn run_assignment(stream: TcpStream, work_dir: &Path) -> Result<String, String> 
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| e.to_string())?;
-    let mut reader = MsgReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut writer = MsgWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
+    let mut reader = Reader::new(stream.try_clone().map_err(|e| e.to_string())?);
+    let mut writer = Writer::new(stream.try_clone().map_err(|e| e.to_string())?);
 
     let msg = reader
-        .next_msg()
+        .recv()
         .map_err(|e| format!("reading the assignment: {e}"))?
         .ok_or("connection closed before an assignment arrived")?;
     let Msg::Assign(assign) = msg else {
@@ -435,13 +436,12 @@ pub(crate) fn remote_launch(
         jobs: spec.jobs.to_vec(),
         prior_journal: complete_prefix(&prior).to_string(),
     };
-    let mut bytes = wire::header_bytes();
-    bytes.extend_from_slice(&wire::frame(&Msg::Assign(Box::new(assign))));
+    let bytes = frame::encode(&[Msg::Assign(Box::new(assign))]);
 
     if matches!(plan, Some(NetChaos::TornAssign)) {
         // Write the header plus half the assignment frame, then sever:
         // the agent sees a torn frame and hangs up without accepting.
-        let cut = 12 + (bytes.len() - 12) / 2;
+        let cut = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
         let mut w: &TcpStream = &stream;
         let _ = w.write_all(&bytes[..cut]);
         let _ = stream.shutdown(Shutdown::Both);
@@ -461,8 +461,8 @@ pub(crate) fn remote_launch(
 
     // Synchronous handshake: one Accept/Refuse within the timeout.
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let mut reader = MsgReader::new(reader_stream);
-    match reader.next_msg() {
+    let mut reader = Reader::new(reader_stream);
+    match reader.recv() {
         Ok(Some(Msg::Accept { .. })) => {}
         Ok(Some(Msg::Refuse { reason })) => {
             let _ = stream.shutdown(Shutdown::Both);
@@ -529,7 +529,7 @@ impl RemoteHandle {
 
     fn live(
         stream: TcpStream,
-        reader: MsgReader<TcpStream>,
+        reader: Reader<Msg, TcpStream>,
         journal_path: PathBuf,
         partition: bool,
     ) -> Self {
@@ -601,7 +601,7 @@ impl Drop for RemoteHandle {
 }
 
 fn reader_loop(
-    mut reader: MsgReader<TcpStream>,
+    mut reader: Reader<Msg, TcpStream>,
     shared: Arc<Mutex<RemoteShared>>,
     journal_path: PathBuf,
     partition: bool,
@@ -615,7 +615,7 @@ fn reader_loop(
     };
     let mut sink: Option<std::fs::File> = None;
     loop {
-        match reader.next_msg() {
+        match reader.recv() {
             Ok(Some(msg)) => {
                 if partition {
                     // One-way partition: the agent's frames never "arrive".
@@ -882,7 +882,7 @@ mod tests {
         let cfg = tiny_cfg(0.02);
         let jobs = jobs_of(&cfg, 2);
         let stream = TcpStream::connect(&addr).expect("connect");
-        let mut writer = MsgWriter::new(stream.try_clone().unwrap());
+        let mut writer = Writer::new(stream.try_clone().unwrap());
         writer
             .send(&Msg::Assign(Box::new(wire::Assign {
                 shard: 0,
@@ -899,8 +899,8 @@ mod tests {
                 prior_journal: String::new(),
             })))
             .expect("send assign");
-        let mut reader = MsgReader::new(stream);
-        match reader.next_msg().expect("handshake reply") {
+        let mut reader = Reader::new(stream);
+        match reader.recv().expect("handshake reply") {
             Some(Msg::Refuse { reason }) => {
                 assert!(reason.contains("grid hash mismatch"), "{reason}")
             }

@@ -35,6 +35,7 @@ pub mod batch;
 mod config;
 mod engine;
 pub mod fabric;
+pub mod frame;
 pub mod journal;
 pub mod render;
 mod request;

@@ -34,6 +34,7 @@
 //! `VERSION` is rejected, never reinterpreted.
 
 use crate::engine::{self, RoutingDirty, SensorSoA, WorldState};
+use crate::frame;
 use crate::{
     FaultConfig, RequestBoard, RvAgent, RvPhase, SimConfig, TargetMobility, Trace, TraceEvent,
 };
@@ -102,7 +103,10 @@ type Result<T> = std::result::Result<T, SnapshotError>;
 
 // --- Primitive encoder ---------------------------------------------------
 
-pub(crate) struct Enc {
+/// The codec's primitive encoder (little-endian fields, `f64` as IEEE
+/// bits), shared by every binary format in the crate.
+#[derive(Debug)]
+pub struct Enc {
     pub(crate) buf: Vec<u8>,
 }
 
@@ -135,6 +139,12 @@ impl Enc {
 
     pub(crate) fn bool(&mut self, v: bool) {
         self.u8(v as u8);
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     fn point(&mut self, p: Point2) {
@@ -190,7 +200,9 @@ impl Enc {
 
 // --- Primitive decoder ---------------------------------------------------
 
-pub(crate) struct Dec<'a> {
+/// The primitive decoder matching [`Enc`]: every read is bounds-checked
+/// and fails with [`SnapshotError::Truncated`] instead of panicking.
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -254,6 +266,12 @@ impl<'a> Dec<'a> {
             1 => Ok(true),
             b => Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
         }
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String> {
+        let n = self.len()?;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| SnapshotError::Corrupt("string field is not UTF-8".into()))
     }
 
     fn point(&mut self) -> Result<Point2> {
@@ -773,8 +791,7 @@ fn decode_series(d: &mut Dec) -> Result<TimeSeries> {
 /// decode; see the module docs).
 pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
     let mut e = Enc::new();
-    e.buf.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
+    e.buf.extend_from_slice(&frame::header(MAGIC, VERSION));
     e.u64(config_hash(&state.cfg));
     encode_config(&mut e, &state.cfg);
 
@@ -915,14 +932,8 @@ pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
 /// Decodes a snapshot back into a world state, rebuilding derived state
 /// (geometry, comm graph, ERP controller, scheduler, coverage cache).
 pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
-    let mut d = Dec::new(bytes);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    frame::check_header(bytes, MAGIC, VERSION)?;
+    let mut d = Dec::new(&bytes[frame::HEADER_LEN..]);
     let stored_hash = d.u64()?;
     let cfg = decode_config(&mut d)?;
     let actual_hash = config_hash(&cfg);
@@ -1262,7 +1273,10 @@ mod tests {
         let w = World::new(&tiny_cfg(0.1), 1);
         let blob = w.save_snapshot();
         assert_eq!(&blob[..8], b"WRSNSNAP");
-        assert_eq!(u32::from_le_bytes(blob[8..12].try_into().unwrap()), VERSION);
+        assert_eq!(
+            u32::from_le_bytes(blob[MAGIC.len()..frame::HEADER_LEN].try_into().unwrap()),
+            VERSION
+        );
     }
 
     #[test]
@@ -1320,7 +1334,7 @@ mod tests {
     fn future_version_is_rejected() {
         let w = World::new(&tiny_cfg(0.1), 1);
         let mut blob = w.save_snapshot();
-        blob[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        blob[MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&(VERSION + 1).to_le_bytes());
         let err = World::resume(&blob).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(v) if v == VERSION + 1));
     }

@@ -25,10 +25,11 @@ pub mod log;
 mod query;
 mod recorder;
 
-pub use log::{DecodedLog, LogRecord, LogTail, LogWriter, LOG_FILE};
+pub use log::{LogRecord, LogWriter, LOG_FILE};
 pub use query::{EventKind, Hit, Predicate};
 pub use recorder::{snap_file_name, RecordOptions, RunRecorder};
 
+use crate::frame::Tail;
 use crate::snapshot::SnapshotError;
 use crate::World;
 use std::path::{Path, PathBuf};
@@ -157,7 +158,7 @@ pub struct StoredRun {
     samples: Vec<StoredSample>,
     snaps: Vec<SnapMarker>,
     end_tick: Option<u64>,
-    tail: LogTail,
+    tail: Tail,
 }
 
 impl StoredRun {
@@ -296,7 +297,7 @@ impl StoredRun {
     }
 
     /// How the log's tail decoded (damage never hides the valid prefix).
-    pub fn tail(&self) -> &LogTail {
+    pub fn tail(&self) -> &Tail {
         &self.tail
     }
 

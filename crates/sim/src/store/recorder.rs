@@ -12,6 +12,7 @@
 
 use super::log::{LogRecord, LogWriter, LOG_FILE};
 use super::StoreError;
+use crate::frame::Writer;
 use crate::snapshot::{self, config_hash};
 use crate::{SimConfig, World};
 use std::path::{Path, PathBuf};
@@ -148,10 +149,9 @@ impl RunRecorder {
         }
         // Drop every frame after the chosen marker, then append.
         let keep = decoded.ends[idx];
-        let file = std::fs::OpenOptions::new().write(true).open(&log_path)?;
+        let file = std::fs::OpenOptions::new().append(true).open(&log_path)?;
         file.set_len(keep)?;
-        drop(file);
-        let log = LogWriter::append_to(&log_path)?;
+        let log = Writer::append(file);
         let event_cursor = world.trace().total_recorded();
         let sample_cursor = world.metrics().coverage_series().len();
         Ok(Self {
