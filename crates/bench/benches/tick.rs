@@ -6,8 +6,8 @@
 //!
 //! * `step` — one engine tick on a warmed mid-run world with mixed
 //!   battery health (deaths, requests, revivals). With the SoC crossing
-//!   heap + chunked drain + dirty-set routing this costs event- rather
-//!   than population-proportional time.
+//!   predictions + chunked drain + dirty-set routing this costs event-
+//!   rather than population-proportional time.
 //! * `naive_refresh` — the historical per-refresh pipeline: a
 //!   from-scratch canonical Dijkstra rebuild + full relay-load fold +
 //!   wholesale activity recompute, via [`World::verify_routing`]. The
@@ -61,7 +61,7 @@ fn scaled_world(sensors: usize) -> World {
 }
 
 /// Healthy fleet-free steady state: no crossings, no deaths, no routes —
-/// the quiescent-tick floor the crossing heap is supposed to expose.
+/// the quiescent-tick floor the crossing predictions are supposed to expose.
 fn quiescent_world(sensors: usize) -> World {
     let mut cfg = scaled_cfg(sensors);
     cfg.initial_soc = (0.9, 1.0);
@@ -83,9 +83,9 @@ fn million_enabled() -> bool {
     std::env::var_os("WRSN_BENCH_1M").is_some_and(|v| v != "0")
 }
 
-/// `WRSN_TICK_PHASES=1`: prints the mean per-phase ns over `ticks`
-/// timed steps of each quiescent world, for `results/BENCH_tick.json`'s
-/// phase breakdown.
+/// `WRSN_TICK_PHASES=1`: prints the mean per-phase ns over 50 timed
+/// steps of each quiescent and waypoint world, for
+/// `results/BENCH_tick.json`'s phase breakdowns.
 fn print_phase_breakdown() {
     if std::env::var_os("WRSN_TICK_PHASES").is_none() {
         return;
@@ -94,35 +94,42 @@ fn print_phase_breakdown() {
     if million_enabled() {
         sizes.push(1_000_000);
     }
-    for sensors in sizes {
-        let mut w = quiescent_world(sensors);
-        let ticks = 50u64;
-        let mut sum = StepTimings::default();
-        for _ in 0..ticks {
-            let t = w.step_timed();
-            sum.mobility_ns += t.mobility_ns;
-            sum.activity_ns += t.activity_ns;
-            sum.faults_ns += t.faults_ns;
-            sum.routing_ns += t.routing_ns;
-            sum.drain_ns += t.drain_ns;
-            sum.dispatch_ns += t.dispatch_ns;
-            sum.fleet_ns += t.fleet_ns;
-            sum.sample_ns += t.sample_ns;
-        }
-        eprintln!(
-            "tick-phases sensors={sensors} ticks={ticks} mean_ns: mobility={} activity={} \
-             faults={} routing={} drain={} dispatch={} fleet={} sample={} total={}",
-            sum.mobility_ns / ticks,
-            sum.activity_ns / ticks,
-            sum.faults_ns / ticks,
-            sum.routing_ns / ticks,
-            sum.drain_ns / ticks,
-            sum.dispatch_ns / ticks,
-            sum.fleet_ns / ticks,
-            sum.sample_ns / ticks,
-            sum.total_ns() / ticks
-        );
+    for &sensors in &sizes {
+        print_world_phases("quiescent", sensors, quiescent_world(sensors));
     }
+    for &sensors in &sizes {
+        print_world_phases("waypoint", sensors, waypoint_world(sensors));
+    }
+}
+
+/// Times 50 steps of `w` and prints the mean per-phase ns.
+fn print_world_phases(world: &str, sensors: usize, mut w: World) {
+    let ticks = 50u64;
+    let mut sum = StepTimings::default();
+    for _ in 0..ticks {
+        let t = w.step_timed();
+        sum.mobility_ns += t.mobility_ns;
+        sum.activity_ns += t.activity_ns;
+        sum.faults_ns += t.faults_ns;
+        sum.routing_ns += t.routing_ns;
+        sum.drain_ns += t.drain_ns;
+        sum.dispatch_ns += t.dispatch_ns;
+        sum.fleet_ns += t.fleet_ns;
+        sum.sample_ns += t.sample_ns;
+    }
+    eprintln!(
+        "tick-phases world={world} sensors={sensors} ticks={ticks} mean_ns: mobility={} activity={} \
+         faults={} routing={} drain={} dispatch={} fleet={} sample={} total={}",
+        sum.mobility_ns / ticks,
+        sum.activity_ns / ticks,
+        sum.faults_ns / ticks,
+        sum.routing_ns / ticks,
+        sum.drain_ns / ticks,
+        sum.dispatch_ns / ticks,
+        sum.fleet_ns / ticks,
+        sum.sample_ns / ticks,
+        sum.total_ns() / ticks
+    );
 }
 
 fn bench_tick(c: &mut Criterion) {

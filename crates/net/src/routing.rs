@@ -163,8 +163,8 @@ pub struct DynamicRoutingTree {
     // Deduplicated queue of nodes whose materialized load changed since
     // the last `take_load_events` drain; `load_events_all` collapses the
     // queue after a wholesale rebuild / load restore. Consumers (the
-    // dispatch crossing heap) use it to re-predict drain rates for only
-    // the nodes that actually changed.
+    // dispatch crossing predictions) use it to re-predict drain rates for
+    // only the nodes that actually changed.
     load_events: Vec<u32>,
     load_event_flag: Vec<bool>,
     load_events_all: bool,

@@ -8,7 +8,6 @@
 //! routes.
 
 use super::{faults, WorldState};
-use std::cmp::Reverse;
 use wrsn_core::{ClusterId, RechargeRequest, RvState, ScheduleInput, SensorId};
 use wrsn_energy::SensorActivity;
 
@@ -18,7 +17,7 @@ use wrsn_energy::SensorActivity;
 ///
 /// Event-driven (DESIGN.md §4j): instead of walking every sensor twice,
 /// the scan examines only the merged *examine list* — the below-threshold
-/// watch set, due crossing-heap predictions, explicit re-check seeds, and
+/// watch set, due crossing predictions, explicit re-check seeds, and
 /// sensors whose relay load changed. Any sensor outside that list takes
 /// no action in either pass (no board writes, no RNG draws), so the
 /// result is byte-identical to [`manage_requests_naive`], the retained
@@ -34,51 +33,38 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
     state.crossings.tick = now + 1;
 
     // ---- Merge the four event sources into the examine list. ----
-    let mut ex = std::mem::take(&mut state.crossings.examine);
-    ex.clear();
+    let mut seeds = std::mem::take(&mut state.crossings.seeds);
+    seeds.clear();
 
-    // Due crossing predictions. Lazy deletion: an entry is valid only if
-    // it still matches `sched` (invalidation overwrites `sched` and
-    // pushes a fresh entry, leaving the old one to be skipped here).
-    while let Some(&Reverse((due, s))) = state.crossings.heap.peek() {
-        if due > now {
-            break;
-        }
-        state.crossings.heap.pop();
-        if state.crossings.sched[s as usize] == due {
-            state.crossings.sched[s as usize] = u64::MAX;
-            ex.push(s);
-        }
+    // Relay-load changes, as routing node ids (node 0 is the base). A
+    // full tree rebuild reports `all`: examine list is simply every sensor.
+    let all = state.routing.take_load_events(&mut seeds);
+    seeds.retain(|&v| v >= 1);
+    for v in &mut seeds {
+        *v -= 1;
     }
+    // Due crossing predictions (each withdrawn as it is collected).
+    state.crossings.take_due(now, &mut seeds);
     // Explicit re-check seeds (rate raises, recovery-state flips).
     for s in state.crossings.pending.drain(..) {
         state.crossings.in_pending[s as usize] = false;
-        ex.push(s);
+        seeds.push(s);
     }
-    // The watch set: below-threshold sensors act every tick (idempotent
-    // mark-pending, depleted re-release, quorum votes, uplink retries).
-    ex.extend_from_slice(&state.crossings.watch);
-    // Relay-load changes (routing node ids; node 0 is the base). A full
-    // tree rebuild reports `all`: examine list is simply every sensor.
-    let mut loads = std::mem::take(&mut state.crossings.load_scratch);
-    loads.clear();
-    let all = state.routing.take_load_events(&mut loads);
-    for &v in &loads {
-        if v >= 1 {
-            ex.push(v - 1);
-        }
-    }
-    loads.clear();
-    state.crossings.load_scratch = loads;
+    let mut ex = std::mem::take(&mut state.crossings.examine);
+    ex.clear();
     if all {
-        ex.clear();
         ex.extend(0..n as u32);
     } else {
-        // Ascending order makes the passes below visit sensors in the
-        // same order as the naive 0..n scan (RNG draw order contract).
-        ex.sort_unstable();
-        ex.dedup();
+        // The watch set: below-threshold sensors act every tick
+        // (idempotent mark-pending, depleted re-release, quorum votes,
+        // uplink retries). Ascending order makes the passes below visit
+        // sensors in the same order as the naive 0..n scan (RNG draw
+        // order contract). The watch set is already ascending, so only
+        // the few other seeds are sorted before one linear merge.
+        seeds.sort_unstable();
+        merge_ascending(&seeds, &state.crossings.watch, &mut ex);
     }
+    state.crossings.seeds = seeds;
 
     // ---- Pass 1: recovered sensors leave the board. ----
     for &s32 in &ex {
@@ -189,9 +175,28 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
     state.crossings.examine = ex;
 }
 
+/// Fills the empty `out` with the ascending union of the ascending lists
+/// `a` and `b`, each value once.
+fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let v = a[i].min(b[j]);
+        i += usize::from(a[i] == v);
+        j += usize::from(b[j] == v);
+        if out.last() != Some(&v) {
+            out.push(v);
+        }
+    }
+    for &v in a[i..].iter().chain(&b[j..]) {
+        if out.last() != Some(&v) {
+            out.push(v);
+        }
+    }
+}
+
 /// (Re)computes sensor `s`'s predicted threshold-crossing tick from its
-/// *current* drain rate and schedules it on the heap. Called for every
-/// examined sensor that did not (re)enter the watch set.
+/// *current* drain rate and schedules it in [`super::CrossingState`].
+/// Called for every examined sensor that did not (re)enter the watch set.
 ///
 /// Safety of the estimate (DESIGN.md §4j): the power term is constant
 /// until a seeded event changes the activity class or relay load, and the
@@ -200,12 +205,12 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
 /// prediction stands, and with the two-tick slack the sensor is always
 /// re-examined at or before its true crossing. Early firings simply
 /// re-predict. Rate *increases* are all seeded into `pending` by their
-/// source events, which supersedes this entry via `sched`.
+/// source events, whose re-prediction overwrites this one in `sched`.
 fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     if state.sensors.failed(s) || state.sensors.suspended(s) {
         // Failed sensors never act again; suspended ones do not drain.
         // Resume seeds a re-check, which re-predicts.
-        state.crossings.sched[s] = u64::MAX;
+        state.crossings.schedule(s, u64::MAX);
         return;
     }
     let dt = state.cfg.tick_s;
@@ -234,7 +239,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     }
     if per_tick <= 0.0 {
         // Not draining at all: only a seeded rate raise can change that.
-        state.crossings.sched[s] = u64::MAX;
+        state.crossings.schedule(s, u64::MAX);
         return;
     }
     let thr = state.cfg.recharge_threshold_frac;
@@ -244,8 +249,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     // Two ticks of slack, floor at one (`as i64` saturates on huge/inf).
     let k = ((ticks as i64) - 2).max(1) as u64;
     let due = now.saturating_add(k).min(u64::MAX - 1);
-    state.crossings.sched[s] = due;
-    state.crossings.heap.push(Reverse((due, s as u32)));
+    state.crossings.schedule(s, due);
 }
 
 /// The historical full-scan request management, retained verbatim as the
@@ -511,6 +515,16 @@ mod tests {
             "starting below threshold must trigger dispatch"
         );
         assert!(out.report.recharged_mj > 0.0);
+    }
+
+    #[test]
+    fn merge_ascending_unions_without_duplicates() {
+        let mut out = Vec::new();
+        super::merge_ascending(&[1, 3, 3, 7, 9], &[2, 3, 8], &mut out);
+        assert_eq!(out, [1, 2, 3, 7, 8, 9]);
+        out.clear();
+        super::merge_ascending(&[], &[4, 5], &mut out);
+        assert_eq!(out, [4, 5]);
     }
 
     #[test]

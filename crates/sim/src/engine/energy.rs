@@ -7,7 +7,7 @@
 //! faults invalidate the routing tree and feed the death/failure ledgers
 //! the conservation tests audit.
 
-use super::{WorldState, F_ACTIVE, F_DORMANT, F_SUSPENDED, F_WAS_DEPLETED};
+use super::{WorldState, CHUNK, F_ACTIVE, F_DORMANT, F_SUSPENDED, F_WAS_DEPLETED};
 use rand::Rng;
 use wrsn_core::SensorId;
 use wrsn_energy::SensorActivity;
@@ -104,7 +104,6 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
             ..
         } = state;
         let loads = routing.loads();
-        const CHUNK: usize = 1024;
         let mut c0 = 0;
         while c0 < n {
             let c1 = (c0 + CHUNK).min(n);

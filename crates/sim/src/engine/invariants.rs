@@ -126,14 +126,18 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         ));
     }
 
-    // --- Crossing-heap examine coverage (DESIGN.md §4j) -----------------
+    // --- Dispatch examine coverage (DESIGN.md §4j) ----------------------
     // The event-driven request scan must never let an *acting* sensor
     // escape examination: every below-threshold live sensor is either in
     // the per-tick watch set or explicitly seeded, and every recovered
     // (above-threshold, released, unassigned) request is scheduled for
-    // the recovery pass. Skipped in naive-dispatch oracle mode, where the
-    // full scan needs no bookkeeping.
+    // the recovery pass. The scan state must also be sound: the watch set
+    // strictly ascending (the next scan merges it unsorted), no crossing
+    // prediction expired past the last scan, and no chunk bound above
+    // its chunk's earliest prediction. Skipped in naive-dispatch oracle
+    // mode, where the full scan needs no bookkeeping.
     if !state.naive_dispatch {
+        state.crossings.verify()?;
         let thr = state.cfg.recharge_threshold_frac;
         for s in 0..n {
             if state.sensors.failed(s) {
@@ -310,6 +314,21 @@ mod tests {
             .expect("a fresh world has at least one active sensor");
         state.sensors.set_active(s, false);
         assert!(check(&state).is_err());
+    }
+
+    #[test]
+    fn expired_crossing_prediction_is_caught() {
+        let mut state = tiny_state();
+        crate::engine::dispatch::manage_requests(&mut state);
+        state.crossings.sched[4] = 0; // due before the scan that just ran
+        assert!(check(&state).unwrap_err().contains("past scan tick"));
+    }
+
+    #[test]
+    fn crossing_chunk_bound_above_prediction_is_caught() {
+        let mut state = tiny_state();
+        state.crossings.sched[4] = 10; // scheduled without lowering the bound
+        assert!(check(&state).unwrap_err().contains("chunk 0 bound"));
     }
 
     #[test]

@@ -63,6 +63,10 @@ pub(crate) const F_ACTIVE: u8 = 1 << 3;
 /// Sensor flag bit: fully asleep this slot (off-duty round-robin member).
 pub(crate) const F_DORMANT: u8 = 1 << 4;
 
+/// Sensors per SoA chunk: the drain kernel's lane width and the span of
+/// one crossing-prediction bound.
+pub(crate) const CHUNK: usize = 1024;
+
 /// Per-sensor hot state in structure-of-arrays layout (DESIGN.md §4f).
 ///
 /// The per-tick loops (battery drain, failure injection, liveness scans)
@@ -228,24 +232,26 @@ impl SensorSoA {
     }
 }
 
-/// The SoC crossing-heap state behind the event-driven request scan
-/// (DESIGN.md §4j).
+/// The SoC crossing-prediction state behind the event-driven request
+/// scan (DESIGN.md §4j).
 ///
 /// [`dispatch::manage_requests`] used to walk every sensor twice per
-/// tick. The heap replaces those scans with an *examine list* built from
-/// four event sources, each a superset-safe trigger (a sensor that takes
-/// no action is a complete no-op in both passes — no writes, no RNG — so
-/// examining extra sensors never changes world bytes):
+/// tick. This state replaces those scans with an *examine list* built
+/// from four event sources, each a superset-safe trigger (a sensor that
+/// takes no action is a complete no-op in both passes — no writes, no
+/// RNG — so examining extra sensors never changes world bytes):
 ///
 /// * `watch` — sensors below the request threshold at their last
 ///   examination. Below-threshold sensors act every tick (idempotent
 ///   `mark_pending`, depleted re-release, quorum voting, uplink-retry RNG
 ///   draws), so the watch set is re-examined every tick.
-/// * `heap`/`sched` — min-heap of predicted threshold-crossing ticks for
-///   above-threshold sensors, keyed off the *current* drain rate with a
-///   two-tick early-fire slack. Lazy deletion: a popped entry is valid
-///   iff it matches `sched`; invalidation just overwrites `sched` and
-///   pushes a fresh entry.
+/// * `sched`/`chunk_min` — the predicted threshold-crossing tick of each
+///   above-threshold sensor, keyed off the *current* drain rate with a
+///   two-tick early-fire slack, plus one lower bound per [`CHUNK`]-sensor
+///   chunk. A re-prediction overwrites `sched` and lowers the bound; a
+///   request scan visits only chunks whose bound has expired and
+///   re-derives it exactly. Memory is two fixed arrays whatever the
+///   horizon or the re-prediction churn.
 /// * `pending` — explicit re-check seeds pushed by every event that can
 ///   *raise* a sensor's drain rate or flip its board recovery state
 ///   (activity flips, outage resume, route abandonment). Rate *drops*
@@ -254,16 +260,20 @@ impl SensorSoA {
 ///   by [`DynamicRoutingTree::take_load_events`]; a full tree rebuild
 ///   reports "all" and the next examine list is simply `0..n`.
 pub(crate) struct CrossingState {
-    /// Relative tick counter the heap keys off. Deliberately *not*
+    /// Relative tick counter the predictions key off. Deliberately *not*
     /// serialized: snapshots reseed `pending` with every sensor instead,
     /// so resumed worlds re-derive their predictions on the first tick.
     tick: u64,
-    /// Min-heap of `(due_tick, sensor)` crossing predictions.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    /// Scheduled due tick per sensor; `u64::MAX` = no prediction.
+    /// Predicted due tick per sensor; `u64::MAX` = no prediction. The
+    /// single source of truth for which predictions are live.
     sched: Vec<u64>,
-    /// Sensors below threshold at last examination (ascending order is
-    /// *not* maintained here; the examine list is sorted per tick).
+    /// Per-chunk lower bound on `sched` (`u64::MAX` = nothing scheduled).
+    /// May sit below the true minimum after a prediction is moved later
+    /// or cleared; that costs one wasted chunk scan, never a miss.
+    chunk_min: Vec<u64>,
+    /// Sensors below threshold at last examination, strictly ascending
+    /// (rebuilt each scan from the ascending examine list; the next
+    /// scan merges it in without sorting).
     watch: Vec<u32>,
     in_watch: Vec<bool>,
     /// Deduplicated explicit re-check seeds.
@@ -271,10 +281,11 @@ pub(crate) struct CrossingState {
     in_pending: Vec<bool>,
     /// Scratch: merged examine list (reused across ticks).
     examine: Vec<u32>,
+    /// Scratch: load-event sensors, due predictions and re-check seeds
+    /// of one scan, sorted before the merge with `watch`.
+    seeds: Vec<u32>,
     /// Scratch: next watch set (double buffer).
     watch_next: Vec<u32>,
-    /// Scratch: routing load-event node ids.
-    load_scratch: Vec<u32>,
 }
 
 impl CrossingState {
@@ -283,15 +294,15 @@ impl CrossingState {
     pub(crate) fn new_all_pending(num_sensors: usize) -> Self {
         Self {
             tick: 0,
-            heap: std::collections::BinaryHeap::new(),
             sched: vec![u64::MAX; num_sensors],
+            chunk_min: vec![u64::MAX; num_sensors.div_ceil(CHUNK)],
             watch: Vec::new(),
             in_watch: vec![false; num_sensors],
             pending: (0..num_sensors as u32).collect(),
             in_pending: vec![true; num_sensors],
             examine: Vec::new(),
+            seeds: Vec::new(),
             watch_next: Vec::new(),
-            load_scratch: Vec::new(),
         }
     }
 
@@ -319,10 +330,60 @@ impl CrossingState {
         self.in_pending[s]
     }
 
-    /// Current heap + watch footprint, for diagnostics and benches.
-    #[allow(dead_code)]
-    pub(crate) fn footprint(&self) -> (usize, usize) {
-        (self.heap.len(), self.watch.len())
+    /// Schedules sensor `s`'s predicted crossing at tick `due`
+    /// (`u64::MAX` withdraws the prediction).
+    #[inline]
+    fn schedule(&mut self, s: usize, due: u64) {
+        self.sched[s] = due;
+        let c = &mut self.chunk_min[s / CHUNK];
+        *c = (*c).min(due);
+    }
+
+    /// Appends every prediction due at or before `now` to `out`
+    /// (ascending) and withdraws it. Visits only the
+    /// chunks whose bound has expired, re-deriving each bound exactly.
+    fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
+        for (c, bound) in self.chunk_min.iter_mut().enumerate() {
+            if *bound > now {
+                continue;
+            }
+            let c0 = c * CHUNK;
+            let c1 = (c0 + CHUNK).min(self.sched.len());
+            let mut lo = u64::MAX;
+            for (s, due) in (c0..c1).zip(&mut self.sched[c0..c1]) {
+                if *due <= now {
+                    *due = u64::MAX;
+                    out.push(s as u32);
+                } else {
+                    lo = lo.min(*due);
+                }
+            }
+            *bound = lo;
+        }
+    }
+
+    /// Audits the scan state between request scans: the watch set is
+    /// strictly ascending, no prediction is already expired, and every
+    /// chunk bound is at or below its chunk's earliest prediction.
+    pub(crate) fn verify(&self) -> Result<(), String> {
+        if let Some(w) = self.watch.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("watch set not strictly ascending at {w:?}"));
+        }
+        if let Some(s) = self.sched.iter().position(|&due| due < self.tick) {
+            return Err(format!(
+                "sensor {s} kept crossing prediction {} past scan tick {}",
+                self.sched[s], self.tick
+            ));
+        }
+        for (c, (preds, &bound)) in self.sched.chunks(CHUNK).zip(&self.chunk_min).enumerate() {
+            let lo = preds.iter().copied().min().unwrap_or(u64::MAX);
+            if bound > lo {
+                return Err(format!(
+                    "crossing chunk {c} bound {bound} is above its earliest prediction {lo}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -567,7 +628,7 @@ pub(crate) struct WorldState {
     /// allocation on the hot path).
     pub(crate) group_scratch: Vec<u32>,
 
-    /// SoC crossing-heap state behind the event-driven request scan
+    /// SoC crossing-prediction state behind the event-driven request scan
     /// (DESIGN.md §4j). Derived state: never serialized — snapshots
     /// resume with every sensor seeded for re-examination instead.
     pub(crate) crossings: CrossingState,

@@ -61,7 +61,7 @@ pub struct StepTimings {
     pub routing_ns: u64,
     /// Phase 6 — the chunked battery-drain kernel.
     pub drain_ns: u64,
-    /// Phase 7 — crossing-heap request scan + batched planning.
+    /// Phase 7 — crossing-prediction request scan + batched planning.
     pub dispatch_ns: u64,
     /// Phase 8 — RV fleet execution.
     pub fleet_ns: u64,
@@ -399,7 +399,7 @@ impl World {
     }
 
     /// Switches the dispatch phase to the historical full-scan request
-    /// pass instead of the crossing-heap examine list (DESIGN.md §4j).
+    /// pass instead of the crossing-prediction examine list (DESIGN.md §4j).
     /// Differential-oracle knob: the two paths are byte-identical, which
     /// `tests/tick_scale_equivalence.rs` pins across chaos configs. Not
     /// serialized — a resumed world always runs the fast path.

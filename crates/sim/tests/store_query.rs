@@ -69,8 +69,10 @@ fn write_run(root: &std::path::Path, dir: &str, records: &[LogRecord]) {
     w.flush().expect("flush");
 }
 
-fn corpus() -> PathBuf {
-    let root = std::env::temp_dir().join(format!("wrsn-store-query-{}", std::process::id()));
+/// Writes the corpus into a directory of its own per test (`test` names
+/// it), so tests running in parallel never share or delete each other's.
+fn corpus(test: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("wrsn-store-query-{}-{test}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     write_run(
         &root,
@@ -111,7 +113,7 @@ fn corpus() -> PathBuf {
 
 #[test]
 fn coverage_threshold_scan_returns_exactly_the_dipping_samples() {
-    let root = corpus();
+    let root = corpus("coverage");
     let store = RunStore::open(&root).expect("open");
     assert_eq!(store.runs().len(), 3);
 
@@ -131,7 +133,7 @@ fn coverage_threshold_scan_returns_exactly_the_dipping_samples() {
 
 #[test]
 fn alive_threshold_and_event_kind_scans() {
-    let root = corpus();
+    let root = corpus("alive");
     let store = RunStore::open(&root).expect("open");
 
     let hits = store.scan(&Predicate::AliveBelow(30.0));
@@ -161,7 +163,7 @@ fn alive_threshold_and_event_kind_scans() {
 
 #[test]
 fn within_join_is_inclusive_and_per_run() {
-    let root = corpus();
+    let root = corpus("within");
     let store = RunStore::open(&root).expect("open");
     let within = |ticks| {
         store.scan(&Predicate::Within {
@@ -205,7 +207,7 @@ fn within_join_is_inclusive_and_per_run() {
 
 #[test]
 fn run_lookup_and_metadata_round_trip() {
-    let root = corpus();
+    let root = corpus("run");
     let store = RunStore::open(&root).expect("open");
     let run = store.run("run2").expect("by label");
     assert_eq!(run.seed(), 1);

@@ -14,6 +14,7 @@
 //! also holds where debug asserts are compiled out.
 
 use proptest::prelude::*;
+use wrsn_core::SensorId;
 use wrsn_sim::{SimConfig, TargetMobility, World};
 
 prop_compose! {
@@ -218,4 +219,67 @@ fn outage_wait_dispatch_matches_naive_scan_every_tick() {
             "seed {seed}: the scenario never exercised a backoff wait"
         );
     }
+}
+
+/// The crossing predictions are bounded per 1024-sensor chunk; every
+/// proptest world above fits in one chunk. This fixed world spans three
+/// chunks with a ragged last one (2,100 sensors), starts everyone near
+/// the 50 % threshold so crossings land in every chunk, runs with uplink
+/// loss and transient outages, and resumes the fast world from its
+/// own snapshot mid-run (predictions are rebuilt from scratch) while the
+/// naive-dispatch twin runs uninterrupted.
+#[test]
+fn multi_chunk_dispatch_matches_naive_scan_across_resume() {
+    let mut cfg = SimConfig::small(0.3);
+    cfg.num_sensors = 2_100;
+    cfg.num_targets = 20;
+    cfg.num_rvs = 3;
+    cfg.field_side = 60.0 * (2_100.0f64 / 60.0).sqrt();
+    cfg.initial_soc = (0.4, 0.55);
+    cfg.faults.transients_per_day = 6.0;
+    cfg.faults.transient_outage_s = (120.0, 1_800.0);
+    cfg.faults.uplink_loss = 0.4;
+    cfg.faults.uplink_backoff_s = 300.0;
+    cfg.faults.uplink_backoff_cap_s = 3_600.0;
+    cfg.min_batch_demand_j = 10e3;
+
+    let seed = 11;
+    let mut fast = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, true, false, false);
+    let soc = |w: &World, s: usize| w.battery(SensorId(s as u32)).soc();
+    let above: Vec<bool> = (0..cfg.num_sensors)
+        .map(|s| soc(&fast, s) >= cfg.recharge_threshold_frac)
+        .collect();
+    let mut ticks = 0u64;
+    while !fast.finished() {
+        fast.step();
+        slow.step();
+        ticks += 1;
+        if ticks == 200 {
+            fast = World::resume(&fast.save_snapshot()).expect("resume");
+        }
+        if ticks.is_multiple_of(8) {
+            assert_eq!(
+                fast.save_snapshot(),
+                slow.save_snapshot(),
+                "three-chunk dispatch diverged from the naive scan at t = {} s",
+                fast.time()
+            );
+        }
+    }
+    assert!(slow.finished());
+    assert_eq!(fast.save_snapshot(), slow.save_snapshot());
+    // Every chunk, the ragged last one included, saw predicted crossings.
+    for c0 in (0..cfg.num_sensors).step_by(1024) {
+        let crossed = (c0..(c0 + 1024).min(cfg.num_sensors))
+            .filter(|&s| above[s] && soc(&fast, s) < cfg.recharge_threshold_frac)
+            .count();
+        assert!(
+            crossed > 0,
+            "no sensor in the chunk at {c0} crossed the threshold"
+        );
+    }
+    let out = fast.outcome();
+    assert!(out.transient_faults > 0, "no outage was exercised");
+    assert!(out.uplink_drops > 0, "no uplink backoff was exercised");
 }
