@@ -24,7 +24,8 @@
 //!   the sweep;
 //! * `--shards N` — run the sweep on the fault-tolerant sharded fabric
 //!   (DESIGN.md §4g): the grid is split into `N` ranges, each executed by
-//!   a supervised worker *process* with its own write-ahead journal, and
+//!   a supervised loopback worker *process* (a re-exec of the binary)
+//!   whose journal is streamed into a per-shard write-ahead journal, and
 //!   the per-shard journals are merged byte-stably. Crashed, hung or
 //!   `kill -9`'d workers are re-queued and resume; the merged CSV is
 //!   byte-identical to a single-process run's. Tune with
@@ -33,10 +34,10 @@
 //!   and `--chaos-workers P` (self-chaos: randomly kill/stall workers to
 //!   exercise recovery);
 //! * `--agents HOST:PORT,..` — distribute the shards over `wrsn agent`
-//!   daemons instead of local worker processes (DESIGN.md §4i); implies
-//!   one shard per agent when `--shards` is unset. Unreachable or
-//!   refusing agents degrade to local execution with a warning; links
-//!   that die mid-shard requeue and resume. `--chaos-net P` injects
+//!   daemons instead of loopback workers (DESIGN.md §4i); implies one
+//!   shard per agent when `--shards` is unset. Unreachable or refusing
+//!   agents degrade to loopback workers with a warning; links that die
+//!   mid-shard requeue and resume. `--chaos-net P` injects
 //!   deterministic network faults (torn frames, partitions, severed
 //!   agents) to exercise that path;
 //! * `--store DIR` / `--store-snap-every N` — record every run into the
@@ -44,12 +45,13 @@
 //!   the journal's grid hash), so any historical tick can later be
 //!   re-materialized with `wrsn replay` and mined with `wrsn query`.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
 use wrsn_metrics::{EvalReport, Summary};
 use wrsn_sim::batch::{JobPanic, JobSpec, SupervisorOptions};
 use wrsn_sim::journal::Journal;
-use wrsn_sim::shard::{run_sharded, ShardOptions};
+use wrsn_sim::shard::{run_sharded, ShardOptions, SWEEP_FLAGS};
 use wrsn_sim::{batch, SimConfig, SimOutcome};
 
 /// Options shared by the figure binaries.
@@ -71,29 +73,10 @@ pub struct ExpOptions {
     pub timeout_s: Option<f64>,
     /// Extra attempts after a panic or timeout (`--retries`).
     pub retries: u32,
-    /// Shard count for the sharded sweep fabric (`--shards`; 0 = run
-    /// in-process without the fabric).
-    pub shards: usize,
-    /// Backpressure bound on concurrently live worker processes
-    /// (`--shard-inflight`; 0 = min(shards, cores)).
-    pub shard_inflight: usize,
-    /// Worker-process respawns after a shard's first attempt fails
-    /// (`--shard-retries`).
-    pub shard_retries: u32,
-    /// Hung-worker detection: lease staleness before a worker is killed
-    /// and its shard re-queued (`--lease-timeout-s`).
-    pub lease_timeout_s: f64,
-    /// Self-chaos probability: randomly SIGKILL/stall spawned workers
-    /// (`--chaos-workers`).
-    pub chaos_workers: f64,
-    /// `wrsn agent` addresses to distribute shards over
-    /// (`--agents host:port,host:port`). Empty = local worker processes.
-    /// Implies a sharded sweep: if `--shards` is unset, one shard per
-    /// agent.
-    pub agents: Vec<String>,
-    /// Network-chaos probability for agent assignments (`--chaos-net`):
-    /// torn frames, delays, one-way partitions, stalled/severed agents.
-    pub chaos_net: f64,
+    /// The sharded sweep fabric the fabric flags select (`--shards`,
+    /// `--agents` and their tuning flags, mapped by
+    /// [`ShardOptions::from_sweep_flags`]); `None` runs in-process.
+    pub fabric: Option<ShardOptions>,
     /// Root directory for the event-sourced run store (`--store DIR`):
     /// every executed run is recorded for time-travel replay and cross-run
     /// queries (`wrsn replay` / `wrsn query`). `None` disables recording.
@@ -114,13 +97,7 @@ impl Default for ExpOptions {
             resume: false,
             timeout_s: None,
             retries: 1,
-            shards: 0,
-            shard_inflight: 0,
-            shard_retries: 3,
-            lease_timeout_s: 30.0,
-            chaos_workers: 0.0,
-            agents: Vec::new(),
-            chaos_net: 0.0,
+            fabric: None,
             store_dir: None,
             store_snap_every: wrsn_sim::store::RecordOptions::default().snap_every,
         }
@@ -128,24 +105,36 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `--quick`, `--days N`, `--seeds N`, `--out DIR`,
-    /// `--journal DIR`, `--resume`, `--timeout-s S`, `--retries N` from
-    /// argv.
+    /// Parses the figure binaries' flags from argv: `--quick`, `--days N`,
+    /// `--seeds N`, `--out DIR`, `--journal DIR`, `--resume`,
+    /// `--timeout-s S`, `--retries N`, `--shards N`, `--shard-inflight N`,
+    /// `--shard-retries N`, `--lease-timeout-s S`, `--chaos-workers P`,
+    /// `--agents HOST:PORT,..`, `--chaos-net P`, `--store DIR` and
+    /// `--store-snap-every N`.
     ///
     /// # Panics
     /// Panics with a usage message on malformed flags.
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1))
+    }
+
+    /// [`ExpOptions::from_args`] over explicit tokens (argv without the
+    /// program name). Flag order never matters: `--quick` selects 12
+    /// simulated days only when `--days` is absent.
+    ///
+    /// # Panics
+    /// Panics with a usage message on malformed flags.
+    pub fn parse(tokens: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let mut args = std::env::args().skip(1);
+        let mut days = None;
+        let mut fabric_flags = HashMap::new();
+        let mut args = tokens.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--quick" => {
-                    opts.quick = true;
-                    opts.days = 12.0;
-                }
+                "--quick" => opts.quick = true,
                 "--days" => {
                     let v = args.next().expect("--days needs a value");
-                    opts.days = v.parse().expect("--days must be a number");
+                    days = Some(v.parse().expect("--days must be a number"));
                 }
                 "--seeds" => {
                     let v = args.next().expect("--seeds needs a value");
@@ -168,41 +157,6 @@ impl ExpOptions {
                     let v = args.next().expect("--retries needs a value");
                     opts.retries = v.parse().expect("--retries must be an integer");
                 }
-                "--shards" => {
-                    let v = args.next().expect("--shards needs a value");
-                    opts.shards = v.parse().expect("--shards must be an integer");
-                }
-                "--shard-inflight" => {
-                    let v = args.next().expect("--shard-inflight needs a value");
-                    opts.shard_inflight = v.parse().expect("--shard-inflight must be an integer");
-                }
-                "--shard-retries" => {
-                    let v = args.next().expect("--shard-retries needs a value");
-                    opts.shard_retries = v.parse().expect("--shard-retries must be an integer");
-                }
-                "--lease-timeout-s" => {
-                    let v = args.next().expect("--lease-timeout-s needs a value");
-                    opts.lease_timeout_s = v.parse().expect("--lease-timeout-s must be a number");
-                }
-                "--chaos-workers" => {
-                    let v = args.next().expect("--chaos-workers needs a value");
-                    opts.chaos_workers = v.parse().expect("--chaos-workers must be a number");
-                }
-                "--agents" => {
-                    let v = args
-                        .next()
-                        .expect("--agents needs host:port[,host:port...]");
-                    opts.agents = v
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .map(String::from)
-                        .collect();
-                }
-                "--chaos-net" => {
-                    let v = args.next().expect("--chaos-net needs a value");
-                    opts.chaos_net = v.parse().expect("--chaos-net must be a number");
-                }
                 "--store" => {
                     opts.store_dir = Some(PathBuf::from(
                         args.next().expect("--store needs a directory"),
@@ -212,6 +166,15 @@ impl ExpOptions {
                     let v = args.next().expect("--store-snap-every needs a value");
                     opts.store_snap_every =
                         v.parse().expect("--store-snap-every must be an integer");
+                }
+                flag if flag
+                    .strip_prefix("--")
+                    .is_some_and(|name| SWEEP_FLAGS.contains(&name)) =>
+                {
+                    let v = args
+                        .next()
+                        .unwrap_or_else(|| panic!("{flag} needs a value"));
+                    fabric_flags.insert(flag[2..].to_string(), v);
                 }
                 other => {
                     panic!(
@@ -224,6 +187,10 @@ impl ExpOptions {
                 }
             }
         }
+        opts.days = days.unwrap_or(if opts.quick { 12.0 } else { opts.days });
+        opts.fabric =
+            ShardOptions::from_sweep_flags(|name| fabric_flags.get(name).map(String::as_str))
+                .unwrap_or_else(|e| panic!("{e}"));
         opts
     }
 
@@ -242,36 +209,9 @@ impl ExpOptions {
         }
     }
 
-    /// The shard-fabric settings these options describe (meaningful when
-    /// [`ExpOptions::shards`] > 0).
-    pub fn shard_options(&self) -> ShardOptions {
-        ShardOptions {
-            shards: self.effective_shards().max(1),
-            max_inflight: self.shard_inflight,
-            retries: self.shard_retries,
-            lease_timeout: Duration::from_secs_f64(self.lease_timeout_s.max(0.1)),
-            chaos_workers: self.chaos_workers,
-            agents: self.agents.clone(),
-            chaos_net: self.chaos_net,
-            ..ShardOptions::default()
-        }
-    }
-
-    /// The shard count after defaults: `--agents` without `--shards`
-    /// implies one shard per agent (0 still means "no fabric").
-    pub fn effective_shards(&self) -> usize {
-        if self.shards == 0 && !self.agents.is_empty() {
-            self.agents.len()
-        } else {
-            self.shards
-        }
-    }
-
     /// The fabric directory a sharded sweep journals into: `--journal DIR`
     /// when given, otherwise a per-binary subdirectory of the output dir
-    /// (so two fig binaries sharing `results/` never collide). Workers
-    /// re-derive the identical default because they re-exec the same
-    /// binary with the same argv.
+    /// (so two fig binaries sharing `results/` never collide).
     pub fn shard_fabric_dir(&self) -> PathBuf {
         if let Some(dir) = &self.journal_dir {
             return dir.clone();
@@ -401,9 +341,9 @@ fn aggregate_grid(
 /// The figure binaries' standard sweep entry point: honors the
 /// `--journal`/`--resume`/`--timeout-s`/`--retries` flags in `opts`,
 /// creating or resuming the journal as requested, and `--shards N`, which
-/// moves execution onto the fault-tolerant sharded fabric (worker
-/// processes with per-shard journals, lease supervision and byte-stable
-/// merge — DESIGN.md §4g).
+/// moves execution onto the fault-tolerant sharded fabric (loopback
+/// worker processes with per-shard journals, heartbeat supervision and
+/// byte-stable merge — DESIGN.md §4g).
 ///
 /// # Panics
 /// Panics when `--resume` is set against a missing or drifted journal
@@ -421,17 +361,18 @@ pub fn run_sweep(grid: Vec<GridPoint>, opts: &ExpOptions) -> Vec<GridResult> {
 /// come back in job order either way, bit-identical across regimes, so
 /// callers' tables and CSVs never depend on how the sweep was executed.
 ///
-/// In a shard *worker* process this call never returns — the worker runs
-/// its shard range, journals it, and exits before any caller code after
-/// `run_jobs` (table rendering, CSV writing) executes.
+/// In a shard *worker* process this call never returns — the worker
+/// serves the one shard assignment its coordinator sends and exits before
+/// any caller code after `run_jobs` (table rendering, CSV writing)
+/// executes.
 ///
 /// # Panics
 /// Panics on journal/fabric errors, as [`run_sweep`] does.
 pub fn run_jobs(jobs: &[JobSpec], opts: &ExpOptions) -> Vec<Result<SimOutcome, JobPanic>> {
     let sup = opts.supervisor_options();
-    if opts.effective_shards() > 0 {
+    if let Some(fabric) = &opts.fabric {
         let dir = opts.shard_fabric_dir();
-        return run_sharded(jobs, &sup, &dir, &opts.shard_options(), opts.resume)
+        return run_sharded(jobs, &sup, &dir, fabric, opts.resume)
             .unwrap_or_else(|e| panic!("sharded sweep in {}: {e}", dir.display()));
     }
     let journal = opts.journal_dir.as_ref().map(|dir| {
@@ -602,6 +543,37 @@ mod tests {
             assert!(a.failed_seeds.is_empty() && b.failed_seeds.is_empty());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn parse(flags: &str) -> ExpOptions {
+        ExpOptions::parse(flags.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn quick_keeps_an_explicit_day_count_in_either_order() {
+        assert_eq!(parse("--days 2 --quick").days, 2.0);
+        assert_eq!(parse("--quick --days 2").days, 2.0);
+        assert_eq!(parse("--quick").days, 12.0);
+        assert_eq!(parse("").days, 120.0);
+    }
+
+    #[test]
+    fn fabric_flags_map_onto_shard_options_defaults() {
+        assert!(parse("--quick").fabric.is_none());
+        let defaults = ShardOptions::default();
+        let fabric = parse("--shards 3").fabric.expect("sharded");
+        assert_eq!(fabric.shards, 3);
+        assert_eq!(fabric.retries, defaults.retries);
+        assert_eq!(fabric.lease_timeout, defaults.lease_timeout);
+        // `--agents` alone implies one shard per agent; the lease timeout
+        // is floored.
+        let fabric = parse("--agents a:1,b:2 --lease-timeout-s 0 --shard-retries 5")
+            .fabric
+            .expect("sharded");
+        assert_eq!(fabric.shards, 2);
+        assert_eq!(fabric.agents, ["a:1", "b:2"]);
+        assert_eq!(fabric.retries, 5);
+        assert_eq!(fabric.lease_timeout, Duration::from_millis(100));
     }
 
     #[test]

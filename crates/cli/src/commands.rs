@@ -239,20 +239,20 @@ pub fn watch(args: &Args) -> Result<(), String> {
 ///
 /// With `--shards N` the sweep runs on the fault-tolerant sharded fabric
 /// (DESIGN.md §4g): the grid is split into N contiguous shard ranges, each
-/// executed by a supervised worker *process* journaling into
-/// `DIR/shard-NNNN`. Crashed or hung workers are detected by lease
-/// heartbeats, re-queued with capped exponential backoff, and resumed from
-/// their shard journal; the merged result — and therefore the table and
-/// `--csv` file — is byte-identical to a single-process run.
+/// executed by a supervised loopback worker *process* that streams its
+/// journal into `DIR/shard-NNNN`. Crashed or hung workers are detected by
+/// their heartbeats, re-queued with capped exponential backoff, and
+/// resumed from their shard journal; the merged result — and therefore the
+/// table and `--csv` file — is byte-identical to a single-process run.
 /// `--chaos-workers P` self-injects worker kills/stalls to exercise that
 /// recovery path.
 ///
-/// With `--agents HOST:PORT,..` the shards are assigned over TCP to
-/// `wrsn agent` daemons instead of local worker processes (DESIGN.md
-/// §4i); `--shards` defaults to one shard per agent. Unreachable or
-/// refusing agents degrade the affected shard to local execution with a
-/// warning; a link that dies mid-shard requeues and resumes like a local
-/// worker crash. `--chaos-net P` injects deterministic network faults
+/// With `--agents HOST:PORT,..` the shards are assigned to `wrsn agent`
+/// daemons instead of loopback workers (DESIGN.md §4i); `--shards`
+/// defaults to one shard per agent. Unreachable or refusing agents degrade
+/// the affected shard to a loopback worker with a warning; a link that
+/// dies mid-shard requeues and resumes like a worker crash. `--chaos-net
+/// P` injects deterministic network faults
 /// (torn frames, delays, partitions, severed agents) to exercise that
 /// path — the merged CSV stays byte-identical throughout.
 pub fn sweep(args: &Args) -> Result<(), String> {
@@ -268,21 +268,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     }
     let timeout_s: f64 = args.num("timeout-s", 0.0)?;
     let retries: u32 = args.num("retries", 1)?;
-    let agents: Vec<String> = args
-        .opt("agents")
-        .map(|v| {
-            v.split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(String::from)
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut shards: usize = args.num("shards", 0usize)?;
-    if shards == 0 && !agents.is_empty() {
-        // `--agents` implies a sharded sweep: one shard per agent.
-        shards = agents.len();
-    }
+    let fabric = ShardOptions::from_sweep_flags(|name| args.opt(name))?;
     let store = args
         .opt("store")
         .map(|root| {
@@ -319,23 +305,11 @@ pub fn sweep(args: &Args) -> Result<(), String> {
 
     // Crash-isolated: one bad point reports its panic and the rest of the
     // sweep still completes and prints.
-    let outcomes = if shards > 0 {
+    let outcomes = if let Some(fabric) = fabric {
         let dir = args
             .opt("journal")
             .ok_or("--shards needs --journal DIR (the fabric's shard/journal directory)")?;
-        let shard_opts = ShardOptions {
-            shards,
-            max_inflight: args.num("shard-inflight", 0usize)?,
-            retries: args.num("shard-retries", 3u32)?,
-            lease_timeout: std::time::Duration::from_secs_f64(
-                args.num("lease-timeout-s", 30.0f64)?.max(0.1),
-            ),
-            chaos_workers: args.num("chaos-workers", 0.0f64)?,
-            agents,
-            chaos_net: args.num("chaos-net", 0.0f64)?,
-            ..ShardOptions::default()
-        };
-        run_sharded(&jobs, &opts, dir, &shard_opts, args.is_set("resume"))
+        run_sharded(&jobs, &opts, dir, &fabric, args.is_set("resume"))
             .map_err(|e| format!("sharded sweep in {dir}: {e}"))?
     } else {
         let journal = match args.opt("journal") {

@@ -3,17 +3,28 @@
 //! ```text
 //! wrsn run      [--days N] [--sensors N] [--targets N] [--rvs N] [--field M]
 //!               [--scheduler NAME] [--erp K] [--no-rr] [--seed S]
-//!               [--failures RATE] [--trace FILE] [--record DIR]
+//!               [--failures RATE] [--trace FILE] [fault flags]
+//!               [--record DIR] [--snap-every N]
+//! wrsn watch    [same flags as run] [--frames N] [--width COLS] [--fps N]
 //! wrsn sweep    [--scheduler NAME] [--days N] [--seed S] [--points N]
 //!               [--journal DIR] [--resume] [--timeout-s S] [--retries N]
-//!               [--shards N] [--chaos-workers P] [--store DIR] [--csv FILE]
-//! wrsn replay   --run DIR [--tick N] [--out FILE] [--from-zero] [--verify]
-//! wrsn query    --store DIR [--coverage-below X] [--event KIND]
-//!               [--within NEEDLE:ANCHOR:K] [--list]
-//! wrsn inspect  [--sensors N] [--targets N] [--field M] [--seed S]
+//!               [--shards N] [--shard-inflight N] [--shard-retries N]
+//!               [--lease-timeout-s S] [--chaos-workers P]
+//!               [--agents HOST:PORT,..] [--chaos-net P]
+//!               [--store DIR] [--store-snap-every N]
+//!               [--csv FILE] [fault flags]
 //! wrsn agent    --listen HOST:PORT [--work-dir DIR]
+//! wrsn replay   --run DIR [--tick N] [--out FILE] [--from-zero] [--verify]
+//!               [--info]
+//! wrsn query    --store DIR [--list] [--coverage-below X] [--alive-below N]
+//!               [--event KIND] [--within NEEDLE:ANCHOR:K] [--limit N]
+//! wrsn inspect  [--sensors N] [--targets N] [--field M] [--seed S]
+//! wrsn analyze  [--sensors N] [--targets N] [--rvs N] [--utilization F]
 //! wrsn schedulers
 //! ```
+//!
+//! The fault flags and defaults are listed in `commands::USAGE`, which
+//! `wrsn` prints when run without a command.
 
 mod args;
 mod commands;

@@ -1,32 +1,32 @@
-//! The TCP agent transport (DESIGN.md §4i): a `wrsn agent` daemon that
-//! runs shard assignments shipped over a socket, and the coordinator-side
-//! launcher that supervises it through the same [`WorkerHandle`] surface
-//! as a local worker.
+//! The agent side of the fabric's one transport (DESIGN.md §4i): a shard
+//! assignment served over a socket, and the coordinator-side handle that
+//! supervises it.
 //!
-//! **Agent side** ([`serve`]): accept a connection, read one framed
-//! [`wire::Assign`], validate the handshake (protocol version via the
-//! stream header, job slice via a recomputed grid hash), seed the shard's
-//! journal from the coordinator's authoritative complete-line prefix,
-//! `Accept`, then run the slice through the ordinary
-//! [`crate::batch::run_supervised`] while streaming heartbeats and every
-//! *complete* new journal line back; finish with `Done`.
+//! **Agent side** ([`run_assignment`]): read one framed [`wire::Assign`],
+//! validate the handshake (protocol version via the stream header, job
+//! slice via a recomputed grid hash), seed the shard's journal from the
+//! coordinator's authoritative complete-line prefix, `Accept`, then run
+//! the slice through the ordinary [`crate::batch::run_supervised`] while
+//! streaming heartbeats and every *complete* new journal line back; finish
+//! with `Done`. A `wrsn agent` daemon ([`serve`]) does this for every
+//! connection; a loopback worker ([`serve_loopback`]) for exactly one.
 //!
-//! **Coordinator side** ([`TcpAgentPool`]): connects, assigns, appends the
-//! streamed lines to the local shard journal (which stays the single
-//! source of truth for resume and merge), and maps every network failure
-//! mode onto paths the §4g coordinator already owns:
+//! **Coordinator side** ([`launch`], [`remote_launch`]): connect,
+//! assign, append the streamed lines to the local shard journal (which
+//! stays the single source of truth for resume and merge), and map every
+//! failure mode onto paths the §4g coordinator already owns:
 //!
-//! * connect refused / agent refuses → **fall back to local execution**
-//!   with a warning (an absent agent never fails the sweep);
+//! * a remote agent that is absent or refuses → **fall back to a loopback
+//!   worker** with a warning (an absent agent never fails the sweep);
 //! * link established but torn, corrupt, or closed mid-shard → a dead
 //!   handle → the ordinary requeue with bounded retries;
-//! * agent silent (wedged, one-way partition) → the lease counter stops
-//!   advancing → the lease watchdog reaps the shard.
+//! * agent silent (wedged, one-way partition) → the heartbeat counter
+//!   stops advancing → the lease watchdog reaps the shard.
 //!
-//! Because the streamed journal is byte-for-byte the journal a local
-//! worker would have written, resume seeding plus first-writer-wins
-//! replay make re-attempts safe: a job is never rerun once its `done`
-//! line reached the coordinator, and never double-counted if it didn't.
+//! Because the streamed journal is byte-for-byte the journal the agent
+//! wrote, resume seeding plus first-writer-wins replay make re-attempts
+//! safe: a job is never rerun once its `done` line reached the
+//! coordinator, and never double-counted if it didn't.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -38,17 +38,19 @@ use std::time::{Duration, Instant};
 
 use super::chaos::{net_chaos_plan, NetChaos};
 use super::wire::{self, Msg};
-use super::{LaunchSpec, Launcher, LocalExec, WorkerHandle};
+use super::{launch_loopback, LaunchSpec, Worker};
 use crate::batch::{run_supervised, SupervisorOptions};
 use crate::frame::{self, Reader, Writer, HEADER_LEN};
 use crate::journal::{grid_hash, Journal, JOURNAL_FILE};
-use crate::shard::{shard_dir, ShardError};
+use crate::shard::{shard_dir, ShardError, ShardOptions};
+use crate::store::StoreConfig;
 
 /// How long the coordinator waits for a TCP connect before declaring the
-/// agent absent and falling back to local execution.
+/// agent absent and falling back to a loopback worker.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// How long each side waits for the other's handshake message.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long each side waits for the other's handshake message (and a
+/// loopback worker for its coordinator to connect).
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Heartbeat/journal streaming cadence on the agent.
 const STREAM_INTERVAL: Duration = Duration::from_millis(100);
 
@@ -97,17 +99,65 @@ fn handle_conn(stream: TcpStream, work_dir: &Path) {
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    match run_assignment(stream, work_dir) {
+    // Store recording is a local-disk feature; a remote agent does not
+    // record (documented in DESIGN.md §4i).
+    match run_assignment(stream, work_dir, None) {
         Ok(what) => eprintln!("agent: {what} complete (coordinator {peer})"),
         Err(why) => eprintln!("warning: agent assignment from {peer} failed: {why}"),
     }
 }
 
+/// The worker half of a loopback shard attempt, run inside the re-executed
+/// child: binds `127.0.0.1:0`, announces the address as one
+/// `listening <addr>` stdout line, serves exactly one assignment with its
+/// journal under `scratch` (recording runs into `store`, which the
+/// worker's own argv selected), and exits — 0 once `Done` was sent, 3
+/// otherwise.
+pub(crate) fn serve_loopback(scratch: &Path, store: Option<StoreConfig>) -> ! {
+    let code = match serve_one(scratch, store) {
+        Ok(_) => 0,
+        Err(why) => {
+            eprintln!("shard worker error: {why}");
+            3
+        }
+    };
+    std::process::exit(code);
+}
+
+fn serve_one(scratch: &Path, store: Option<StoreConfig>) -> Result<String, String> {
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot listen: {e}"))?;
+    // Stdout is line-buffered, so the coordinator reads this at once.
+    println!(
+        "listening {}",
+        listener.local_addr().map_err(|e| e.to_string())?
+    );
+    // The coordinator connects as soon as it reads the address; one that
+    // died first must not leave this process waiting forever.
+    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+    let stream = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5))
+            }
+            Err(e) => return Err(format!("no coordinator connected: {e}")),
+        }
+    };
+    stream.set_nonblocking(false).map_err(|e| e.to_string())?;
+    run_assignment(stream, scratch, store)
+}
+
 /// Reads one assignment off `stream` and runs it to its `Done` (or a
-/// chaos order's early exit). Any error reported here was also made
-/// visible to the coordinator — as a `Refuse`, a `Done{ok:false}`, or a
-/// severed link its dead-shard path will requeue.
-fn run_assignment(stream: TcpStream, work_dir: &Path) -> Result<String, String> {
+/// chaos order's early exit), recording runs into `store` when given. Any
+/// error reported here was also made visible to the coordinator — as a
+/// `Refuse`, a `Done{ok:false}`, or a severed link its dead-shard path
+/// will requeue.
+fn run_assignment(
+    stream: TcpStream,
+    work_dir: &Path,
+    store: Option<StoreConfig>,
+) -> Result<String, String> {
     stream.set_nodelay(true).ok();
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
@@ -197,9 +247,7 @@ fn run_assignment(stream: TcpStream, work_dir: &Path) -> Result<String, String> 
         retry_backoff: Duration::from_secs_f64(assign.retry_backoff_s.max(0.0)),
         sim_time_cap_s: (assign.sim_time_cap_s > 0.0).then_some(assign.sim_time_cap_s),
         workers: NonZeroUsize::new(assign.threads as usize),
-        // Store recording is a local-disk feature; it is not forwarded
-        // across the wire (documented in DESIGN.md §4i).
-        store: None,
+        store,
     };
     let abort_at = (assign.abort_after_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(assign.abort_after_ms));
@@ -311,64 +359,45 @@ fn new_complete_lines(path: &Path, offset: &mut u64) -> std::io::Result<String> 
 
 // --- Coordinator side -----------------------------------------------------
 
-/// Launcher distributing shard attempts round-robin over a pool of
-/// `wrsn agent` addresses, with deterministic network chaos and graceful
-/// local fallback when an agent is absent or refuses.
-pub(crate) struct TcpAgentPool {
-    agents: Vec<String>,
-    chaos_net: f64,
-    chaos_seed: u64,
-    /// Full-grid hash, seeding the chaos plan (mirrors worker chaos).
+/// Starts one shard attempt: on `opts.agents` round-robin, with
+/// deterministic network chaos seeded by `opts.chaos_seed` and the full
+/// grid hash, or on a loopback worker when there are no agents or the
+/// chosen one is absent or refuses.
+pub(crate) fn launch(
+    spec: &LaunchSpec<'_>,
+    opts: &ShardOptions,
     grid_hash: u64,
-}
-
-impl TcpAgentPool {
-    pub(crate) fn new(
-        agents: Vec<String>,
-        chaos_net: f64,
-        chaos_seed: u64,
-        grid_hash: u64,
-    ) -> Self {
-        assert!(!agents.is_empty(), "TcpAgentPool needs at least one agent");
-        Self {
-            agents,
-            chaos_net,
-            chaos_seed,
-            grid_hash,
-        }
+) -> Result<RemoteHandle, ShardError> {
+    if opts.agents.is_empty() {
+        return launch_loopback(spec);
     }
-}
-
-impl Launcher for TcpAgentPool {
-    fn launch(&mut self, spec: &LaunchSpec<'_>) -> Result<Box<dyn WorkerHandle>, ShardError> {
-        // Round-robin by (shard + attempt): a retry naturally lands on a
-        // different agent, so one dead box cannot pin a shard down.
-        let addr = self.agents[(spec.shard + spec.attempt as usize) % self.agents.len()].clone();
-        let plan = net_chaos_plan(
-            self.chaos_net,
-            self.chaos_seed,
-            self.grid_hash,
+    // Round-robin by (shard + attempt): a retry naturally lands on a
+    // different agent, so one dead box cannot pin a shard down.
+    let addr = &opts.agents[(spec.shard + spec.attempt as usize) % opts.agents.len()];
+    let plan = net_chaos_plan(
+        opts.chaos_net,
+        opts.chaos_seed,
+        grid_hash,
+        spec.shard,
+        spec.attempt,
+    );
+    if let Some(c) = plan {
+        eprintln!(
+            "chaos: shard {} attempt {} gets a network fault: {}",
             spec.shard,
-            spec.attempt,
+            spec.attempt + 1,
+            describe_net_chaos(c)
         );
-        if let Some(c) = plan {
+    }
+    match remote_launch(addr, spec, plan) {
+        RemoteLaunch::Handle(link) => Ok(link),
+        RemoteLaunch::Fallback(why) => {
             eprintln!(
-                "chaos: shard {} attempt {} gets a network fault: {}",
-                spec.shard,
-                spec.attempt + 1,
-                describe_net_chaos(c)
+                "warning: agent {addr} unavailable for shard {} ({why}); \
+                 running the shard locally instead",
+                spec.shard
             );
-        }
-        match remote_launch(&addr, spec, plan) {
-            RemoteLaunch::Handle(handle) => Ok(Box::new(handle)),
-            RemoteLaunch::Fallback(why) => {
-                eprintln!(
-                    "warning: agent {addr} unavailable for shard {} ({why}); \
-                     running the shard locally instead",
-                    spec.shard
-                );
-                LocalExec.launch(spec)
-            }
+            launch_loopback(spec)
         }
     }
 }
@@ -378,7 +407,7 @@ fn describe_net_chaos(c: NetChaos) -> String {
         NetChaos::TornAssign => "assignment torn mid-write".into(),
         NetChaos::Delay(d) => format!("assignment delayed {} ms", d.as_millis()),
         NetChaos::Partition => "one-way partition (replies discarded)".into(),
-        NetChaos::StallAgent => "agent stalled (lease left to expire)".into(),
+        NetChaos::StallAgent => "agent stalled (heartbeats withheld)".into(),
         NetChaos::AbortAgent(d) => format!("agent severs the link after {} ms", d.as_millis()),
     }
 }
@@ -502,21 +531,23 @@ struct RemoteShared {
     finished: Option<Result<(), String>>,
 }
 
-/// Coordinator-side handle to one accepted remote shard attempt: a reader
-/// thread drains the agent's stream into the shared state and the local
-/// shard journal; `kill` severs the socket and joins the reader, so after
-/// it returns no more bytes are appended on the attempt's behalf — the
-/// invariant that makes requeue + resume safe.
+/// Coordinator-side handle to one shard attempt, the one handle the
+/// coordinator supervises: a reader thread drains the agent's stream into
+/// the shared state and the local shard journal; `kill` severs the socket
+/// and joins the reader, so after it returns no more bytes are appended on
+/// the attempt's behalf — the invariant that makes requeue + resume safe.
+/// For a loopback agent the handle also owns the worker process.
 pub(crate) struct RemoteHandle {
     stream: Option<TcpStream>,
     reader: Option<JoinHandle<()>>,
     shared: Arc<Mutex<RemoteShared>>,
+    worker: Option<Worker>,
 }
 
 impl RemoteHandle {
     /// A handle that failed before it ever ran: `poll` reports the reason
     /// immediately and the coordinator requeues.
-    fn dead(reason: String) -> Self {
+    pub(super) fn dead(reason: String) -> Self {
         Self {
             stream: None,
             reader: None,
@@ -524,7 +555,14 @@ impl RemoteHandle {
                 heartbeat: 0,
                 finished: Some(Err(reason)),
             })),
+            worker: None,
         }
+    }
+
+    /// Attaches the loopback worker process serving this link.
+    pub(super) fn with_worker(mut self, worker: Worker) -> Self {
+        self.worker = Some(worker);
+        self
     }
 
     fn live(
@@ -544,10 +582,47 @@ impl RemoteHandle {
             stream: Some(stream),
             reader: Some(thread),
             shared,
+            worker: None,
         }
     }
 
-    fn sever(&mut self) {
+    /// Non-blocking verdict: `None` while the agent runs the shard,
+    /// `Some(Ok(()))` once it reported success, `Some(Err(reason))` when
+    /// the attempt failed. A loopback worker that died on its own is
+    /// reported by its exit status rather than by the link it took down.
+    pub(crate) fn poll(&mut self) -> Option<Result<(), String>> {
+        let verdict = match self.shared.lock() {
+            Ok(shared) => shared.finished.clone()?,
+            Err(_) => Err("remote handle state poisoned".into()),
+        };
+        Some(match (verdict, &mut self.worker) {
+            (Err(reason), Some(worker)) => Err(worker.exit_reason().unwrap_or(reason)),
+            (verdict, _) => verdict,
+        })
+    }
+
+    /// The last heartbeat counter the agent streamed; the coordinator
+    /// declares the attempt hung when it stops advancing.
+    pub(crate) fn heartbeat(&self) -> u64 {
+        self.shared.lock().map_or(0, |shared| shared.heartbeat)
+    }
+
+    /// Last ~[`super::STDERR_TAIL_LINES`] lines of a loopback worker's
+    /// stderr (empty for a remote agent, whose failure context arrives
+    /// in-band).
+    pub(crate) fn stderr_tail(&self) -> String {
+        self.worker
+            .as_ref()
+            .and_then(|w| w.tail.lock().ok().map(|t| t.render()))
+            .unwrap_or_default()
+    }
+
+    /// SIGKILLs a loopback worker, severs the link and joins the reader;
+    /// idempotent.
+    pub(crate) fn kill(&mut self) {
+        if let Some(worker) = &mut self.worker {
+            let _ = worker.child.kill();
+        }
         // Claim the verdict before the shutdown wakes the reader, so an
         // intentional kill reads as a kill rather than as the link error
         // the reader observes a moment later (`finish` is
@@ -568,35 +643,9 @@ impl RemoteHandle {
     }
 }
 
-impl WorkerHandle for RemoteHandle {
-    fn poll(&mut self) -> Option<Result<(), String>> {
-        match self.shared.lock() {
-            Ok(shared) => shared.finished.clone(),
-            Err(_) => Some(Err("remote handle state poisoned".into())),
-        }
-    }
-
-    fn lease(&mut self) -> String {
-        match self.shared.lock() {
-            Ok(shared) => shared.heartbeat.to_string(),
-            Err(_) => String::new(),
-        }
-    }
-
-    fn kill(&mut self) {
-        self.sever();
-    }
-
-    fn stderr_tail(&mut self) -> String {
-        // Remote failure context arrives in-band (Refuse reasons, the
-        // Done error) and is already part of the poll verdict.
-        String::new()
-    }
-}
-
 impl Drop for RemoteHandle {
     fn drop(&mut self) {
-        self.sever();
+        self.kill();
     }
 }
 
@@ -619,7 +668,8 @@ fn reader_loop(
             Ok(Some(msg)) => {
                 if partition {
                     // One-way partition: the agent's frames never "arrive".
-                    // Its lease freezes and the watchdog reaps the shard.
+                    // Its heartbeat freezes and the watchdog reaps the
+                    // shard.
                     continue;
                 }
                 match msg {
@@ -661,8 +711,8 @@ fn reader_loop(
 }
 
 /// Appends streamed complete lines to the local shard journal, opening it
-/// lazily. If an earlier (local) attempt left a torn final line, a `\n`
-/// is inserted first so fresh records never glue onto torn bytes.
+/// lazily. If the journal ends in a torn final line, a `\n` is inserted
+/// first so fresh records never glue onto torn bytes.
 fn append_lines(sink: &mut Option<std::fs::File>, path: &Path, text: &str) -> std::io::Result<()> {
     if sink.is_none() {
         if let Some(parent) = path.parent() {
@@ -726,10 +776,10 @@ mod tests {
         addr
     }
 
-    fn wait_verdict(handle: &mut dyn WorkerHandle) -> Result<(), String> {
+    fn wait_verdict(mut poll: impl FnMut() -> Option<Result<(), String>>) -> Result<(), String> {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            if let Some(v) = handle.poll() {
+            if let Some(v) = poll() {
                 return v;
             }
             assert!(Instant::now() < deadline, "remote shard never finished");
@@ -765,13 +815,13 @@ mod tests {
             jobs: &jobs,
             sup: &sup,
         };
-        let mut pool = TcpAgentPool::new(vec![addr], 0.0, 0, grid_hash(&jobs));
-        let mut handle = pool.launch(&spec).expect("launch");
-        wait_verdict(handle.as_mut()).expect("remote shard verdict");
-        assert!(
-            handle.lease().parse::<u64>().unwrap_or(0) >= 1,
-            "heartbeats must have advanced the lease"
-        );
+        let opts = ShardOptions {
+            agents: vec![addr],
+            ..ShardOptions::default()
+        };
+        let mut handle = launch(&spec, &opts, grid_hash(&jobs)).expect("launch");
+        wait_verdict(|| handle.poll()).expect("remote shard verdict");
+        assert!(handle.heartbeat() >= 1, "heartbeats must have advanced");
         drop(handle);
         let merged = merge_shards(&jobs, &dir, &[(0, jobs.len())], &[]).expect("merge");
         let reference = run_supervised(&jobs, &sup, None);
@@ -797,7 +847,7 @@ mod tests {
         };
         match remote_launch(&addr, &spec, Some(NetChaos::TornAssign)) {
             RemoteLaunch::Handle(mut h) => {
-                let why = wait_verdict(&mut h).unwrap_err();
+                let why = wait_verdict(|| h.poll()).unwrap_err();
                 assert!(why.contains("torn"), "{why}");
             }
             RemoteLaunch::Fallback(why) => panic!("torn assign must not fall back: {why}"),
@@ -827,9 +877,9 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(400));
         assert!(h.poll().is_none(), "a stalled agent looks alive to poll");
-        assert_eq!(h.lease(), "0", "no heartbeats from a stalled agent");
+        assert_eq!(h.heartbeat(), 0, "no heartbeats from a stalled agent");
         h.kill();
-        let why = wait_verdict(&mut h).unwrap_err();
+        let why = wait_verdict(|| h.poll()).unwrap_err();
         assert!(why.contains("severed"), "{why}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -858,7 +908,7 @@ mod tests {
         ) else {
             panic!("healthy agent must not fall back");
         };
-        let first = wait_verdict(&mut h);
+        let first = wait_verdict(|| h.poll());
         drop(h);
         if first.is_err() {
             // The expected path: the link died mid-run; attempt 2 resumes
@@ -867,7 +917,7 @@ mod tests {
             let RemoteLaunch::Handle(mut h) = remote_launch(&addr, &retry, None) else {
                 panic!("healthy agent must not fall back");
             };
-            wait_verdict(&mut h).expect("retry verdict");
+            wait_verdict(|| h.poll()).expect("retry verdict");
             drop(h);
         }
         let merged = merge_shards(&jobs, &dir, &[(0, jobs.len())], &[]).expect("merge");

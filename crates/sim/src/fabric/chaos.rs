@@ -6,9 +6,9 @@
 //! two attempts of a shard can be faulted — always converges whenever the
 //! retry budget is at least two. Every fault mode lands on a path the
 //! coordinator already owns: torn assignments and severed links surface
-//! as dead-on-arrival or failed handles, silent agents starve the lease
-//! watchdog, and all of them end in the same requeue → resume → merge
-//! machinery as a local worker kill.
+//! as dead-on-arrival or failed handles, silent agents starve the
+//! heartbeat watchdog, and all of them end in the same requeue → resume →
+//! merge machinery as a killed loopback worker.
 
 use std::time::Duration;
 
@@ -24,7 +24,7 @@ pub(crate) enum NetChaos {
     /// the assignment still succeeds.
     Delay(Duration),
     /// One-way partition: discard everything the agent streams back, so
-    /// its lease never advances and the watchdog reaps the shard.
+    /// its heartbeat never advances and the watchdog reaps the shard.
     Partition,
     /// Order the agent to accept and then go silent (a wedged agent).
     StallAgent,

@@ -1,24 +1,22 @@
-//! Pluggable worker transports for the sharded sweep fabric
-//! (DESIGN.md §4i).
+//! The worker transport for the sharded sweep fabric (DESIGN.md §4i).
 //!
 //! The §4g coordinator supervises *something that runs one shard attempt*:
-//! it spawns it, watches a liveness lease, kills it when a watchdog trips,
-//! and requeues the shard when it dies. This module names that contract —
-//! [`Launcher`] / [`WorkerHandle`] — and provides two transports:
+//! it starts it, watches its heartbeat, kills it when a watchdog trips,
+//! and requeues the shard when it dies. Every attempt runs on an agent
+//! reached over TCP and speaking the [`wire`] protocol ([`agent`]):
 //!
-//! * [`LocalExec`] — PR 7's env-flagged re-exec of the current binary,
-//!   behavior-preserving, plus a stderr tee that keeps the last
-//!   [`STDERR_TAIL_LINES`] lines so a dead worker's `JobPanic` report
-//!   carries *why* it died, not just its exit status;
-//! * [`agent::TcpAgentPool`] — a TCP transport that ships the shard's job
-//!   slice to a remote `wrsn agent` daemon and streams its journal back
-//!   (see [`agent`] and [`wire`]).
+//! * a **loopback worker** — the current binary re-executed with
+//!   [`WORKER_ENV`] set, which binds `127.0.0.1:0`, announces its address
+//!   as one `listening <addr>` stdout line, serves exactly one assignment
+//!   and exits. The coordinator also holds the child process, for chaos
+//!   SIGKILLs, its exit status and a tail of its stderr;
+//! * a remote `wrsn agent` daemon ([`serve`]), when
+//!   [`crate::shard::ShardOptions::agents`] names any. An absent or
+//!   refusing agent degrades the shard to a loopback worker.
 //!
-//! The coordinator stays transport-agnostic: every network failure mode a
-//! remote transport can produce (connection loss, heartbeat silence,
-//! frame corruption) surfaces through the same `poll`/`lease` surface as
-//! a local worker crash, and therefore lands on the same
-//! requeue → resume → merge path.
+//! Either way an [`agent::RemoteHandle`] is the one handle the coordinator
+//! polls, so a crashed worker, a severed link and a silent agent all land
+//! on the same requeue → resume → merge path.
 
 pub mod agent;
 pub(crate) mod chaos;
@@ -28,19 +26,23 @@ use std::collections::VecDeque;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::batch::{JobSpec, SupervisorOptions};
-use crate::shard::{describe_exit, shard_dir, ShardError, LEASE_FILE};
+use crate::shard::{describe_exit, shard_dir, ShardError, WORKER_ENV};
+use agent::{remote_launch, RemoteLaunch, HANDSHAKE_TIMEOUT};
 
 pub use agent::serve;
-pub(crate) use agent::TcpAgentPool;
+pub(crate) use agent::{launch, serve_loopback, RemoteHandle};
 
-/// How many trailing stderr lines a transport keeps for failure reports.
+/// How many trailing stderr lines a loopback worker keeps for failure
+/// reports.
 pub const STDERR_TAIL_LINES: usize = 20;
 
-/// Everything a transport needs to start one shard attempt.
+/// Everything needed to start one shard attempt.
 pub(crate) struct LaunchSpec<'a> {
     /// Fabric directory (manifest + per-shard state).
     pub dir: &'a Path,
@@ -50,36 +52,14 @@ pub(crate) struct LaunchSpec<'a> {
     pub attempt: u32,
     /// Worker thread budget (backpressure-divided by the coordinator).
     pub threads: usize,
-    /// Chaos order: the worker should accept the shard and then hang
-    /// without heartbeating, so the lease watchdog has something to reap.
+    /// Chaos order: the agent should accept the shard and then hang
+    /// without heartbeating, so the heartbeat watchdog has something to
+    /// reap.
     pub stall: bool,
     /// The shard's job slice (global range `[lo, hi)`).
     pub jobs: &'a [JobSpec],
-    /// Supervision knobs forwarded to the worker's `run_supervised`.
+    /// Supervision knobs forwarded to the agent's `run_supervised`.
     pub sup: &'a SupervisorOptions,
-}
-
-/// One live shard attempt under supervision, whatever its transport.
-pub(crate) trait WorkerHandle: Send {
-    /// Non-blocking liveness probe: `None` while running, `Some(Ok(()))`
-    /// on success, `Some(Err(reason))` when the attempt failed.
-    fn poll(&mut self) -> Option<Result<(), String>>;
-    /// Opaque liveness token; the coordinator declares the attempt hung
-    /// when it stops changing for longer than the lease timeout.
-    fn lease(&mut self) -> String;
-    /// SIGKILL-equivalent: stop the attempt and release its resources.
-    /// Idempotent; after it returns no more journal bytes are written on
-    /// the attempt's behalf.
-    fn kill(&mut self);
-    /// Last ~[`STDERR_TAIL_LINES`] lines of the worker's stderr (empty if
-    /// the transport has none) — appended to failure reports so a dead
-    /// worker is diagnosable.
-    fn stderr_tail(&mut self) -> String;
-}
-
-/// Starts shard attempts over one transport.
-pub(crate) trait Launcher {
-    fn launch(&mut self, spec: &LaunchSpec<'_>) -> Result<Box<dyn WorkerHandle>, ShardError>;
 }
 
 // --- Stderr tail ----------------------------------------------------------
@@ -116,126 +96,143 @@ impl TailBuf {
     }
 }
 
-// --- LocalExec ------------------------------------------------------------
+// --- Loopback worker -----------------------------------------------------
 
-/// PR 7's transport: re-exec the current binary with the same argv,
-/// flagged into worker mode by `WRSN_SHARD_WORKER`.
-pub(crate) struct LocalExec;
+/// Starts a shard attempt on a loopback worker: re-executes the current
+/// binary with the same argv and [`WORKER_ENV`] naming the worker's
+/// scratch directory, reads the address it announces, and assigns the
+/// shard to it over TCP.
+pub(crate) fn launch_loopback(spec: &LaunchSpec<'_>) -> Result<RemoteHandle, ShardError> {
+    let scratch = shard_dir(spec.dir, spec.shard).join("worker");
+    let mut cmd = Command::new(std::env::current_exe()?);
+    cmd.args(std::env::args_os().skip(1))
+        .env(WORKER_ENV, &scratch);
+    start_worker(cmd, scratch, spec)
+}
 
-impl Launcher for LocalExec {
-    fn launch(&mut self, spec: &LaunchSpec<'_>) -> Result<Box<dyn WorkerHandle>, ShardError> {
-        use crate::shard::{CHAOS_ENV, DIR_ENV, THREADS_ENV, WORKER_ENV};
-        let exe = std::env::current_exe()?;
-        let mut cmd = Command::new(exe);
-        cmd.args(std::env::args().skip(1))
-            .env(WORKER_ENV, spec.shard.to_string())
-            .env(DIR_ENV, spec.dir)
-            .env(THREADS_ENV, spec.threads.to_string())
-            .env_remove(CHAOS_ENV);
-        if spec.stall {
-            cmd.env(CHAOS_ENV, "stall");
+/// Spawns the worker command `cmd` and assigns it `spec`'s shard once it
+/// has announced its address.
+fn start_worker(
+    cmd: Command,
+    scratch: PathBuf,
+    spec: &LaunchSpec<'_>,
+) -> Result<RemoteHandle, ShardError> {
+    let (worker, announced) = Worker::spawn(cmd, scratch, spec.shard)?;
+    let link = match announced.recv_timeout(HANDSHAKE_TIMEOUT) {
+        Ok(addr) => match remote_launch(&addr, spec, None) {
+            RemoteLaunch::Handle(link) => link,
+            RemoteLaunch::Fallback(why) => RemoteHandle::dead(why),
+        },
+        Err(RecvTimeoutError::Disconnected) => {
+            RemoteHandle::dead("worker exited before announcing its address".into())
         }
-        let lease_path = shard_dir(spec.dir, spec.shard).join(LEASE_FILE);
-        Ok(Box::new(LocalHandle::spawn(cmd, lease_path, spec.shard)?))
-    }
+        Err(RecvTimeoutError::Timeout) => RemoteHandle::dead(format!(
+            "worker did not announce its address within {} s",
+            HANDSHAKE_TIMEOUT.as_secs()
+        )),
+    };
+    Ok(link.with_worker(worker))
 }
 
-/// One supervised local worker process: the child, its lease file, and a
-/// tee thread echoing its stderr while keeping the trailing lines.
-pub(crate) struct LocalHandle {
+/// A loopback worker process: the child, threads draining its pipes (the
+/// stderr one echoes every line and keeps the trailing ones), and the
+/// scratch directory its agent journals into.
+struct Worker {
     child: Child,
-    lease_path: PathBuf,
     tail: Arc<Mutex<TailBuf>>,
-    tee: Option<JoinHandle<()>>,
+    pipes: Vec<JoinHandle<()>>,
+    scratch: PathBuf,
 }
 
-impl LocalHandle {
-    /// Spawns `cmd` under supervision. Stdout is discarded (workers must
-    /// not interleave with the coordinator's tables); stderr is piped
-    /// through a tee so warnings still reach the coordinator's stderr
-    /// while the tail stays available for failure reports.
-    pub(crate) fn spawn(
+impl Worker {
+    /// Spawns `cmd` with piped stdout and stderr. The returned channel
+    /// yields the address from the worker's `listening <addr>` line;
+    /// stdout is drained after it so the worker never blocks on a full
+    /// pipe.
+    fn spawn(
         mut cmd: Command,
-        lease_path: PathBuf,
+        scratch: PathBuf,
         shard: usize,
-    ) -> Result<Self, ShardError> {
+    ) -> Result<(Self, mpsc::Receiver<String>), ShardError> {
         cmd.stdin(Stdio::null())
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::piped());
         let mut child = cmd
             .spawn()
             .map_err(|e| ShardError::Spawn(format!("shard {shard}: {e}")))?;
         let tail = Arc::new(Mutex::new(TailBuf::new(STDERR_TAIL_LINES)));
-        let tee = child.stderr.take().map(|pipe| {
+        let (tx, announced) = mpsc::channel();
+        let mut pipes = Vec::new();
+        if let Some(out) = child.stdout.take() {
+            pipes.push(std::thread::spawn(move || {
+                for line in std::io::BufReader::new(out).lines() {
+                    let Ok(line) = line else { break };
+                    if let Some(addr) = line.strip_prefix("listening ") {
+                        let _ = tx.send(addr.trim().to_string());
+                    }
+                }
+            }));
+        }
+        if let Some(err) = child.stderr.take() {
             let tail = Arc::clone(&tail);
-            std::thread::spawn(move || {
-                for line in std::io::BufReader::new(pipe).lines() {
+            pipes.push(std::thread::spawn(move || {
+                for line in std::io::BufReader::new(err).lines() {
                     let Ok(line) = line else { break };
                     eprintln!("{line}");
                     if let Ok(mut t) = tail.lock() {
                         t.push(line);
                     }
                 }
-            })
-        });
-        Ok(Self {
+            }));
+        }
+        let worker = Self {
             child,
-            lease_path,
             tail,
-            tee,
-        })
+            pipes,
+            scratch,
+        };
+        Ok((worker, announced))
     }
-}
 
-impl WorkerHandle for LocalHandle {
-    fn poll(&mut self) -> Option<Result<(), String>> {
-        match self.child.try_wait() {
-            Ok(Some(status)) => {
-                // Drain the pipe to its EOF before reporting, so the tail
-                // holds the worker's final words.
-                if let Some(tee) = self.tee.take() {
-                    let _ = tee.join();
+    /// The worker's exit status, if it has exited unsuccessfully. A dying
+    /// worker closes its socket a moment before it can be reaped, so this
+    /// waits briefly; the stderr pipe is drained to its EOF first, so the
+    /// tail holds the worker's final words.
+    fn exit_reason(&mut self) -> Option<String> {
+        let deadline = Instant::now() + Duration::from_millis(250);
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(status)) => {
+                    for pipe in self.pipes.drain(..) {
+                        let _ = pipe.join();
+                    }
+                    return (!status.success()).then(|| describe_exit(&status));
                 }
-                Some(if status.success() {
-                    Ok(())
-                } else {
-                    Err(describe_exit(&status))
-                })
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5))
+                }
+                _ => return None,
             }
-            Ok(None) => None,
-            Err(e) => Some(Err(format!("wait failed: {e}"))),
         }
     }
-
-    fn lease(&mut self) -> String {
-        std::fs::read_to_string(&self.lease_path).unwrap_or_default()
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-    }
-
-    fn stderr_tail(&mut self) -> String {
-        self.tail.lock().map(|t| t.render()).unwrap_or_default()
-    }
 }
 
-impl Drop for LocalHandle {
-    /// A dropped handle must not leak the process or the tee thread —
-    /// dropping `running` mid-error reaps every live worker.
+impl Drop for Worker {
+    /// A dropped worker must not leak the process, its pipe threads or its
+    /// scratch journal.
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        if let Some(tee) = self.tee.take() {
-            let _ = tee.join();
+        for pipe in self.pipes.drain(..) {
+            let _ = pipe.join();
         }
+        let _ = std::fs::remove_dir_all(&self.scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn tail_buf_keeps_only_the_last_lines() {
@@ -247,18 +244,31 @@ mod tests {
         assert_eq!(TailBuf::new(2).render(), "");
     }
 
-    /// Spawns an arbitrary command (not a re-exec) through the local
-    /// handle and checks the failure report carries the stderr tail.
+    /// Spawns an arbitrary command (not a re-exec) as a worker that dies
+    /// before announcing an address, and checks the failure report is its
+    /// exit status with the stderr tail alongside.
     #[test]
     #[cfg(unix)]
-    fn local_handle_reports_exit_status_with_stderr_tail() {
+    fn dead_worker_reports_exit_status_with_stderr_tail() {
+        let dir = std::env::temp_dir().join(format!("wrsn-fabric-dead-{}", std::process::id()));
+        let scratch = dir.join("worker");
+        std::fs::create_dir_all(&scratch).unwrap();
         let mut cmd = Command::new("sh");
         cmd.args([
             "-c",
             "for i in $(seq 1 30); do echo noise-$i >&2; done; echo real-cause >&2; exit 7",
         ]);
-        let mut handle =
-            LocalHandle::spawn(cmd, std::env::temp_dir().join("no-such-lease"), 0).expect("spawn");
+        let sup = SupervisorOptions::default();
+        let spec = LaunchSpec {
+            dir: &dir,
+            shard: 0,
+            attempt: 0,
+            threads: 1,
+            stall: false,
+            jobs: &[],
+            sup: &sup,
+        };
+        let mut handle = start_worker(cmd, scratch.clone(), &spec).expect("spawn");
         let deadline = Instant::now() + Duration::from_secs(30);
         let verdict = loop {
             if let Some(v) = handle.poll() {
@@ -273,5 +283,11 @@ mod tests {
         // The ring is bounded: early noise fell off.
         assert!(!tail.contains("noise-1 |"), "tail: {tail}");
         assert!(tail.contains("noise-30"), "tail: {tail}");
+        drop(handle);
+        assert!(
+            !scratch.exists(),
+            "a dropped worker removes its scratch dir"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,7 +16,7 @@ use crate::frame::Record;
 use crate::snapshot::{self, Dec, Enc, SnapshotError};
 
 /// A shard assignment: everything an agent needs to run one shard's job
-/// slice under the same supervision contract as a local worker.
+/// slice under the same supervision contract as an in-process sweep.
 #[derive(Debug, Clone)]
 pub struct Assign {
     /// Global shard index (for directory naming and log lines).
@@ -62,7 +62,7 @@ pub enum Msg {
     /// The agent took the shard and will start streaming.
     Accept { shard: u64 },
     /// The agent cannot take the shard (version/hash mismatch, bad work
-    /// dir); the coordinator falls back to local execution.
+    /// dir); the coordinator falls back to a loopback worker.
     Refuse { reason: String },
     /// Liveness lease: a counter that increases while the shard runs.
     Heartbeat { counter: u64 },
@@ -264,6 +264,35 @@ mod tests {
         assert_eq!(a.jobs[1].config.num_sensors, 11);
         assert_eq!(crate::journal::grid_hash(&a.jobs), a.grid_hash);
         assert_eq!(a.prior_journal, "meta line\ndone line\n");
+    }
+
+    #[test]
+    fn a_paper_scale_job_decodes_at_the_end_of_a_payload() {
+        // 500 sensors exceed the bytes left after the config's sensor
+        // count when the job is the assignment's last and no journal
+        // follows; the count must not be read as a length prefix.
+        let job = JobSpec::new("paper/seed=0", &SimConfig::paper_defaults(), 0);
+        let msg = Msg::Assign(Box::new(Assign {
+            shard: 0,
+            attempt: 0,
+            grid_hash: crate::journal::grid_hash(std::slice::from_ref(&job)),
+            threads: 1,
+            retries: 1,
+            retry_backoff_s: 0.05,
+            timeout_s: -1.0,
+            sim_time_cap_s: -1.0,
+            stall: false,
+            abort_after_ms: 0,
+            jobs: vec![job],
+            prior_journal: String::new(),
+        }));
+        let decoded = frame::decode::<Msg>(&frame::encode(&[msg])).expect("decode");
+        assert_eq!(decoded.tail, frame::Tail::Clean);
+        let Msg::Assign(a) = &decoded.records[0] else {
+            panic!("expected assign");
+        };
+        assert_eq!(a.jobs[0].config.num_sensors, 500);
+        assert_eq!(crate::journal::grid_hash(&a.jobs), a.grid_hash);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! panicking jobs, wall-clock timeouts, a `kill -9` of the whole sweep
 //! (via the §4d journal). This module treats the worker **process** as the
 //! failure unit: a coordinator splits the job list into contiguous shard
-//! ranges, spawns one worker process per shard (a re-exec of the current
-//! binary with the same argv, flagged by the [`WORKER_ENV`] environment
-//! variable), and supervises them:
+//! ranges and runs each range as one assignment on an agent reached over
+//! TCP ([`crate::fabric`]) — a loopback worker (a re-exec of the current
+//! binary, flagged by the [`WORKER_ENV`] environment variable) or a remote
+//! `wrsn agent` from [`ShardOptions::agents`] — and supervises them:
 //!
-//! * **leases** — every worker heartbeats a counter into its shard
-//!   directory's `lease` file; a lease that goes stale for longer than
-//!   [`ShardOptions::lease_timeout`] marks the worker hung and it is
+//! * **heartbeats** — every agent streams a heartbeat counter while it
+//!   runs; a counter that stops advancing for longer than
+//!   [`ShardOptions::lease_timeout`] marks the attempt hung and it is
 //!   killed;
 //! * **watchdog** — [`ShardOptions::shard_timeout`] bounds one attempt's
 //!   wall clock;
@@ -20,18 +21,18 @@
 //!   `min(backoff_cap, backoff · 2^attempt)` plus a deterministic seeded
 //!   jitter before each respawn (so a mass requeue never relaunches every
 //!   shard in the same instant);
-//! * **backpressure** — at most [`ShardOptions::max_inflight`] worker
-//!   processes run concurrently (the fairy-style RAM barrier: a 64-shard
-//!   grid on an 8-core box keeps 8 workers alive, not 64), and each
-//!   worker's thread count is divided down so the machine is never
-//!   oversubscribed;
+//! * **backpressure** — at most [`ShardOptions::max_inflight`] attempts
+//!   run concurrently (the fairy-style RAM barrier: a 64-shard grid on an
+//!   8-core box keeps 8 workers alive, not 64), and each attempt's thread
+//!   count is divided down so the machine is never oversubscribed;
 //! * **chaos** — [`ShardOptions::chaos_workers`] randomly SIGKILLs or
-//!   stalls spawned workers mid-shard (deterministically, from
+//!   stalls attempts mid-shard (deterministically, from
 //!   [`ShardOptions::chaos_seed`]) to prove the recovery path end-to-end.
 //!
 //! Every shard journals into its own `shard-NNNN/journal.jsonl` via the
-//! §4d write-ahead [`Journal`], so a re-spawned worker *resumes*: jobs the
-//! dead worker completed are replayed bit-identically, never rerun and
+//! §4d write-ahead [`Journal`]: the agent streams its journal lines back
+//! and the coordinator appends them, so a re-attempt *resumes*: jobs the
+//! dead attempt completed are replayed bit-identically, never rerun and
 //! never double-counted. When all shards finish, the coordinator merges
 //! the per-shard journals into one result vector in global job order —
 //! byte-stable, because `done` outcomes are stored as IEEE-754 bit
@@ -42,15 +43,9 @@
 //! the `Vec<Result<SimOutcome, JobPanic>>` that
 //! [`crate::batch::run_supervised`] would, so a sharded sweep's CSV is
 //! byte-identical (`cmp`-equal) to the single-process run's.
-//!
-//! The *transport* behind each shard attempt is pluggable
-//! (DESIGN.md §4i, [`crate::fabric`]): [`ShardOptions::agents`] swaps the
-//! local re-exec for TCP assignments to `wrsn agent` daemons, whose
-//! streamed journals land in the same per-shard files this module
-//! resumes and merges.
 
-use crate::batch::{run_supervised, JobPanic, JobSpec, SupervisorOptions};
-use crate::fabric::{LaunchSpec, Launcher, LocalExec, TcpAgentPool, WorkerHandle};
+use crate::batch::{JobPanic, JobSpec, SupervisorOptions};
+use crate::fabric::{self, LaunchSpec, RemoteHandle};
 use crate::journal::{self, grid_hash, Journal, JournalError};
 use crate::SimOutcome;
 use rand::rngs::StdRng;
@@ -59,29 +54,30 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitStatus;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The shard manifest's file name inside a fabric directory.
 pub const MANIFEST_FILE: &str = "shards.json";
 /// Manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
-/// The per-shard heartbeat file's name inside a shard directory.
-pub const LEASE_FILE: &str = "lease";
 
-/// Environment variable selecting worker mode: set to the shard index by
-/// the coordinator when re-executing the current binary.
+/// Environment variable selecting loopback-worker mode: set by the
+/// coordinator, to the worker's scratch directory, when re-executing the
+/// current binary.
 pub const WORKER_ENV: &str = "WRSN_SHARD_WORKER";
-/// Environment variable carrying the fabric directory to workers.
-pub const DIR_ENV: &str = "WRSN_SHARD_DIR";
-/// Environment variable bounding a worker's thread count (backpressure:
-/// `available_parallelism / max_inflight`).
-pub const THREADS_ENV: &str = "WRSN_SHARD_THREADS";
-/// Environment variable carrying a chaos order to a worker (`stall` makes
-/// the worker write one lease and then hang without heartbeating, so the
-/// coordinator's lease watchdog must reap it).
-pub const CHAOS_ENV: &str = "WRSN_SHARD_CHAOS";
+
+/// The sweep flags that configure the fabric, as `wrsn sweep` and the
+/// figure binaries spell them (without the leading `--`); each takes a
+/// value. [`ShardOptions::from_sweep_flags`] maps them.
+pub const SWEEP_FLAGS: [&str; 7] = [
+    "shards",
+    "shard-inflight",
+    "shard-retries",
+    "lease-timeout-s",
+    "chaos-workers",
+    "agents",
+    "chaos-net",
+];
 
 /// Supervision policy for the shard fabric.
 #[derive(Debug, Clone)]
@@ -89,34 +85,34 @@ pub struct ShardOptions {
     /// Number of shard ranges the job list is split into (clamped to the
     /// job count; at least 1).
     pub shards: usize,
-    /// Maximum concurrently running worker processes; `0` means
+    /// Maximum concurrently running shard attempts; `0` means
     /// `min(shards, available_parallelism)`.
     pub max_inflight: usize,
-    /// Extra worker respawns after a shard's first attempt fails (crash,
-    /// hang, watchdog, chaos).
+    /// Extra attempts after a shard's first attempt fails (crash, hang,
+    /// watchdog, chaos).
     pub retries: u32,
     /// Base delay before a shard respawn; doubles per consecutive retry.
     pub backoff: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// A worker whose lease has not changed for this long is declared
-    /// hung, killed, and its shard re-queued.
+    /// An attempt whose heartbeat has not advanced for this long is
+    /// declared hung, killed, and its shard re-queued.
     pub lease_timeout: Duration,
     /// Per-attempt wall-clock budget for a whole shard; `None` disables
-    /// the shard watchdog (the lease watchdog still applies).
+    /// the shard watchdog (the heartbeat watchdog still applies).
     pub shard_timeout: Option<Duration>,
-    /// Probability that a spawned worker is chaos-faulted (SIGKILLed after
-    /// a short delay, or stalled so its lease expires). Applied only on a
-    /// shard's first two attempts, so a bounded retry budget always
-    /// converges. `0.0` disables chaos.
+    /// Probability that a launched attempt is chaos-faulted (SIGKILLed
+    /// after a short delay, or stalled so its heartbeat stops). Applied
+    /// only on a shard's first two attempts, so a bounded retry budget
+    /// always converges. `0.0` disables chaos.
     pub chaos_workers: f64,
     /// Seed for the deterministic chaos decisions.
     pub chaos_seed: u64,
     /// `wrsn agent` addresses (`host:port`) to distribute shards over.
-    /// Empty means the local re-exec transport ([`crate::fabric::LocalExec`],
-    /// PR 7 behavior). An absent or refusing agent degrades the affected
-    /// shard to local execution with a warning; a link that dies mid-shard
-    /// takes the ordinary requeue path.
+    /// Empty means every shard runs on a loopback worker, a re-exec of the
+    /// current binary. An absent or refusing agent degrades the affected
+    /// shard to a loopback worker with a warning; a link that dies
+    /// mid-shard takes the ordinary requeue path.
     pub agents: Vec<String>,
     /// Probability that an agent assignment is network-chaos-faulted
     /// (torn frames, delays, one-way partitions, stalled or severed
@@ -140,6 +136,59 @@ impl Default for ShardOptions {
             agents: Vec::new(),
             chaos_net: 0.0,
         }
+    }
+}
+
+impl ShardOptions {
+    /// Maps a sweep's fabric flags ([`SWEEP_FLAGS`]) onto options, for
+    /// both sweep front ends. `flag(name)` returns the value given for
+    /// `--name`, or `None` when the flag is absent. Returns `Ok(None)` when
+    /// the sweep runs in-process: `--shards` is absent or 0 and no
+    /// `--agents` are given. `--agents` without `--shards` implies one
+    /// shard per agent. Absent flags keep [`ShardOptions::default`]'s
+    /// values, and the lease timeout is floored at 0.1 s.
+    ///
+    /// # Errors
+    /// Returns a message naming the flag whose value does not parse.
+    pub fn from_sweep_flags<'a>(
+        flag: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<Option<Self>, String> {
+        fn num<'a, T: std::str::FromStr>(
+            flag: &dyn Fn(&str) -> Option<&'a str>,
+            name: &str,
+            default: T,
+        ) -> Result<T, String> {
+            flag(name).map_or(Ok(default), |v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: cannot parse `{v}`"))
+            })
+        }
+        let agents: Vec<String> = flag("agents").map_or_else(Vec::new, |v| {
+            v.split(',')
+                .map(str::trim)
+                .filter(|a| !a.is_empty())
+                .map(String::from)
+                .collect()
+        });
+        let shards = match num(&flag, "shards", 0)? {
+            0 => agents.len(),
+            n => n,
+        };
+        if shards == 0 {
+            return Ok(None);
+        }
+        let d = Self::default();
+        let lease_s = num(&flag, "lease-timeout-s", d.lease_timeout.as_secs_f64())?;
+        Ok(Some(Self {
+            shards,
+            max_inflight: num(&flag, "shard-inflight", d.max_inflight)?,
+            retries: num(&flag, "shard-retries", d.retries)?,
+            lease_timeout: Duration::from_secs_f64(lease_s.max(0.1)),
+            chaos_workers: num(&flag, "chaos-workers", d.chaos_workers)?,
+            chaos_net: num(&flag, "chaos-net", d.chaos_net)?,
+            agents,
+            ..d
+        }))
     }
 }
 
@@ -223,7 +272,7 @@ pub fn shard_ranges(n_jobs: usize, shards: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// The subdirectory holding shard `index`'s journal and lease.
+/// The subdirectory holding shard `index`'s journal.
 pub fn shard_dir(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("shard-{index:04}"))
 }
@@ -327,18 +376,20 @@ fn validate_manifest(dir: &Path, jobs: usize, shards: usize, hash: u64) -> Resul
 /// byte-identical to a single-process run's.
 ///
 /// In the **coordinator** process this splits the job list into
-/// `opts.shards` ranges, writes the manifest, and supervises worker
-/// processes until every shard completes or exhausts its retries; jobs of
-/// a permanently dead shard come back as [`JobPanic`]s labeled with the
-/// worker's exit status (signal vs. exit code). With `resume` the manifest
-/// is validated instead of rewritten and existing per-shard journals are
-/// kept, so completed work is replayed rather than rerun.
+/// `opts.shards` ranges, writes the manifest, and supervises one agent
+/// assignment per shard until every shard completes or exhausts its
+/// retries; jobs of a permanently dead shard come back as [`JobPanic`]s
+/// labeled with the final failure (a loopback worker's signal vs. exit
+/// code). With `resume` the manifest is validated instead of rewritten and
+/// existing per-shard journals are kept, so completed work is replayed
+/// rather than rerun.
 ///
-/// In a **worker** process (spawned by the coordinator with [`WORKER_ENV`]
-/// set; the worker re-executes the same binary with the same argv and so
-/// reconstructs the identical job list) this runs only the assigned shard
-/// range against the per-shard journal, then **exits the process** — the
-/// caller's post-sweep code (tables, CSV writing) never runs in a worker.
+/// In a **loopback worker** (the current binary re-executed by the
+/// coordinator with [`WORKER_ENV`] set) this serves exactly one
+/// assignment — the job slice arrives over the wire, so `jobs`, `dir` and
+/// `opts` are ignored, and of `sup` only the run store is used — then
+/// **exits the process**: the caller's post-sweep code (tables, CSV
+/// writing) never runs in a worker.
 pub fn run_sharded(
     jobs: &[JobSpec],
     sup: &SupervisorOptions,
@@ -346,115 +397,21 @@ pub fn run_sharded(
     opts: &ShardOptions,
     resume: bool,
 ) -> Result<Vec<Result<SimOutcome, JobPanic>>, ShardError> {
-    if let Ok(index) = std::env::var(WORKER_ENV) {
-        // Never returns: the worker exits once its shard is journaled.
-        worker_exit(jobs, sup, opts, &index);
+    if let Some(scratch) = std::env::var_os(WORKER_ENV) {
+        fabric::serve_loopback(Path::new(&scratch), sup.store.clone());
     }
     coordinate(jobs, sup, dir.as_ref(), opts, resume)
 }
 
-// --- Worker ---------------------------------------------------------------
-
-/// Runs the worker role and exits the process (0 on success, 3 on a
-/// fabric-level error such as manifest drift).
-fn worker_exit(jobs: &[JobSpec], sup: &SupervisorOptions, opts: &ShardOptions, index: &str) -> ! {
-    let code = match worker_main(jobs, sup, opts, index) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("shard worker error: {e}");
-            3
-        }
-    };
-    std::process::exit(code);
-}
-
-fn worker_main(
-    jobs: &[JobSpec],
-    sup: &SupervisorOptions,
-    opts: &ShardOptions,
-    index: &str,
-) -> Result<(), ShardError> {
-    let index: usize = index
-        .parse()
-        .map_err(|_| ShardError::Corrupt(format!("bad {WORKER_ENV} value `{index}`")))?;
-    let dir = PathBuf::from(
-        std::env::var(DIR_ENV).map_err(|_| ShardError::Corrupt(format!("{DIR_ENV} not set")))?,
-    );
-    // The worker rebuilt the job list from its own argv; the manifest's
-    // grid hash proves it reconstructed the coordinator's exact grid.
-    let (m_jobs, m_shards, m_hash) = read_manifest(&dir)?;
-    validate_manifest(&dir, jobs.len(), m_shards, grid_hash(jobs))?;
-    debug_assert_eq!(m_jobs, jobs.len());
-    debug_assert_eq!(m_hash, grid_hash(jobs));
-    let ranges = shard_ranges(jobs.len(), m_shards);
-    let &(lo, hi) = ranges.get(index).ok_or_else(|| {
-        ShardError::Corrupt(format!(
-            "shard index {index} out of range ({} shards)",
-            ranges.len()
-        ))
-    })?;
-    let my_dir = shard_dir(&dir, index);
-    std::fs::create_dir_all(&my_dir)?;
-
-    // Injected hang: write one lease, then stop heartbeating forever. The
-    // coordinator's lease watchdog must detect and kill us.
-    if std::env::var(CHAOS_ENV).as_deref() == Ok("stall") {
-        let _ = std::fs::write(my_dir.join(LEASE_FILE), "stalled\n");
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
-
-    let slice = &jobs[lo..hi];
-    // Resume a previous (killed) attempt's journal when one exists, so its
-    // completed jobs are never rerun; otherwise start fresh.
-    let journal = if my_dir.join(journal::JOURNAL_FILE).exists() {
-        Journal::resume(&my_dir, slice)?
-    } else {
-        Journal::create(&my_dir, slice)?
-    };
-
-    // Heartbeat thread: bump the lease counter well inside the timeout.
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let stop = Arc::clone(&stop);
-        let lease = my_dir.join(LEASE_FILE);
-        let interval =
-            (opts.lease_timeout / 5).clamp(Duration::from_millis(25), Duration::from_secs(1));
-        std::thread::spawn(move || {
-            let mut counter: u64 = 0;
-            while !stop.load(Ordering::Relaxed) {
-                counter += 1;
-                let _ = std::fs::write(&lease, format!("{counter}\n"));
-                std::thread::sleep(interval);
-            }
-        })
-    };
-
-    // Backpressure: the coordinator divides the machine's threads among
-    // the in-flight workers.
-    let mut sup = sup.clone();
-    if let Some(threads) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .and_then(NonZeroUsize::new)
-    {
-        sup.workers = Some(threads);
-    }
-    let _ = run_supervised(slice, &sup, Some(&journal));
-    stop.store(true, Ordering::Relaxed);
-    let _ = beat.join();
-    Ok(())
-}
-
 // --- Coordinator ----------------------------------------------------------
 
-/// What chaos injects into one spawned worker.
+/// What chaos injects into one shard attempt.
 #[derive(Debug, Clone, Copy)]
 enum Chaos {
-    /// SIGKILL the worker this long after spawning it.
+    /// SIGKILL the worker (sever a remote agent's link) this long after
+    /// launching it.
     Kill(Duration),
-    /// Order the worker to stall (hang without heartbeating).
+    /// Order the agent to stall (hang without heartbeating).
     Stall,
 }
 
@@ -486,16 +443,15 @@ struct Pending {
     ready: Instant,
 }
 
-/// One live shard attempt under supervision, behind whichever transport
-/// launched it.
+/// One live shard attempt under supervision.
 struct Slot {
     shard: usize,
     attempt: u32,
-    handle: Box<dyn WorkerHandle>,
+    handle: RemoteHandle,
     started: Instant,
-    /// Last observed lease content and when it last changed.
-    lease: String,
-    lease_changed: Instant,
+    /// Last observed heartbeat counter and when it last advanced.
+    heartbeat: u64,
+    beat_at: Instant,
     /// Pending chaos kill time, if any.
     kill_at: Option<Instant>,
     /// Set when the coordinator killed the worker itself; overrides the
@@ -583,21 +539,6 @@ fn coordinate(
     };
     let threads_per_worker = (available_parallelism() / inflight).max(1);
 
-    // The transport is pluggable (DESIGN.md §4i): without agents this is
-    // PR 7's local re-exec, byte-identically; with agents, shards are
-    // distributed over the pool and every network failure mode funnels
-    // back into the same poll/lease surface supervised below.
-    let mut launcher: Box<dyn Launcher> = if opts.agents.is_empty() {
-        Box::new(LocalExec)
-    } else {
-        Box::new(TcpAgentPool::new(
-            opts.agents.clone(),
-            opts.chaos_net,
-            opts.chaos_seed,
-            hash,
-        ))
-    };
-
     let mut queue: VecDeque<Pending> = (0..shards)
         .map(|shard| Pending {
             shard,
@@ -628,7 +569,7 @@ fn coordinate(
                     p.attempt + 1,
                     match c {
                         Chaos::Kill(d) => format!("SIGKILLed after {} ms", d.as_millis()),
-                        Chaos::Stall => "stalled (lease left to expire)".to_string(),
+                        Chaos::Stall => "stalled (heartbeats withheld)".to_string(),
                     }
                 );
             }
@@ -642,7 +583,9 @@ fn coordinate(
                 jobs: &jobs[lo..hi],
                 sup,
             };
-            match launcher.launch(&spec) {
+            // Every attempt is a TCP assignment (DESIGN.md §4i), and every
+            // failure mode funnels into the poll/heartbeat surface below.
+            match fabric::launch(&spec, opts, hash) {
                 Ok(handle) => {
                     let now = Instant::now();
                     running.push(Slot {
@@ -650,8 +593,8 @@ fn coordinate(
                         attempt: p.attempt,
                         handle,
                         started: now,
-                        lease: String::new(),
-                        lease_changed: now,
+                        heartbeat: 0,
+                        beat_at: now,
                         kill_at: match chaos {
                             Some(Chaos::Kill(delay)) => Some(now + delay),
                             _ => None,
@@ -724,18 +667,18 @@ fn coordinate(
                             }
                         }
                     }
-                    // Lease staleness: a worker that stopped heartbeating
-                    // (hung, SIGSTOPped, livelocked, or behind a network
-                    // partition) is reaped.
+                    // Heartbeat staleness: an agent that stopped
+                    // heartbeating (hung, SIGSTOPped, livelocked, or behind
+                    // a network partition) is reaped.
                     if slot.kill_reason.is_none() {
-                        let lease = slot.handle.lease();
-                        if lease != slot.lease {
-                            slot.lease = lease;
-                            slot.lease_changed = now;
-                        } else if now.duration_since(slot.lease_changed) > opts.lease_timeout {
+                        let heartbeat = slot.handle.heartbeat();
+                        if heartbeat != slot.heartbeat {
+                            slot.heartbeat = heartbeat;
+                            slot.beat_at = now;
+                        } else if now.duration_since(slot.beat_at) > opts.lease_timeout {
                             slot.kill_reason = Some(format!(
-                                "hung: lease stale for {:.1} s",
-                                now.duration_since(slot.lease_changed).as_secs_f64()
+                                "hung: no heartbeat for {:.1} s",
+                                now.duration_since(slot.beat_at).as_secs_f64()
                             ));
                             slot.handle.kill();
                         }
@@ -838,6 +781,7 @@ fn write_merged_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::run_supervised;
     use crate::SimConfig;
     use std::process::Command;
 

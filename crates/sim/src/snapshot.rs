@@ -441,11 +441,15 @@ pub(crate) fn encode_config(e: &mut Enc, cfg: &SimConfig) {
     e.f64(cfg.duration_days);
 }
 
+/// Decodes [`encode_config`]'s fields. Population sizes and the packet
+/// size are plain counts, not length prefixes: a config is often the last
+/// thing in a payload (a wire `Assign`'s final job), where 500 sensors
+/// legitimately exceed the bytes that follow.
 pub(crate) fn decode_config(d: &mut Dec) -> Result<SimConfig> {
     Ok(SimConfig {
-        num_sensors: d.len()?,
-        num_targets: d.len()?,
-        num_rvs: d.len()?,
+        num_sensors: d.count()?,
+        num_targets: d.count()?,
+        num_rvs: d.count()?,
         field_side: d.f64()?,
         comm_range: d.f64()?,
         sensing_range: d.f64()?,
@@ -483,7 +487,7 @@ pub(crate) fn decode_config(d: &mut Dec) -> Result<SimConfig> {
                 active_a: d.f64()?,
                 idle_a: d.f64()?,
             },
-            packet_bytes: d.len()?,
+            packet_bytes: d.count()?,
         },
         battery_capacity_j: d.f64()?,
         initial_soc: (d.f64()?, d.f64()?),
