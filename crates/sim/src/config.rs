@@ -121,7 +121,7 @@ impl FaultConfig {
     /// snapshot codec's canonical encoding, f64s as IEEE bits). Equal
     /// plans hash equal across processes; any field change changes it.
     pub fn content_hash(&self) -> u64 {
-        crate::snapshot::fault_hash(self)
+        crate::snapshot::content_hash(self)
     }
 
     /// Whether any fault class is enabled.
@@ -324,7 +324,7 @@ impl SimConfig {
     /// runs; the run journal uses it to refuse resuming a sweep whose
     /// config drifted.
     pub fn content_hash(&self) -> u64 {
-        crate::snapshot::config_hash(self)
+        crate::snapshot::content_hash(self)
     }
 
     /// Basic sanity checks, called by the engine at construction.

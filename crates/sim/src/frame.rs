@@ -11,7 +11,7 @@
 //! ```
 //!
 //! all little-endian. A [`Record`] type names its magic and version and
-//! encodes one payload with the `WRSNSNAP` primitives; everything else —
+//! encodes one payload with its [`crate::codec::Codec`]; everything else —
 //! header, length bound, checksum, damage handling — lives here.
 //!
 //! # Damage model
@@ -35,7 +35,8 @@
 use std::io::{Read, Write};
 use std::marker::PhantomData;
 
-use crate::snapshot::{fnv1a, Dec, Enc, SnapshotError};
+use crate::codec::{fnv1a, Codec, Dec, Enc};
+use crate::snapshot::SnapshotError;
 
 /// Length of the `magic | version` header that opens every framed
 /// stream (and every `WRSNSNAP` snapshot).
@@ -46,19 +47,16 @@ pub const HEADER_LEN: usize = 12;
 /// socket).
 pub const MAX_FRAME: usize = 1 << 24;
 
-/// One record type carried in frames.
-pub trait Record: Sized {
+/// One record type carried in frames: its [`Codec`] encodes one payload.
+/// The caller rejects trailing bytes, and any decode error means the frame
+/// is corrupt (its checksum matched, so it was written by a different
+/// codec or the damage collided).
+pub trait Record: Codec {
     /// Magic bytes opening the stream.
     const MAGIC: [u8; 8];
     /// Format version; bumped on any payload encoding change. Other
     /// versions are rejected, not migrated.
     const VERSION: u32;
-    /// Appends this record's payload.
-    fn encode(&self, e: &mut Enc);
-    /// Decodes one payload. The caller rejects trailing bytes; any error
-    /// means the frame is corrupt (its checksum matched, so it was written
-    /// by a different codec or the damage collided).
-    fn decode(d: &mut Dec) -> Result<Self, SnapshotError>;
 }
 
 /// The `magic | version` header.
@@ -148,7 +146,7 @@ fn step<R: Record>(bytes: &[u8]) -> Step<R> {
         return Step::Corrupt(format!("checksum mismatch (stored {stored:#018x})"));
     }
     let mut d = Dec::new(payload);
-    match R::decode(&mut d).and_then(|rec| d.finish().map(|()| rec)) {
+    match R::get(&mut d).and_then(|rec| d.finish().map(|()| rec)) {
         Ok(rec) => Step::Complete(rec, 4 + payload.len() + 8),
         Err(e) => Step::Corrupt(format!("payload: {e}")),
     }
@@ -282,7 +280,7 @@ impl<R: Record, Out: Write> Writer<R, Out> {
         let e = &mut self.enc;
         let start = e.buf.len();
         e.u32(0); // the payload length, patched once it is known
-        rec.encode(e);
+        rec.put(e);
         let len = (e.buf.len() - start - 4) as u32;
         e.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
         let sum = fnv1a(&e.buf[start + 4..]);

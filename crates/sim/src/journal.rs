@@ -119,7 +119,7 @@ pub fn grid_hash(jobs: &[JobSpec]) -> u64 {
         bytes.extend_from_slice(&job.seed.to_le_bytes());
         bytes.extend_from_slice(&job.config.content_hash().to_le_bytes());
     }
-    crate::snapshot::fnv1a(&bytes)
+    crate::codec::fnv1a(&bytes)
 }
 
 /// An append-only, crash-safe run journal. Shared by reference across the

@@ -32,6 +32,7 @@
 //! ```
 
 pub mod batch;
+pub mod codec;
 mod config;
 mod engine;
 pub mod fabric;

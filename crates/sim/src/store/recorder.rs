@@ -12,8 +12,8 @@
 
 use super::log::{LogRecord, LogWriter, LOG_FILE};
 use super::StoreError;
+use crate::codec::fnv1a;
 use crate::frame::Writer;
-use crate::snapshot::{self, config_hash};
 use crate::{SimConfig, World};
 use std::path::{Path, PathBuf};
 
@@ -78,7 +78,7 @@ impl RunRecorder {
         let mut world = World::new(&cfg, seed);
         world.enable_trace(opts.trace_cap);
         let meta = LogRecord::Meta {
-            config_hash: config_hash(world.config()),
+            config_hash: world.config().content_hash(),
             seed,
             tick_s: world.config().tick_s,
             snap_every,
@@ -282,7 +282,7 @@ impl RunRecorder {
         self.log.push(&LogRecord::Snap {
             tick: self.tick,
             bytes: blob.len() as u64,
-            hash: snapshot::fnv1a(&blob),
+            hash: fnv1a(&blob),
         });
         self.last_snap_tick = self.tick;
         Ok(())
@@ -293,7 +293,7 @@ impl RunRecorder {
 /// length + FNV-1a hash.
 pub(super) fn verify_snap(dir: &Path, tick: u64, bytes: u64, hash: u64) -> bool {
     match std::fs::read(dir.join(snap_file_name(tick))) {
-        Ok(blob) => blob.len() as u64 == bytes && snapshot::fnv1a(&blob) == hash,
+        Ok(blob) => blob.len() as u64 == bytes && fnv1a(&blob) == hash,
         Err(_) => false,
     }
 }
