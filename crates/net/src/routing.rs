@@ -364,19 +364,19 @@ impl DynamicRoutingTree {
     }
 
     /// Drains the deduplicated set of nodes whose materialized load
-    /// changed since the last drain, appending them to `out` (unsorted).
+    /// changed since the last drain, passing each to `f` (unsorted).
     /// Returns `true` when *every* node must be treated as changed (a
     /// wholesale [`rebuild`](Self::rebuild) or
     /// [`restore_loads`](Self::restore_loads) happened since the last
-    /// drain) — in that case nothing is appended to `out`.
-    pub fn take_load_events(&mut self, out: &mut Vec<u32>) -> bool {
+    /// drain) — in that case `f` is not called.
+    pub fn take_load_events(&mut self, mut f: impl FnMut(u32)) -> bool {
         let all = self.load_events_all;
         self.load_events_all = false;
         for &v in &self.load_events {
             self.load_event_flag[v as usize] = false;
-        }
-        if !all {
-            out.extend_from_slice(&self.load_events);
+            if !all {
+                f(v);
+            }
         }
         self.load_events.clear();
         all

@@ -15,94 +15,70 @@ use wrsn_energy::SensorActivity;
 /// leave, threshold crossings enter, and the §III-B ERC quorum releases
 /// aggregated group requests.
 ///
-/// Event-driven (DESIGN.md §4j): instead of walking every sensor twice,
-/// the scan examines only the merged *examine list* — the below-threshold
-/// watch set, due crossing predictions, explicit re-check seeds, and
-/// sensors whose relay load changed. Any sensor outside that list takes
-/// no action in either pass (no board writes, no RNG draws), so the
-/// result is byte-identical to [`manage_requests_naive`], the retained
-/// full-scan oracle the equivalence proptests diff against.
+/// Event-driven (DESIGN.md §4j): instead of walking every sensor, the
+/// scan examines only the *next-scan set* — sensors still below
+/// threshold at the last scan, due crossing predictions, explicit
+/// re-check seeds, and sensors whose relay load changed. Any sensor
+/// outside that set takes no action (no board writes, no RNG draws), so
+/// the result is byte-identical to [`manage_requests_naive`], the
+/// retained full-scan oracle the equivalence proptests diff against.
 pub(crate) fn manage_requests(state: &mut WorldState) {
     if state.naive_dispatch {
         manage_requests_naive(state);
         return;
     }
     let thr = state.cfg.recharge_threshold_frac;
-    let n = state.cfg.num_sensors;
     let now = state.crossings.tick;
     state.crossings.tick = now + 1;
+    let mut set = state.crossings.take_scan(&mut state.routing, now);
 
-    // ---- Merge the four event sources into the examine list. ----
-    let mut seeds = std::mem::take(&mut state.crossings.seeds);
-    seeds.clear();
-
-    // Relay-load changes, as routing node ids (node 0 is the base). A
-    // full tree rebuild reports `all`: examine list is simply every sensor.
-    let all = state.routing.take_load_events(&mut seeds);
-    seeds.retain(|&v| v >= 1);
-    for v in &mut seeds {
-        *v -= 1;
-    }
-    // Due crossing predictions (each withdrawn as it is collected).
-    state.crossings.take_due(now, &mut seeds);
-    // Explicit re-check seeds (rate raises, recovery-state flips).
-    for s in state.crossings.pending.drain(..) {
-        state.crossings.in_pending[s as usize] = false;
-        seeds.push(s);
-    }
-    let mut ex = std::mem::take(&mut state.crossings.examine);
-    ex.clear();
-    if all {
-        ex.extend(0..n as u32);
-    } else {
-        // The watch set: below-threshold sensors act every tick
-        // (idempotent mark-pending, depleted re-release, quorum votes,
-        // uplink retries). Ascending order makes the passes below visit
-        // sensors in the same order as the naive 0..n scan (RNG draw
-        // order contract). The watch set is already ascending, so only
-        // the few other seeds are sorted before one linear merge.
-        seeds.sort_unstable();
-        merge_ascending(&seeds, &state.crossings.watch, &mut ex);
-    }
-    state.crossings.seeds = seeds;
-
-    // ---- Pass 1: recovered sensors leave the board. ----
-    for &s32 in &ex {
-        let s = s32 as usize;
-        let id = SensorId(s32);
-        if state.sensors.soc(s) >= thr && state.board.is_released(id) {
-            // Assigned requests stay with their RV (it is already on
-            // the way); only unassigned recoveries clear.
-            if state.board.is_unassigned(id) {
-                state.board.clear(id);
+    // ---- One ascending pass over the set, a batch of ids at a time. Per
+    // sensor it does the naive scan's recovery clear (only at/above
+    // threshold) and crossing step (only below it), then re-seeds or
+    // re-predicts it. Both steps touch only that sensor's board entries,
+    // so the recovery clears may run a batch ahead: that first loop's
+    // independent loads overlap where the sensor arrays are out of cache
+    // (a million sensors). Ascending order keeps the naive scan's uplink
+    // RNG draw order. ----
+    let mut dirty_groups = std::mem::take(&mut state.crossings.dirty_groups);
+    let mut any_dirty = false;
+    set.drain(|batch| {
+        let mut below = 0u64;
+        for (i, &s32) in batch.iter().enumerate() {
+            let s = s32 as usize;
+            let soc = state.sensors.soc(s);
+            if soc < thr && !state.sensors.failed(s) {
+                below |= 1 << i;
+            } else if soc >= thr && state.board.is_unassigned(SensorId(s32)) {
+                // Assigned requests stay with their RV (it is already on
+                // the way); only unassigned recoveries clear.
+                state.board.clear(SensorId(s32));
             }
         }
-    }
-
-    // ---- Pass 2: threshold crossings become pending / released
-    // (same body as the naive scan, over the examine list). ----
-    let mut dirty_groups = std::mem::take(&mut state.group_scratch);
-    dirty_groups.clear();
-    for &s32 in &ex {
-        let s = s32 as usize;
-        if state.sensors.failed(s) {
-            continue; // broken hardware: recharging cannot help
-        }
-        let id = SensorId(s32);
-        let soc = state.sensors.soc(s);
-        if soc < thr {
+        for (i, &s32) in batch.iter().enumerate() {
+            let s = s32 as usize;
+            if below >> i & 1 == 0 {
+                predict_crossing(state, s, now);
+                continue;
+            }
+            // Still below threshold: examine again at the next scan.
+            state.crossings.note_check(s);
             if state.sensors.suspended(s) {
                 // A transiently-down sensor cannot transmit; its request
                 // waits for the outage to end.
                 continue;
             }
+            let id = SensorId(s32);
             state.board.mark_pending(id);
             if state.sensors.is_depleted(s) {
                 // Base-station-side detection, no uplink involved.
                 state.board.release(id, state.t);
             } else if state.board.is_pending(id) {
                 match state.group_of[s] {
-                    Some(gid) => dirty_groups.push(gid),
+                    Some(gid) => {
+                        dirty_groups.insert(gid as usize);
+                        any_dirty = true;
+                    }
                     None => {
                         faults::uplink_release(
                             &state.cfg.faults,
@@ -117,86 +93,50 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
                 }
             }
         }
-    }
+    });
+    state.crossings.scan = set;
 
-    // ---- ERC quorum per dirty request group (verbatim). ----
-    dirty_groups.sort_unstable();
-    dirty_groups.dedup();
-    for &gid in &dirty_groups {
-        let (start, len) = state.groups[gid as usize];
-        let members = &state.group_arena[start as usize..(start + len) as usize];
-        let below = members
-            .iter()
-            .filter(|m| state.sensors.soc(m.index()) < thr)
-            .count();
-        if state.erp.should_release(below, members.len()) {
-            for m in 0..len as usize {
-                let member = state.group_arena[start as usize + m];
-                if state.sensors.soc(member.index()) < thr
-                    && !state.sensors.failed(member.index())
-                    && !state.sensors.suspended(member.index())
-                {
-                    faults::uplink_release(
-                        &state.cfg.faults,
-                        &mut state.rng,
-                        &mut state.board,
-                        &mut state.trace,
-                        &mut state.uplink_drops,
-                        state.t,
-                        member,
-                    );
+    // ---- ERC quorum per dirty request group, in ascending id order like
+    // the naive scan's sorted list (ids stay below 2n, see
+    // `CrossingState::dirty_groups`). It writes only board, RNG and
+    // trace state, which the re-predictions above never read. ----
+    if any_dirty {
+        dirty_groups.drain(|gids| {
+            for &gid in gids {
+                let (start, len) = state.groups[gid as usize];
+                let members = &state.group_arena[start as usize..(start + len) as usize];
+                let below = members
+                    .iter()
+                    .filter(|m| state.sensors.soc(m.index()) < thr)
+                    .count();
+                if state.erp.should_release(below, members.len()) {
+                    for m in 0..len as usize {
+                        let member = state.group_arena[start as usize + m];
+                        if state.sensors.soc(member.index()) < thr
+                            && !state.sensors.failed(member.index())
+                            && !state.sensors.suspended(member.index())
+                        {
+                            faults::uplink_release(
+                                &state.cfg.faults,
+                                &mut state.rng,
+                                &mut state.board,
+                                &mut state.trace,
+                                &mut state.uplink_drops,
+                                state.t,
+                                member,
+                            );
+                        }
+                    }
                 }
             }
-        }
+        });
     }
-    state.group_scratch = dirty_groups;
-
-    // ---- Rebuild the watch set; re-predict everyone who left it. ----
-    // The old watch is a subset of the examine list, so flags can be
-    // cleared wholesale and re-derived from the examine list alone.
-    let mut wn = std::mem::take(&mut state.crossings.watch_next);
-    wn.clear();
-    for i in 0..state.crossings.watch.len() {
-        let s = state.crossings.watch[i] as usize;
-        state.crossings.in_watch[s] = false;
-    }
-    for &s32 in &ex {
-        let s = s32 as usize;
-        if !state.sensors.failed(s) && state.sensors.soc(s) < thr {
-            if !state.crossings.in_watch[s] {
-                state.crossings.in_watch[s] = true;
-                wn.push(s32);
-            }
-        } else {
-            predict_crossing(state, s, now);
-        }
-    }
-    state.crossings.watch_next = std::mem::replace(&mut state.crossings.watch, wn);
-    state.crossings.examine = ex;
-}
-
-/// Fills the empty `out` with the ascending union of the ascending lists
-/// `a` and `b`, each value once.
-fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let v = a[i].min(b[j]);
-        i += usize::from(a[i] == v);
-        j += usize::from(b[j] == v);
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-    }
-    for &v in a[i..].iter().chain(&b[j..]) {
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-    }
+    state.crossings.dirty_groups = dirty_groups;
 }
 
 /// (Re)computes sensor `s`'s predicted threshold-crossing tick from its
 /// *current* drain rate and schedules it in [`super::CrossingState`].
-/// Called for every examined sensor that did not (re)enter the watch set.
+/// Called for every examined sensor that is not still below threshold.
 ///
 /// Safety of the estimate (DESIGN.md §4j): the power term is constant
 /// until a seeded event changes the activity class or relay load, and the
@@ -204,8 +144,8 @@ fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// `per_tick` never *under*-estimates a future tick's drain while the
 /// prediction stands, and with the two-tick slack the sensor is always
 /// re-examined at or before its true crossing. Early firings simply
-/// re-predict. Rate *increases* are all seeded into `pending` by their
-/// source events, whose re-prediction overwrites this one in `sched`.
+/// re-predict. Rate *increases* are all seeded into the next-scan set by
+/// their source events, whose re-prediction overwrites this one in `sched`.
 fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     if state.sensors.failed(s) || state.sensors.suspended(s) {
         // Failed sensors never act again; suspended ones do not drain.
@@ -515,16 +455,6 @@ mod tests {
             "starting below threshold must trigger dispatch"
         );
         assert!(out.report.recharged_mj > 0.0);
-    }
-
-    #[test]
-    fn merge_ascending_unions_without_duplicates() {
-        let mut out = Vec::new();
-        super::merge_ascending(&[1, 3, 3, 7, 9], &[2, 3, 8], &mut out);
-        assert_eq!(out, [1, 2, 3, 7, 8, 9]);
-        out.clear();
-        super::merge_ascending(&[], &[4, 5], &mut out);
-        assert_eq!(out, [4, 5]);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub(crate) fn step_rv(state: &mut WorldState, i: usize, dt: f64) {
                 // Charging can carry the sensor across the request
                 // threshold before the next tick's scan; make sure the
                 // dispatch pass examines it. (A below-threshold sensor is
-                // in the watch set anyway — this seed is the belt to that
-                // suspender.)
+                // in the next-scan set anyway — this seed is the belt to
+                // that suspender.)
                 state.crossings.note_check(si);
                 state.total_delivered_j += delivered;
                 state.metrics.record_recharge_energy(delivered);

@@ -126,41 +126,70 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         ));
     }
 
-    // --- Dispatch examine coverage (DESIGN.md §4j) ----------------------
+    // --- Dispatch scan coverage (DESIGN.md §4j) -------------------------
     // The event-driven request scan must never let an *acting* sensor
-    // escape examination: every below-threshold live sensor is either in
-    // the per-tick watch set or explicitly seeded, and every recovered
-    // (above-threshold, released, unassigned) request is scheduled for
-    // the recovery pass. The scan state must also be sound: the watch set
-    // strictly ascending (the next scan merges it unsorted), no crossing
-    // prediction expired past the last scan, and no chunk bound above
-    // its chunk's earliest prediction. Skipped in naive-dispatch oracle
-    // mode, where the full scan needs no bookkeeping.
+    // escape examination: every below-threshold live sensor, and every
+    // recovered (above-threshold, released, unassigned) request, is in
+    // the next-scan set. The scan state must also be sound: the bit set
+    // well formed, no crossing prediction expired past the last scan,
+    // and no chunk bound above its chunk's earliest prediction. Skipped
+    // in naive-dispatch oracle mode, where the full scan needs no
+    // bookkeeping.
     if !state.naive_dispatch {
         state.crossings.verify()?;
         let thr = state.cfg.recharge_threshold_frac;
         for s in 0..n {
-            if state.sensors.failed(s) {
-                continue; // permanent no-ops in both dispatch passes
+            if state.sensors.failed(s) || state.crossings.scheduled(s) {
+                continue; // failed sensors are permanent no-ops in the scan
             }
-            let scheduled = state.crossings.watched(s) || state.crossings.check_pending(s);
             if state.sensors.soc(s) < thr {
-                if !scheduled {
-                    return Err(format!(
-                        "sensor {s} is below the request threshold but neither watched \
-                         nor seeded for the next dispatch scan"
-                    ));
-                }
-            } else {
-                let id = SensorId(s as u32);
-                if state.board.is_released(id) && state.board.is_unassigned(id) && !scheduled {
-                    return Err(format!(
-                        "sensor {s} is a recovered unassigned request but is not \
-                         scheduled for the dispatch recovery pass"
-                    ));
-                }
+                return Err(format!(
+                    "sensor {s} is below the request threshold but not in the \
+                     next dispatch scan set"
+                ));
+            }
+            let id = SensorId(s as u32);
+            if state.board.is_unassigned(id) {
+                return Err(format!(
+                    "sensor {s} is a recovered unassigned request but not in the \
+                     next dispatch scan set"
+                ));
             }
         }
+    }
+
+    // --- Request groups (§III-A member lists) ---------------------------
+    // Every stored group id resolves, every member span lies inside the
+    // arena, and compaction keeps the group count bounded by 2n after
+    // every refresh (a refresh appends at most one group per cluster,
+    // then compacts when past 2n).
+    if let Some(g) = state
+        .group_of
+        .iter()
+        .flatten()
+        .find(|&&g| g as usize >= state.groups.len())
+    {
+        return Err(format!(
+            "request group id {g} is out of range of {} groups",
+            state.groups.len()
+        ));
+    }
+    if let Some(&(start, len)) = state
+        .groups
+        .iter()
+        .find(|&&(start, len)| start as usize + len as usize > state.group_arena.len())
+    {
+        return Err(format!(
+            "request group span {start}+{len} runs past the {}-entry arena",
+            state.group_arena.len()
+        ));
+    }
+    if state.groups.len() > 2 * n {
+        return Err(format!(
+            "{} request groups exceed the compaction bound {}",
+            state.groups.len(),
+            2 * n
+        ));
     }
 
     // --- Coverage cache vs. naive oracle --------------------------------
@@ -329,6 +358,33 @@ mod tests {
         let mut state = tiny_state();
         state.crossings.sched[4] = 10; // scheduled without lowering the bound
         assert!(check(&state).unwrap_err().contains("chunk 0 bound"));
+    }
+
+    #[test]
+    fn unscheduled_below_threshold_sensor_is_caught() {
+        let mut state = tiny_state();
+        crate::engine::dispatch::manage_requests(&mut state);
+        // Drop sensor 4 below threshold without an event that seeds it.
+        let s = 4;
+        assert!(
+            !state.crossings.scheduled(s),
+            "fresh sensors are above threshold"
+        );
+        state.sensors.level[s] =
+            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        assert!(check(&state)
+            .unwrap_err()
+            .contains("below the request threshold"));
+    }
+
+    #[test]
+    fn out_of_range_request_group_is_caught() {
+        let mut state = tiny_state();
+        let s = (0..state.cfg.num_sensors)
+            .find(|&s| state.group_of[s].is_some())
+            .expect("a fresh world has clustered sensors");
+        state.group_of[s] = Some(state.groups.len() as u32);
+        assert!(check(&state).unwrap_err().contains("out of range"));
     }
 
     #[test]

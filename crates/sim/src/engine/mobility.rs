@@ -103,6 +103,33 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
     );
     state.clusters = wrsn_core::balanced_clusters(&coverage);
     state.assignment = state.clusters.sensor_assignment(state.cfg.num_sensors);
+    refresh_request_groups(state);
+    // Seed (or refresh) the incremental-repair geometry: subsequent
+    // rebuilds patch this instead of re-scanning every sensor. Skipped in
+    // naive-repair oracle mode, which must stay pure wholesale.
+    state.repair = if state.naive_repair {
+        None
+    } else {
+        Some(RepairState {
+            grid: CoverageMap::grid_for(&state.sensor_pos, state.cfg.sensing_range),
+            covering: coverage.covering_sensors(),
+            synced: state.target_pos.clone(),
+            cov: coverage,
+        })
+    };
+    // The cluster structure changed: the routing refresh and the coverage
+    // cache fall back to their wholesale recomputes — a full routing
+    // refresh supersedes any queued node/cluster events. (The incremental
+    // path below keeps even this moment event-wise.)
+    state.routing_dirty.note_full();
+    super::coverage::rebuild(state);
+}
+
+/// Installs what follows a new clustering: fresh rotas (cursor reset),
+/// the rebuild trace event, and each member's stored request group
+/// (§III-A member lists), appending a group only for a cluster whose
+/// membership changed. Past `2 · num_sensors` groups it compacts them.
+fn refresh_request_groups(state: &mut WorldState) {
     state.rotas = state
         .clusters
         .clusters()
@@ -113,8 +140,6 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
         t: state.t,
         clusters: state.clusters.len(),
     });
-    // Refresh each member's stored request group (§III-A member
-    // lists). Skip the arena append when the membership is unchanged.
     for cluster in state.clusters.clusters() {
         let unchanged = cluster
             .members
@@ -140,25 +165,34 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
             state.group_of[m.index()] = Some(gid);
         }
     }
-    // Seed (or refresh) the incremental-repair geometry: subsequent
-    // rebuilds patch this instead of re-scanning every sensor. Skipped in
-    // naive-repair oracle mode, which must stay pure wholesale.
-    state.repair = if state.naive_repair {
-        None
-    } else {
-        Some(RepairState {
-            grid: CoverageMap::grid_for(&state.sensor_pos, state.cfg.sensing_range),
-            covering: coverage.covering_sensors(),
-            synced: state.target_pos.clone(),
-            cov: coverage,
-        })
-    };
-    // The cluster structure changed: the routing refresh and the coverage
-    // cache fall back to their wholesale recomputes — a full routing
-    // refresh supersedes any queued node/cluster events. (The incremental
-    // path below keeps even this moment event-wise.)
-    state.routing_dirty.note_full();
-    super::coverage::rebuild(state);
+    compact_request_groups(state);
+}
+
+/// Once more than `2 · num_sensors` request groups exist (at most
+/// `num_sensors` are live), keeps only the groups some `group_of` points
+/// to, renumbered in their old order so the quorum and planner orders,
+/// and thus every figure byte, stay the same (DESIGN.md §4j).
+pub(crate) fn compact_request_groups(state: &mut WorldState) {
+    if state.groups.len() <= 2 * state.cfg.num_sensors {
+        return;
+    }
+    let mut remap = vec![None; state.groups.len()];
+    for &gid in state.group_of.iter().flatten() {
+        remap[gid as usize] = Some(0);
+    }
+    let (mut groups, mut arena) = (Vec::new(), Vec::new());
+    for (&(start, len), new) in state.groups.iter().zip(&mut remap) {
+        if let Some(new) = new {
+            *new = groups.len() as u32;
+            groups.push((arena.len() as u32, len));
+            arena.extend_from_slice(&state.group_arena[start as usize..(start + len) as usize]);
+        }
+    }
+    for gid in state.group_of.iter_mut().flatten() {
+        *gid = remap[*gid as usize].expect("a pointed-to group is kept");
+    }
+    state.groups = groups;
+    state.group_arena = arena;
 }
 
 /// Event-incremental cluster rebuild: patches the maintained coverage map
@@ -228,48 +262,11 @@ fn repair_clusters(state: &mut WorldState) {
         }
     }
 
-    // 4. Fresh rotas for every cluster — the same cursor reset the
-    // wholesale path performs.
-    state.rotas = state
-        .clusters
-        .clusters()
-        .iter()
-        .map(|c| RoundRobinRota::new(c.members.clone()))
-        .collect();
-    state.trace.push(crate::TraceEvent::ClustersRebuilt {
-        t: state.t,
-        clusters: state.clusters.len(),
-    });
+    // 4. Fresh rotas for every cluster (the same cursor reset the
+    // wholesale path performs) and each member's stored request group.
+    refresh_request_groups(state);
 
-    // 5. Refresh each member's stored request group (verbatim from the
-    // wholesale path — same unchanged-membership skip).
-    for cluster in state.clusters.clusters() {
-        let unchanged = cluster
-            .members
-            .first()
-            .and_then(|&m| state.group_of[m.index()])
-            .is_some_and(|gid| {
-                let (start, len) = state.groups[gid as usize];
-                let slice = &state.group_arena[start as usize..(start + len) as usize];
-                slice == cluster.members.as_slice()
-                    && cluster
-                        .members
-                        .iter()
-                        .all(|&m| state.group_of[m.index()] == Some(gid))
-            });
-        if unchanged {
-            continue;
-        }
-        let gid = state.groups.len() as u32;
-        let start = state.group_arena.len() as u32;
-        state.group_arena.extend_from_slice(&cluster.members);
-        state.groups.push((start, cluster.members.len() as u32));
-        for &m in &cluster.members {
-            state.group_of[m.index()] = Some(gid);
-        }
-    }
-
-    // 6. Sensors departed from the structure entirely: their flag clears
+    // 5. Sensors departed from the structure entirely: their flag clears
     // happen at the refresh; their drain class changes, so seed a
     // dispatch re-check as well.
     for &m in &old_members {
@@ -279,7 +276,7 @@ fn repair_clusters(state: &mut WorldState) {
         }
     }
 
-    // 7. Queued cluster ids refer to the pre-repair structure: drop them
+    // 6. Queued cluster ids refer to the pre-repair structure: drop them
     // and queue every new cluster for re-derivation (the wholesale path's
     // `note_full` supersedes them the same way). The node queue is kept —
     // sensor ids are stable and their enabled bits still need repairing.
@@ -292,7 +289,9 @@ fn repair_clusters(state: &mut WorldState) {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::WorldState;
     use crate::{SimConfig, TargetMobility, TraceEvent, World};
+    use wrsn_core::SensorId;
 
     fn tiny_cfg(days: f64) -> SimConfig {
         let mut cfg = SimConfig::small(days);
@@ -362,5 +361,48 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::ClustersRebuilt { .. }))
             .count();
         assert!(rebuilds > 0, "teleports must rebuild clustering");
+    }
+
+    #[test]
+    fn compaction_keeps_live_member_lists_in_order() {
+        let mut state = WorldState::new(&tiny_cfg(1.0), 4);
+        let n = state.cfg.num_sensors;
+        let members = |st: &WorldState| -> Vec<Option<Vec<SensorId>>> {
+            st.group_of
+                .iter()
+                .map(|g| {
+                    g.map(|g| {
+                        let (start, len) = st.groups[g as usize];
+                        st.group_arena[start as usize..(start + len) as usize].to_vec()
+                    })
+                })
+                .collect()
+        };
+        // Put two dead copies in front of every live group, then pad
+        // with dead groups past the compaction bound.
+        let live = std::mem::take(&mut state.groups);
+        for &span in &live {
+            state.groups.extend([span, span, span]);
+        }
+        while state.groups.len() <= 2 * n {
+            state.groups.push(live[0]);
+        }
+        for g in state.group_of.iter_mut().flatten() {
+            *g = 3 * *g + 2;
+        }
+        let before = members(&state);
+        let ids = state.group_of.clone();
+        super::compact_request_groups(&mut state);
+        assert_eq!(state.groups.len(), live.len());
+        assert_eq!(members(&state), before);
+        // Renumbering keeps the old id order.
+        let mut pairs: Vec<(u32, u32)> = ids
+            .iter()
+            .zip(&state.group_of)
+            .filter_map(|(&old, &new)| Some((old?, new?)))
+            .collect();
+        pairs.sort_unstable();
+        assert!(pairs.windows(2).all(|w| w[0].1 <= w[1].1));
+        crate::engine::invariants::check(&state).unwrap();
     }
 }

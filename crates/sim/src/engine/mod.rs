@@ -235,34 +235,34 @@ impl SensorSoA {
 /// The SoC crossing-prediction state behind the event-driven request
 /// scan (DESIGN.md §4j).
 ///
-/// [`dispatch::manage_requests`] used to walk every sensor twice per
-/// tick. This state replaces those scans with an *examine list* built
-/// from four event sources, each a superset-safe trigger (a sensor that
-/// takes no action is a complete no-op in both passes — no writes, no
-/// RNG — so examining extra sensors never changes world bytes):
+/// [`dispatch::manage_requests`] examines only the sensors in one
+/// *next-scan set*. Every cause to examine a sensor sets its bit, and
+/// each is a superset-safe trigger (a sensor that takes no action is a
+/// no-op in the scan — no writes, no RNG — so extra bits never change
+/// world bytes):
 ///
-/// * `watch` — sensors below the request threshold at their last
-///   examination. Below-threshold sensors act every tick (idempotent
-///   `mark_pending`, depleted re-release, quorum voting, uplink-retry RNG
-///   draws), so the watch set is re-examined every tick.
+/// * *still below threshold* — below-threshold sensors act every tick
+///   (idempotent `mark_pending`, depleted re-release, quorum votes,
+///   uplink-retry RNG draws), so a scan re-sets the bit of each live one.
 /// * `sched`/`chunk_min` — the predicted threshold-crossing tick of each
-///   above-threshold sensor, keyed off the *current* drain rate with a
-///   two-tick early-fire slack, plus one lower bound per [`CHUNK`]-sensor
-///   chunk. A re-prediction overwrites `sched` and lowers the bound; a
-///   request scan visits only chunks whose bound has expired and
-///   re-derives it exactly. Memory is two fixed arrays whatever the
-///   horizon or the re-prediction churn.
-/// * `pending` — explicit re-check seeds pushed by every event that can
-///   *raise* a sensor's drain rate or flip its board recovery state
-///   (activity flips, outage resume, route abandonment). Rate *drops*
-///   need no seed: the old prediction fires early and re-predicts.
-/// * routing load events — relay-load changes collected value-compared
-///   by [`DynamicRoutingTree::take_load_events`]; a full tree rebuild
-///   reports "all" and the next examine list is simply `0..n`.
+///   above-threshold sensor (current drain rate, two-tick early slack),
+///   plus one lower bound per [`CHUNK`]-sensor chunk. A scan visits only
+///   chunks whose bound has expired, sets the due sensors' bits and
+///   re-derives the bound exactly. Memory is two fixed arrays.
+/// * [`note_check`](Self::note_check) — every event that can *raise* a
+///   sensor's drain rate or flip its board recovery state (activity
+///   flips, outage resume, route abandonment). Rate *drops* need no
+///   seed: the old prediction fires early and re-predicts.
+/// * relay-load events from [`DynamicRoutingTree::take_load_events`];
+///   a full tree rebuild reports "all", which sets every bit.
+///
+/// A scan takes the set whole, so bits set while it runs wait for the
+/// next scan.
 pub(crate) struct CrossingState {
     /// Relative tick counter the predictions key off. Deliberately *not*
-    /// serialized: snapshots reseed `pending` with every sensor instead,
-    /// so resumed worlds re-derive their predictions on the first tick.
+    /// serialized: snapshots restart with every sensor in the next-scan
+    /// set, so resumed worlds re-derive their predictions on the first
+    /// tick.
     tick: u64,
     /// Predicted due tick per sensor; `u64::MAX` = no prediction. The
     /// single source of truth for which predictions are live.
@@ -271,38 +271,28 @@ pub(crate) struct CrossingState {
     /// May sit below the true minimum after a prediction is moved later
     /// or cleared; that costs one wasted chunk scan, never a miss.
     chunk_min: Vec<u64>,
-    /// Sensors below threshold at last examination, strictly ascending
-    /// (rebuilt each scan from the ascending examine list; the next
-    /// scan merges it in without sorting).
-    watch: Vec<u32>,
-    in_watch: Vec<bool>,
-    /// Deduplicated explicit re-check seeds.
-    pending: Vec<u32>,
-    in_pending: Vec<bool>,
-    /// Scratch: merged examine list (reused across ticks).
-    examine: Vec<u32>,
-    /// Scratch: load-event sensors, due predictions and re-check seeds
-    /// of one scan, sorted before the merge with `watch`.
-    seeds: Vec<u32>,
-    /// Scratch: next watch set (double buffer).
-    watch_next: Vec<u32>,
+    /// Sensors to examine at the next request scan.
+    next: ScanSet,
+    /// Scratch: the set a scan drains (empty between scans).
+    scan: ScanSet,
+    /// Scratch: request groups with a pending member in this scan (empty
+    /// between scans). Group compaction keeps every id below `2n`.
+    dirty_groups: ScanSet,
 }
 
 impl CrossingState {
-    /// Fresh state with *every* sensor seeded for examination — the safe
+    /// Fresh state with *every* sensor in the next-scan set — the safe
     /// superset used both at construction and on snapshot resume.
     pub(crate) fn new_all_pending(num_sensors: usize) -> Self {
+        let mut next = ScanSet::new(num_sensors);
+        next.fill(num_sensors);
         Self {
             tick: 0,
             sched: vec![u64::MAX; num_sensors],
             chunk_min: vec![u64::MAX; num_sensors.div_ceil(CHUNK)],
-            watch: Vec::new(),
-            in_watch: vec![false; num_sensors],
-            pending: (0..num_sensors as u32).collect(),
-            in_pending: vec![true; num_sensors],
-            examine: Vec::new(),
-            seeds: Vec::new(),
-            watch_next: Vec::new(),
+            next,
+            scan: ScanSet::new(num_sensors),
+            dirty_groups: ScanSet::new(2 * num_sensors),
         }
     }
 
@@ -311,23 +301,14 @@ impl CrossingState {
     /// recovery-relevant board state.
     #[inline]
     pub(crate) fn note_check(&mut self, s: usize) {
-        if !self.in_pending[s] {
-            self.in_pending[s] = true;
-            self.pending.push(s as u32);
-        }
+        self.next.insert(s);
     }
 
-    /// Whether `s` is in the every-tick watch set (below threshold at
-    /// last examination). Exposed for the invariant audit.
+    /// Whether `s` will be examined at the next request scan. Exposed
+    /// for the invariant audit.
     #[inline]
-    pub(crate) fn watched(&self, s: usize) -> bool {
-        self.in_watch[s]
-    }
-
-    /// Whether `s` is seeded for the next scan. Exposed for the audit.
-    #[inline]
-    pub(crate) fn check_pending(&self, s: usize) -> bool {
-        self.in_pending[s]
+    pub(crate) fn scheduled(&self, s: usize) -> bool {
+        self.next.contains(s)
     }
 
     /// Schedules sensor `s`'s predicted crossing at tick `due`
@@ -339,10 +320,29 @@ impl CrossingState {
         *c = (*c).min(due);
     }
 
-    /// Appends every prediction due at or before `now` to `out`
-    /// (ascending) and withdraws it. Visits only the
-    /// chunks whose bound has expired, re-deriving each bound exactly.
-    fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
+    /// Starts the request scan at tick `now`: adds the relay-load events
+    /// (node 0 is the base station) and the due predictions to the
+    /// next-scan set, then hands the set over whole, leaving an empty
+    /// one to collect the following scan's causes.
+    fn take_scan(&mut self, routing: &mut DynamicRoutingTree, now: u64) -> ScanSet {
+        let next = &mut self.next;
+        let all = routing.take_load_events(|v| {
+            if v >= 1 {
+                next.insert(v as usize - 1);
+            }
+        });
+        if all {
+            self.next.fill(self.sched.len());
+        }
+        self.take_due(now);
+        let empty = std::mem::take(&mut self.scan);
+        std::mem::replace(&mut self.next, empty)
+    }
+
+    /// Moves every prediction due at or before `now` into the next-scan
+    /// set and withdraws it. Visits only the chunks whose bound has
+    /// expired, re-deriving each bound exactly.
+    fn take_due(&mut self, now: u64) {
         for (c, bound) in self.chunk_min.iter_mut().enumerate() {
             if *bound > now {
                 continue;
@@ -353,7 +353,7 @@ impl CrossingState {
             for (s, due) in (c0..c1).zip(&mut self.sched[c0..c1]) {
                 if *due <= now {
                     *due = u64::MAX;
-                    out.push(s as u32);
+                    self.next.insert(s);
                 } else {
                     lo = lo.min(*due);
                 }
@@ -362,13 +362,11 @@ impl CrossingState {
         }
     }
 
-    /// Audits the scan state between request scans: the watch set is
-    /// strictly ascending, no prediction is already expired, and every
-    /// chunk bound is at or below its chunk's earliest prediction.
+    /// Audits the scan state between request scans: the next-scan set is
+    /// well formed, no prediction is already expired, and every chunk
+    /// bound is at or below its chunk's earliest prediction.
     pub(crate) fn verify(&self) -> Result<(), String> {
-        if let Some(w) = self.watch.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("watch set not strictly ascending at {w:?}"));
-        }
+        self.next.verify()?;
         if let Some(s) = self.sched.iter().position(|&due| due < self.tick) {
             return Err(format!(
                 "sensor {s} kept crossing prediction {} past scan tick {}",
@@ -384,6 +382,86 @@ impl CrossingState {
             }
         }
         Ok(())
+    }
+}
+
+/// A set of sensor ids: one bit per sensor plus one summary bit per
+/// 64-sensor word, so draining a sparse set touches only the set words
+/// and `n / 4096` summary words, not all `n / 64` words.
+#[derive(Default)]
+struct ScanSet {
+    words: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set iff `words[w]` is not 0.
+    summary: Vec<u64>,
+}
+
+impl ScanSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+            summary: vec![0; n.div_ceil(64 * 64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, s: usize) {
+        let w = s / 64;
+        self.words[w] |= 1 << (s % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    #[inline]
+    fn contains(&self, s: usize) -> bool {
+        self.words[s / 64] >> (s % 64) & 1 == 1
+    }
+
+    /// Adds every id below `n`, a word at a time.
+    fn fill(&mut self, n: usize) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let k = n.saturating_sub(w * 64).min(64);
+            if k > 0 {
+                *word |= u64::MAX >> (64 - k);
+                self.summary[w / 64] |= 1 << (w % 64);
+            }
+        }
+    }
+
+    /// Calls `f` on the members in ascending order, in batches of up to
+    /// 64 ids, emptying the set.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(&[u32])) {
+        let mut batch = [0u32; 64];
+        let mut len = 0;
+        for sw in 0..self.summary.len() {
+            let mut marks = std::mem::take(&mut self.summary[sw]);
+            while marks != 0 {
+                let w = sw * 64 + marks.trailing_zeros() as usize;
+                marks &= marks - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    batch[len] = (w * 64 + bits.trailing_zeros() as usize) as u32;
+                    bits &= bits - 1;
+                    len += 1;
+                    if len == batch.len() {
+                        f(&batch);
+                        len = 0;
+                    }
+                }
+            }
+        }
+        if len > 0 {
+            f(&batch[..len]);
+        }
+    }
+
+    /// Checks that the summary marks exactly the non-zero words.
+    fn verify(&self) -> Result<(), String> {
+        match (self.words.iter().enumerate())
+            .find(|&(w, &word)| (self.summary[w / 64] >> (w % 64) & 1 == 1) != (word != 0))
+        {
+            Some((w, _)) => Err(format!("scan set summary bit of word {w} is stale")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -808,5 +886,47 @@ impl WorldState {
     /// kept as the differential oracle).
     pub(crate) fn coverage_ratio(&self) -> f64 {
         coverage::ratio(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ScanSet;
+
+    fn drained(set: &mut ScanSet) -> Vec<u32> {
+        let mut out = Vec::new();
+        set.drain(|batch| out.extend_from_slice(batch));
+        out
+    }
+
+    #[test]
+    fn scan_set_drains_ascending_once_and_empties() {
+        let n = 10_000;
+        let mut set = ScanSet::new(n);
+        // 700 distinct ids spread over every summary word, each inserted
+        // twice, drained across many 64-id batches.
+        let ids: Vec<u32> = (0..700u32).map(|i| i * 7919 % n as u32).collect();
+        for &s in ids.iter().chain(&ids) {
+            set.insert(s as usize);
+        }
+        set.verify().unwrap();
+        assert!(set.contains(ids[3] as usize));
+        let mut want = ids.clone();
+        want.sort_unstable();
+        assert_eq!(drained(&mut set), want);
+        assert!(set.words.iter().chain(&set.summary).all(|&w| w == 0));
+
+        set.insert(9_999);
+        set.fill(130);
+        set.verify().unwrap();
+        let want: Vec<u32> = (0..130).chain([9_999]).collect();
+        assert_eq!(drained(&mut set), want);
+    }
+
+    #[test]
+    fn stale_scan_set_summary_is_caught() {
+        let mut set = ScanSet::new(200);
+        set.words[2] = 1; // a member the summary does not mark
+        assert!(set.verify().unwrap_err().contains("word 2"));
     }
 }

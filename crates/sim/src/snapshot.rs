@@ -569,9 +569,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         replan_urgent,
         coverage: engine::coverage::CoverageCache::default(),
         // Derived dispatch/repair accelerators are not serialized: the
-        // crossing bookkeeping restarts all-pending (the first post-resume
-        // scan examines every sensor, exactly like the pending full
-        // routing refresh above), and cluster repair falls back to one
+        // crossing bookkeeping restarts with every sensor in its next-scan
+        // set (the first post-resume scan examines every sensor, exactly
+        // like the pending full routing refresh above), and cluster
+        // repair falls back to one
         // wholesale rebuild to re-establish its baseline (byte-identical
         // to incremental by contract, DESIGN.md §4f/§4j).
         crossings: engine::CrossingState::new_all_pending(n),
@@ -587,6 +588,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         cfg,
     };
     engine::coverage::rebuild(&mut state);
+    // Snapshots from builds without request-group compaction may hold
+    // more groups than a refresh leaves behind.
+    engine::mobility::compact_request_groups(&mut state);
     Ok(state)
 }
 

@@ -374,6 +374,13 @@ impl World {
         &self.state.board
     }
 
+    /// Number of stored §III-A request groups, live or superseded
+    /// (diagnostics: refreshes compact them once past twice the sensor
+    /// count).
+    pub fn request_group_count(&self) -> usize {
+        self.state.groups.len()
+    }
+
     /// Whether sensor `s` is currently suspended by a transient fault.
     pub fn is_suspended(&self, s: SensorId) -> bool {
         self.state.sensors.suspended(s.index())
@@ -399,7 +406,7 @@ impl World {
     }
 
     /// Switches the dispatch phase to the historical full-scan request
-    /// pass instead of the crossing-prediction examine list (DESIGN.md §4j).
+    /// pass instead of the crossing-prediction next-scan set (DESIGN.md §4j).
     /// Differential-oracle knob: the two paths are byte-identical, which
     /// `tests/tick_scale_equivalence.rs` pins across chaos configs. Not
     /// serialized — a resumed world always runs the fast path.

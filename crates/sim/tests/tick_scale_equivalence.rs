@@ -177,8 +177,8 @@ proptest! {
 /// resumes — but the naive scan *re-examines it every tick* of the
 /// outage, and the moment it resumes (or its request is dropped by the
 /// lossy uplink and backs off) the scan acts on exactly that tick. The
-/// crossing heap must reproduce that timing exactly: below-threshold
-/// sensors ride the watch set through the whole outage, and resumes are
+/// fast scan must reproduce that timing exactly: below-threshold sensors
+/// stay in the next-scan set through the whole outage, and resumes are
 /// explicitly seeded. This pins the combination with per-tick snapshot
 /// granularity rather than the property suite's sampled checkpoints.
 #[test]
