@@ -16,12 +16,14 @@ use wrsn_energy::SensorActivity;
 /// aggregated group requests.
 ///
 /// Event-driven (DESIGN.md §4j): instead of walking every sensor, the
-/// scan examines only the *next-scan set* — sensors still below
-/// threshold at the last scan, due crossing predictions, explicit
-/// re-check seeds, and sensors whose relay load changed. Any sensor
-/// outside that set takes no action (no board writes, no RNG draws), so
-/// the result is byte-identical to [`manage_requests_naive`], the
-/// retained full-scan oracle the equivalence proptests diff against.
+/// scan examines only the *next-scan set* — due crossing predictions,
+/// explicit re-check seeds, sensors whose relay load changed and
+/// ungrouped requests retrying a lossy uplink. A pending grouped request
+/// whose quorum is unmet is *parked* off the scan until a threshold flip
+/// can change a recount. Any sensor outside the set takes no action (no
+/// board writes, no RNG draws), so the result is byte-identical to
+/// [`manage_requests_naive`], the retained full-scan oracle the
+/// equivalence proptests diff against.
 pub(crate) fn manage_requests(state: &mut WorldState) {
     if state.naive_dispatch {
         manage_requests_naive(state);
@@ -34,19 +36,21 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
 
     // ---- One ascending pass over the set, a batch of ids at a time. Per
     // sensor it does the naive scan's recovery clear (only at/above
-    // threshold) and crossing step (only below it), then re-seeds or
-    // re-predicts it. Both steps touch only that sensor's board entries,
-    // so the recovery clears may run a batch ahead: that first loop's
-    // independent loads overlap where the sensor arrays are out of cache
-    // (a million sensors). Ascending order keeps the naive scan's uplink
-    // RNG draw order. ----
+    // threshold) and crossing step (only below it), then parks, re-seeds
+    // or re-predicts it. Both steps touch only that sensor's board
+    // entries, so the recovery clears may run a batch ahead: that first
+    // loop's independent loads overlap where the sensor arrays are out
+    // of cache (a million sensors). Ascending order keeps the naive
+    // scan's uplink RNG draw order. ----
     let mut dirty_groups = std::mem::take(&mut state.crossings.dirty_groups);
     let mut any_dirty = false;
+    let mut flipped = false;
     set.drain(|batch| {
         let mut below = 0u64;
         for (i, &s32) in batch.iter().enumerate() {
             let s = s32 as usize;
             let soc = state.sensors.soc(s);
+            flipped |= state.crossings.rescan(s, soc < thr);
             if soc < thr && !state.sensors.failed(s) {
                 below |= 1 << i;
             } else if soc >= thr && state.board.is_unassigned(SensorId(s32)) {
@@ -61,11 +65,9 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
                 predict_crossing(state, s, now);
                 continue;
             }
-            // Still below threshold: examine again at the next scan.
-            state.crossings.note_check(s);
             if state.sensors.suspended(s) {
                 // A transiently-down sensor cannot transmit; its request
-                // waits for the outage to end.
+                // waits for the outage to end, which seeds it again.
                 continue;
             }
             let id = SensorId(s32);
@@ -76,8 +78,11 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
             } else if state.board.is_pending(id) {
                 match state.group_of[s] {
                     Some(gid) => {
+                        // Parked until the recount below meets the
+                        // quorum or a flip re-dirties the group.
                         dirty_groups.insert(gid as usize);
                         any_dirty = true;
+                        state.crossings.parked.insert(s);
                     }
                     None => {
                         faults::uplink_release(
@@ -89,6 +94,10 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
                             state.t,
                             id,
                         );
+                        if state.board.is_pending(id) {
+                            // Lost: retry on the naive scan's tick.
+                            state.crossings.note_check(s);
+                        }
                     }
                 }
             }
@@ -96,10 +105,25 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
     });
     state.crossings.scan = set;
 
+    // ---- A flip can turn any unmet recount into a met one, and every
+    // parked sensor's group would be dirtied by the naive scan anyway:
+    // recount them all. Without a flip they stay unmet and are skipped. ----
+    if flipped {
+        let group_of = &state.group_of;
+        state.crossings.parked.for_each(|p| {
+            if let Some(gid) = group_of[p] {
+                dirty_groups.insert(gid as usize);
+                any_dirty = true;
+            }
+        });
+    }
+
     // ---- ERC quorum per dirty request group, in ascending id order like
     // the naive scan's sorted list (ids stay below 2n, see
     // `CrossingState::dirty_groups`). It writes only board, RNG and
-    // trace state, which the re-predictions above never read. ----
+    // trace state, which the re-predictions above never read. A met
+    // quorum unparks its members, whichever group they are parked
+    // under. ----
     if any_dirty {
         dirty_groups.drain(|gids| {
             for &gid in gids {
@@ -112,6 +136,7 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
                 if state.erp.should_release(below, members.len()) {
                     for m in 0..len as usize {
                         let member = state.group_arena[start as usize + m];
+                        state.crossings.unpark(member.index());
                         if state.sensors.soc(member.index()) < thr
                             && !state.sensors.failed(member.index())
                             && !state.sensors.suspended(member.index())
@@ -136,7 +161,7 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
 
 /// (Re)computes sensor `s`'s predicted threshold-crossing tick from its
 /// *current* drain rate and schedules it in [`super::CrossingState`].
-/// Called for every examined sensor that is not still below threshold.
+/// Called for every examined sensor that is not live and below threshold.
 ///
 /// Safety of the estimate (DESIGN.md §4j): the power term is constant
 /// until a seeded event changes the activity class or relay load, and the

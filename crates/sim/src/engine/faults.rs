@@ -40,10 +40,10 @@ fn resume_sensors(state: &mut WorldState) {
         if state.sensors.suspended(s) && state.t >= state.sensors.suspend_until[s] {
             state.sensors.set_suspended(s, false);
             state.sensors.suspend_until[s] = f64::NAN;
+            // Drain restarts (a rate *raise* from zero): the liveness
+            // change seeds the dispatch re-check that re-derives the
+            // crossing prediction withdrawn during the outage.
             state.note_liveness_changed(s);
-            // Drain restarts (a rate *raise* from zero): the crossing
-            // prediction parked during the outage must be re-derived.
-            state.crossings.note_check(s);
             super::coverage::note_suspension_changed(state, SensorId(s as u32));
             state.trace.push(TraceEvent::SensorResumed {
                 t: state.t,

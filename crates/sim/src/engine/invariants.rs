@@ -128,31 +128,47 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
 
     // --- Dispatch scan coverage (DESIGN.md §4j) -------------------------
     // The event-driven request scan must never let an *acting* sensor
-    // escape examination: every below-threshold live sensor, and every
-    // recovered (above-threshold, released, unassigned) request, is in
-    // the next-scan set. The scan state must also be sound: the bit set
-    // well formed, no crossing prediction expired past the last scan,
-    // and no chunk bound above its chunk's earliest prediction. Skipped
-    // in naive-dispatch oracle mode, where the full scan needs no
-    // bookkeeping.
+    // escape examination: every below-threshold live sensor is in the
+    // next-scan set, parked, released or suspended, and every recovered
+    // (above-threshold, released, unassigned) request is in the set. An
+    // unscheduled sensor's recorded threshold side is its current one
+    // (no flip went unseen), and a parked sensor is a live, pending,
+    // grouped request whose group's recount does not meet the quorum.
+    // The scan state must also be sound: the bit sets well formed, no
+    // crossing prediction expired past the last scan, and no chunk bound
+    // above its chunk's earliest prediction. Skipped in naive-dispatch
+    // oracle mode, where the full scan needs no bookkeeping.
     if !state.naive_dispatch {
         state.crossings.verify()?;
         let thr = state.cfg.recharge_threshold_frac;
         for s in 0..n {
-            if state.sensors.failed(s) || state.crossings.scheduled(s) {
-                continue; // failed sensors are permanent no-ops in the scan
+            let id = SensorId(s as u32);
+            let below = state.sensors.soc(s) < thr;
+            if state.crossings.scheduled(s) {
+                continue; // the next scan unparks and re-examines it
             }
-            if state.sensors.soc(s) < thr {
+            if state.crossings.parked(s) {
+                verify_parked(state, s)?;
+            } else if below
+                && !state.sensors.failed(s)
+                && !state.board.is_released(id)
+                && !state.sensors.suspended(s)
+            {
                 return Err(format!(
                     "sensor {s} is below the request threshold but not in the \
-                     next dispatch scan set"
+                     next dispatch scan set, parked, released or suspended"
                 ));
             }
-            let id = SensorId(s as u32);
-            if state.board.is_unassigned(id) {
+            if !below && state.board.is_unassigned(id) {
                 return Err(format!(
                     "sensor {s} is a recovered unassigned request but not in the \
                      next dispatch scan set"
+                ));
+            }
+            if state.crossings.below_at_scan(s) != below {
+                return Err(format!(
+                    "sensor {s} crossed the request threshold without a dispatch \
+                     re-check"
                 ));
             }
         }
@@ -229,6 +245,39 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         ));
     }
 
+    Ok(())
+}
+
+/// Audits parked sensor `s`: a live, pending request of a request group
+/// whose quorum recount is unmet, so skipping its scan cannot skip an
+/// action (DESIGN.md §4j).
+fn verify_parked(state: &WorldState, s: usize) -> Result<(), String> {
+    let thr = state.cfg.recharge_threshold_frac;
+    let sensors = &state.sensors;
+    if sensors.soc(s) >= thr
+        || sensors.failed(s)
+        || sensors.suspended(s)
+        || sensors.is_depleted(s)
+        || !state.board.is_pending(SensorId(s as u32))
+    {
+        return Err(format!(
+            "parked sensor {s} is not a live pending below-threshold request"
+        ));
+    }
+    let group = state.group_of[s].and_then(|g| Some((g, *state.groups.get(g as usize)?)));
+    let Some((gid, (start, len))) = group else {
+        return Err(format!("parked sensor {s} has no request group"));
+    };
+    let members = &state.group_arena[start as usize..(start + len) as usize];
+    let below = members
+        .iter()
+        .filter(|m| sensors.soc(m.index()) < thr)
+        .count();
+    if state.erp.should_release(below, members.len()) {
+        return Err(format!(
+            "parked sensor {s} waits on request group {gid}, whose quorum is met"
+        ));
+    }
     Ok(())
 }
 
@@ -375,6 +424,45 @@ mod tests {
         assert!(check(&state)
             .unwrap_err()
             .contains("below the request threshold"));
+    }
+
+    #[test]
+    fn threshold_crossing_without_a_seed_is_caught() {
+        let mut state = tiny_state();
+        crate::engine::dispatch::manage_requests(&mut state);
+        // Move sensor 4 below threshold without a seed, but make it a
+        // released request so only the recorded threshold side is stale.
+        let s = 4;
+        assert!(!state.crossings.scheduled(s));
+        state.sensors.level[s] =
+            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        state.board.release(SensorId(s as u32), state.t);
+        assert!(check(&state)
+            .unwrap_err()
+            .contains("crossed the request threshold without a dispatch re-check"));
+    }
+
+    #[test]
+    fn parked_sensor_with_met_quorum_is_caught() {
+        let mut state = tiny_state();
+        state.erp = wrsn_core::ErpController::new(1.0);
+        crate::engine::dispatch::manage_requests(&mut state);
+        // Drop one member of a two-plus-member group below threshold and
+        // seed it, as a drain crossing would: at K = 1 its group's
+        // quorum is unmet, so the scan parks it.
+        let s = (0..state.cfg.num_sensors)
+            .find(|&s| state.group_of[s].is_some_and(|g| state.groups[g as usize].1 >= 2))
+            .expect("a fresh world has a multi-member request group");
+        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        state.total_drained_j += state.sensors.level[s] - low;
+        state.sensors.level[s] = low;
+        state.crossings.note_check(s);
+        crate::engine::dispatch::manage_requests(&mut state);
+        assert!(state.crossings.parked(s) && !state.crossings.scheduled(s));
+        check(&state).unwrap();
+        // Lowering the ERP meets the quorum without any flip or seed.
+        state.erp = wrsn_core::ErpController::new(0.0);
+        assert!(check(&state).unwrap_err().contains("whose quorum is met"));
     }
 
     #[test]

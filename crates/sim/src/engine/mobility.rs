@@ -129,6 +129,8 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
 /// the rebuild trace event, and each member's stored request group
 /// (§III-A member lists), appending a group only for a cluster whose
 /// membership changed. Past `2 · num_sensors` groups it compacts them.
+/// A parked dispatch request whose stored group is replaced goes back to
+/// the next scan: its quorum recount may have changed (DESIGN.md §4j).
 fn refresh_request_groups(state: &mut WorldState) {
     state.rotas = state
         .clusters
@@ -163,6 +165,7 @@ fn refresh_request_groups(state: &mut WorldState) {
         state.groups.push((start, cluster.members.len() as u32));
         for &m in &cluster.members {
             state.group_of[m.index()] = Some(gid);
+            state.crossings.unpark(m.index());
         }
     }
     compact_request_groups(state);

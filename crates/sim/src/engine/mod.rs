@@ -241,20 +241,27 @@ impl SensorSoA {
 /// no-op in the scan — no writes, no RNG — so extra bits never change
 /// world bytes):
 ///
-/// * *still below threshold* — below-threshold sensors act every tick
-///   (idempotent `mark_pending`, depleted re-release, quorum votes,
-///   uplink-retry RNG draws), so a scan re-sets the bit of each live one.
 /// * `sched`/`chunk_min` — the predicted threshold-crossing tick of each
 ///   above-threshold sensor (current drain rate, two-tick early slack),
 ///   plus one lower bound per [`CHUNK`]-sensor chunk. A scan visits only
 ///   chunks whose bound has expired, sets the due sensors' bits and
 ///   re-derives the bound exactly. Memory is two fixed arrays.
 /// * [`note_check`](Self::note_check) — every event that can *raise* a
-///   sensor's drain rate or flip its board recovery state (activity
-///   flips, outage resume, route abandonment). Rate *drops* need no
-///   seed: the old prediction fires early and re-predicts.
+///   sensor's drain rate, flip its board recovery state or change its
+///   ERC vote (activity flips, liveness changes, route abandonment,
+///   request-group refreshes). Rate *drops* need no seed: the old
+///   prediction fires early and re-predicts.
 /// * relay-load events from [`DynamicRoutingTree::take_load_events`];
 ///   a full tree rebuild reports "all", which sets every bit.
+/// * ungrouped pending requests still waiting on a lossy uplink.
+///
+/// A below-threshold sensor leaves the set once its examination can no
+/// longer act: released, depleted and suspended ones wait for a seed,
+/// and a pending grouped one is *parked* while its request group's
+/// quorum is unmet. An unmet recount stays unmet until some sensor's
+/// `soc < thr` side flips, so a scan that sees a flip (against the
+/// per-sensor `below` bit) re-dirties every parked sensor's group, and a
+/// met quorum unparks and seeds its parked members.
 ///
 /// A scan takes the set whole, so bits set while it runs wait for the
 /// next scan.
@@ -278,11 +285,18 @@ pub(crate) struct CrossingState {
     /// Scratch: request groups with a pending member in this scan (empty
     /// between scans). Group compaction keeps every id below `2n`.
     dirty_groups: ScanSet,
+    /// Pending grouped sensors whose group's last recount was unmet;
+    /// none of them is in a scan until a flip or a seed.
+    parked: ScanSet,
+    /// `soc < thr` per sensor as of its last scan: a scan that changes a
+    /// bit has seen a flip that can change a quorum recount.
+    below: ScanSet,
 }
 
 impl CrossingState {
-    /// Fresh state with *every* sensor in the next-scan set — the safe
-    /// superset used both at construction and on snapshot resume.
+    /// Fresh state with *every* sensor in the next-scan set and nothing
+    /// parked — the safe superset used at construction, on snapshot
+    /// resume and when the naive-dispatch oracle is switched.
     pub(crate) fn new_all_pending(num_sensors: usize) -> Self {
         let mut next = ScanSet::new(num_sensors);
         next.fill(num_sensors);
@@ -293,12 +307,14 @@ impl CrossingState {
             next,
             scan: ScanSet::new(num_sensors),
             dirty_groups: ScanSet::new(2 * num_sensors),
+            parked: ScanSet::new(num_sensors),
+            below: ScanSet::new(num_sensors),
         }
     }
 
     /// Seeds sensor `s` for re-examination at the next request scan.
-    /// Called by every event that can raise `s`'s drain rate or flip its
-    /// recovery-relevant board state.
+    /// Called by every event that can raise `s`'s drain rate, flip its
+    /// recovery-relevant board state or change its ERC vote.
     #[inline]
     pub(crate) fn note_check(&mut self, s: usize) {
         self.next.insert(s);
@@ -309,6 +325,54 @@ impl CrossingState {
     #[inline]
     pub(crate) fn scheduled(&self, s: usize) -> bool {
         self.next.contains(s)
+    }
+
+    /// Whether `s` is parked behind its group's unmet quorum. Exposed for
+    /// the invariant audit.
+    #[inline]
+    pub(crate) fn parked(&self, s: usize) -> bool {
+        self.parked.contains(s)
+    }
+
+    /// `soc < thr` of sensor `s` as of its last scan. Exposed for the
+    /// invariant audit.
+    #[inline]
+    pub(crate) fn below_at_scan(&self, s: usize) -> bool {
+        self.below.contains(s)
+    }
+
+    /// Number of parked sensors (diagnostics).
+    pub(crate) fn parked_count(&self) -> usize {
+        self.parked
+            .words
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Starts the examination of sensor `s` in a scan: unparks it and
+    /// records its threshold side, returning whether the side flipped.
+    #[inline]
+    fn rescan(&mut self, s: usize, below: bool) -> bool {
+        self.parked.remove(s);
+        if self.below.contains(s) == below {
+            return false;
+        }
+        if below {
+            self.below.insert(s);
+        } else {
+            self.below.remove(s);
+        }
+        true
+    }
+
+    /// Unparks `s` and seeds it if it was parked: a group listing it met
+    /// its quorum, or its stored group was replaced.
+    #[inline]
+    pub(crate) fn unpark(&mut self, s: usize) {
+        if self.parked.remove(s) {
+            self.next.insert(s);
+        }
     }
 
     /// Schedules sensor `s`'s predicted crossing at tick `due`
@@ -367,6 +431,8 @@ impl CrossingState {
     /// bound is at or below its chunk's earliest prediction.
     pub(crate) fn verify(&self) -> Result<(), String> {
         self.next.verify()?;
+        self.parked.verify()?;
+        self.below.verify()?;
         if let Some(s) = self.sched.iter().position(|&due| due < self.tick) {
             return Err(format!(
                 "sensor {s} kept crossing prediction {} past scan tick {}",
@@ -451,6 +517,35 @@ impl ScanSet {
         }
         if len > 0 {
             f(&batch[..len]);
+        }
+    }
+
+    /// Removes `s`, returning whether it was a member.
+    #[inline]
+    fn remove(&mut self, s: usize) -> bool {
+        let w = s / 64;
+        let bit = 1 << (s % 64);
+        let had = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        had
+    }
+
+    /// Calls `f` on the members in ascending order, keeping the set.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (sw, &marks) in self.summary.iter().enumerate() {
+            let mut marks = marks;
+            while marks != 0 {
+                let w = sw * 64 + marks.trailing_zeros() as usize;
+                marks &= marks - 1;
+                let mut bits = self.words[w];
+                while bits != 0 {
+                    f(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
         }
     }
 
@@ -867,8 +962,11 @@ impl WorldState {
     /// Records that sensor `s`'s on-duty liveness may have flipped
     /// (depletion, revival, failure, suspension, resume): queues the
     /// routing node *and* its assigned cluster (the cluster's rota may
-    /// fail over to a different holder) for the incremental refresh.
+    /// fail over to a different holder) for the incremental refresh, and
+    /// seeds a dispatch re-check — each of these can change what the
+    /// sensor's request does or how it votes (DESIGN.md §4j).
     pub(crate) fn note_liveness_changed(&mut self, s: usize) {
+        self.crossings.note_check(s);
         self.routing_dirty.note_node(s);
         if let Some(ci) = self.assignment[s] {
             self.routing_dirty.note_cluster(ci.index());

@@ -381,6 +381,13 @@ impl World {
         self.state.groups.len()
     }
 
+    /// Number of pending requests parked off the dispatch scan behind
+    /// their request group's unmet ERC quorum (diagnostics, DESIGN.md
+    /// §4j; always 0 in naive-dispatch mode).
+    pub fn parked_request_count(&self) -> usize {
+        self.state.crossings.parked_count()
+    }
+
     /// Whether sensor `s` is currently suspended by a transient fault.
     pub fn is_suspended(&self, s: SensorId) -> bool {
         self.state.sensors.suspended(s.index())
@@ -410,8 +417,15 @@ impl World {
     /// Differential-oracle knob: the two paths are byte-identical, which
     /// `tests/tick_scale_equivalence.rs` pins across chaos configs. Not
     /// serialized — a resumed world always runs the fast path.
+    ///
+    /// The naive pass keeps no scan state, so a switch restarts it from
+    /// the all-pending superset, as a snapshot resume does.
     pub fn set_naive_dispatch(&mut self, on: bool) {
-        self.state.naive_dispatch = on;
+        if on != self.state.naive_dispatch {
+            self.state.naive_dispatch = on;
+            self.state.crossings =
+                engine::CrossingState::new_all_pending(self.state.cfg.num_sensors);
+        }
     }
 
     /// Switches the drain phase to the historical per-sensor loop instead

@@ -20,8 +20,9 @@ use wrsn_sim::{SimConfig, TargetMobility, World};
 prop_compose! {
     /// Small worlds biased to stress every invalidation rule: everyone
     /// starts low (crossings + recharges + deaths), faults are common,
-    /// targets move under all three mobility models, and the zero
-    /// data-rate edge (activity flips without load events) is sampled.
+    /// targets move under all three mobility models, the ERP spans its
+    /// range, and the zero data-rate edge (activity flips without load
+    /// events) is sampled.
     fn arb_churny_config()(
         sensors in 20usize..70,
         targets in 1usize..5,
@@ -38,6 +39,9 @@ prop_compose! {
             Just(TargetMobility::Static),
         ],
         zero_rate in proptest::bool::weighted(0.25),
+        // K = 1 parks almost every pending request behind its quorum;
+        // K = 0 releases on the first vote and parks none.
+        erp in prop_oneof![Just(0.0), Just(0.6), Just(1.0)],
     ) -> SimConfig {
         let mut cfg = SimConfig::small(0.5); // half a simulated day
         cfg.num_sensors = sensors;
@@ -59,6 +63,7 @@ prop_compose! {
             // load events — the seed path load events cannot cover.
             cfg.data_rate_pps = 0.0;
         }
+        cfg.activity.erp = Some(erp);
         cfg.min_batch_demand_j = 10e3;
         cfg
     }
@@ -282,4 +287,119 @@ fn multi_chunk_dispatch_matches_naive_scan_across_resume() {
     let out = fast.outcome();
     assert!(out.transient_faults > 0, "no outage was exercised");
     assert!(out.uplink_drops > 0, "no uplink backoff was exercised");
+}
+
+/// Regression for the naive-dispatch switch: the fast scan's crossing
+/// predictions are keyed to a tick counter that stands still while the
+/// naive pass runs, so switching back to the fast pass must restart its
+/// scan state rather than trust predictions made before the naive
+/// stretch.
+#[test]
+fn naive_dispatch_switched_off_mid_run_matches_naive_twin() {
+    let mut cfg = SimConfig::small(1.0);
+    cfg.initial_soc = (0.45, 0.9);
+    let seed = 1;
+    let mut mixed = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, true, false, false);
+    let mut ticks = 0u64;
+    while !mixed.finished() {
+        if ticks == 100 || ticks == 400 {
+            mixed.set_naive_dispatch(ticks == 100);
+        }
+        mixed.step();
+        slow.step();
+        ticks += 1;
+        assert_eq!(
+            mixed.save_snapshot(),
+            slow.save_snapshot(),
+            "the switched world diverged from the naive twin at tick {ticks}"
+        );
+    }
+}
+
+/// Parking under the strictest quorum (DESIGN.md §4j): at K = 1 nearly
+/// every pending grouped request waits behind its group while sensors
+/// deplete, fail, go down and come back, lose uplinks and see their
+/// groups replaced by teleport rebuilds. One RV keeps the queue long. The
+/// fast world resumes from its own snapshot mid-run (nothing parked
+/// after a resume) while the naive twin runs on; snapshots are compared
+/// every tick.
+#[test]
+fn parked_requests_match_naive_scan_every_tick_at_full_quorum() {
+    let mut cfg = SimConfig::small(1.0);
+    cfg.num_sensors = 100;
+    cfg.num_targets = 6;
+    cfg.num_rvs = 1;
+    cfg.field_side = 40.0;
+    cfg.initial_soc = (0.01, 0.6);
+    cfg.activity.erp = Some(1.0);
+    cfg.permanent_failures_per_day = 0.2;
+    cfg.faults.transients_per_day = 6.0;
+    cfg.faults.transient_outage_s = (300.0, 2_400.0);
+    cfg.faults.uplink_loss = 0.4;
+    cfg.faults.uplink_backoff_s = 240.0;
+    cfg.faults.uplink_backoff_cap_s = 1_800.0;
+    cfg.target_mobility = TargetMobility::RandomTeleport;
+    cfg.target_period_s = 3_600.0;
+    cfg.min_batch_demand_j = 10e3;
+
+    let seed = 5;
+    let mut fast = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, true, false, false);
+    let (mut ticks, mut max_parked) = (0u64, 0usize);
+    while !fast.finished() {
+        fast.step();
+        slow.step();
+        ticks += 1;
+        max_parked = max_parked.max(fast.parked_request_count());
+        if ticks == 500 {
+            fast = World::resume(&fast.save_snapshot()).expect("resume");
+        }
+        assert_eq!(
+            fast.save_snapshot(),
+            slow.save_snapshot(),
+            "parked dispatch diverged from the naive scan at tick {ticks}"
+        );
+    }
+    let out = fast.outcome();
+    assert!(out.deaths > 0, "no sensor depleted");
+    assert!(out.permanent_failures > 0, "no permanent failure happened");
+    assert!(out.transient_faults > 0, "no outage was exercised");
+    assert!(out.uplink_drops > 0, "no uplink backoff was exercised");
+    assert!(max_parked > 0, "no request was ever parked");
+}
+
+/// The first step of a paper-length lockstep: the Table II world for its
+/// full 120 days at two seeds, fast dispatch against the naive scan,
+/// snapshots compared every simulated day and at the end. Release only
+/// (a few seconds there; the per-tick debug audit makes it minutes).
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn paper_length_dispatch_matches_naive_scan() {
+    let cfg = SimConfig::paper_defaults();
+    let ticks_per_day = (86_400.0 / cfg.tick_s).round() as u64;
+    for seed in [1u64, 7] {
+        let mut fast = World::new(&cfg, seed);
+        let mut slow = naive_twin(&cfg, seed, true, false, false);
+        let mut ticks = 0u64;
+        while !fast.finished() {
+            fast.step();
+            slow.step();
+            ticks += 1;
+            if ticks.is_multiple_of(ticks_per_day) {
+                assert_eq!(
+                    fast.save_snapshot(),
+                    slow.save_snapshot(),
+                    "seed {seed}: paper-scale dispatch diverged from the naive scan on day {}",
+                    ticks / ticks_per_day
+                );
+            }
+        }
+        assert!(slow.finished());
+        assert_eq!(
+            fast.save_snapshot(),
+            slow.save_snapshot(),
+            "seed {seed}: paper-scale dispatch diverged at the end of the run"
+        );
+    }
 }
