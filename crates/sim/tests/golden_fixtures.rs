@@ -1,12 +1,13 @@
-//! Golden-bytes pins for the three binary formats: the `WRSNEVTL` run
-//! store log, the `WRSNFAB1` fabric stream and the `WRSNSNAP` world
-//! snapshot.
+//! Golden-bytes pins for the on-disk and wire formats: the `WRSNEVTL` run
+//! store log, the `WRSNFAB1` fabric stream, the `WRSNSNAP` world snapshot
+//! and the `journal.jsonl` run journal.
 //!
 //! Each committed file under `tests/fixtures/` was produced by encoding
 //! the pinned inputs below. Two properties are checked per format:
 //!
 //! * decoding the fixture and re-encoding the result gives the fixture's
-//!   exact bytes (the decoder loses nothing);
+//!   exact bytes (the decoder loses nothing); for the journal, resuming
+//!   from the fixture restores every outcome bit for bit;
 //! * encoding the pinned inputs today still gives the fixture's exact
 //!   bytes (the encoder has not drifted).
 //!
@@ -14,17 +15,20 @@
 //! sides at once; these can. A fixture only changes together with its
 //! format's version number.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
-use wrsn_sim::batch::JobSpec;
+use wrsn_sim::batch::{run_supervised, JobSpec, SupervisorOptions};
 use wrsn_sim::fabric::wire::{Assign, Msg};
 use wrsn_sim::frame::{self, Tail};
+use wrsn_sim::journal::{Journal, JOURNAL_FILE};
 use wrsn_sim::store::{log, RecordOptions, RunRecorder, LOG_FILE};
-use wrsn_sim::{SimConfig, World};
+use wrsn_sim::{SimConfig, SimOutcome, World};
 
 const LOG_FIXTURE: &str = "events-v1.log";
 const WIRE_FIXTURE: &str = "fabric-v1.bin";
 const SNAP_FIXTURE: &str = "world-v1.snap";
+const JOURNAL_FIXTURE: &str = "journal-v1.jsonl";
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -117,6 +121,63 @@ fn pinned_world() -> World {
     w
 }
 
+/// The pinned three-job sweep behind the journal fixture.
+fn pinned_jobs() -> Vec<JobSpec> {
+    (0..3)
+        .map(|seed| JobSpec::new(format!("golden/seed={seed}"), &chaos_config(), seed))
+        .collect()
+}
+
+/// One worker, so the journal's records land in job order.
+fn single_worker() -> SupervisorOptions {
+    SupervisorOptions {
+        workers: NonZeroUsize::new(1),
+        ..SupervisorOptions::default()
+    }
+}
+
+/// A fresh scratch directory for one journal test.
+fn journal_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wrsn-golden-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Every field of an outcome, with each `f64` as its bit pattern.
+fn outcome_bits(o: &SimOutcome) -> Vec<u64> {
+    let r = &o.report;
+    vec![
+        r.travel_distance_m.to_bits(),
+        r.travel_energy_mj.to_bits(),
+        r.recharged_mj.to_bits(),
+        r.objective_mj.to_bits(),
+        r.coverage_ratio_pct.to_bits(),
+        r.missing_rate_pct.to_bits(),
+        r.nonfunctional_pct.to_bits(),
+        r.recharging_cost_m_per_sensor.to_bits(),
+        r.recharge_visits,
+        o.total_drained_j.to_bits(),
+        o.total_delivered_j.to_bits(),
+        o.deaths,
+        o.plans,
+        o.rv_energy_shortfall_j.to_bits(),
+        o.final_alive as u64,
+        o.permanent_failures,
+        o.rv_charging_utilization.to_bits(),
+        o.rv_breakdowns,
+        o.transient_faults,
+        o.uplink_drops,
+    ]
+}
+
+/// The pinned sweep's outcomes, run without a journal.
+fn fresh_outcome_bits() -> Vec<Vec<u64>> {
+    run_supervised(&pinned_jobs(), &single_worker(), None)
+        .iter()
+        .map(|o| outcome_bits(o.as_ref().expect("pinned job runs")))
+        .collect()
+}
+
 #[test]
 fn log_fixture_reencodes_byte_identically() {
     let bytes = fixture(LOG_FIXTURE);
@@ -184,4 +245,35 @@ fn snapshot_fixture_matches_the_pinned_world() {
         pinned_world().save_snapshot() == fixture(SNAP_FIXTURE),
         "snapshotting the pinned world no longer reproduces {SNAP_FIXTURE}"
     );
+}
+
+#[test]
+fn journal_fixture_matches_a_fresh_sweep() {
+    let dir = journal_dir("journal-fresh");
+    let jobs = pinned_jobs();
+    let journal = Journal::create(&dir, &jobs).expect("create");
+    run_supervised(&jobs, &single_worker(), Some(&journal));
+    drop(journal);
+    let bytes = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        bytes == fixture(JOURNAL_FIXTURE),
+        "journaling the pinned sweep no longer reproduces {JOURNAL_FIXTURE}"
+    );
+}
+
+#[test]
+fn journal_fixture_resumes_to_the_fresh_outcomes() {
+    let dir = journal_dir("journal-resume");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join(JOURNAL_FILE), fixture(JOURNAL_FIXTURE)).expect("copy");
+    let jobs = pinned_jobs();
+    let journal = Journal::resume(&dir, &jobs).expect("resume");
+    assert_eq!(journal.completed_count(), jobs.len());
+    let restored: Vec<Vec<u64>> = (0..jobs.len())
+        .map(|i| outcome_bits(journal.completed(i).expect("done in the fixture")))
+        .collect();
+    drop(journal);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(restored, fresh_outcome_bits());
 }
