@@ -8,219 +8,79 @@
 //! claim counter — results come back in job order regardless of thread
 //! interleaving).
 //!
-//! Common CLI flags (parsed by [`ExpOptions::from_args`]):
-//!
-//! * `--quick` — quarter-scale network and 12 simulated days, for smoke
-//!   runs and CI (≈ seconds instead of minutes);
-//! * `--days N` — override the simulated duration;
-//! * `--seeds N` — average every grid point over `N` seeds (default 1,
-//!   the paper's single-run style);
-//! * `--journal DIR` — keep a write-ahead run journal in `DIR` so a
-//!   killed sweep can be resumed with `--resume` (completed grid points
-//!   are skipped, in-flight ones rerun);
-//! * `--timeout-s S` / `--retries N` — supervise every run with a
-//!   wall-clock watchdog and bounded retries; a run that exhausts its
-//!   attempts lands in [`GridResult::failed_seeds`] instead of aborting
-//!   the sweep;
-//! * `--shards N` — run the sweep on the fault-tolerant sharded fabric
-//!   (DESIGN.md §4g): the grid is split into `N` ranges, each executed by
-//!   a supervised loopback worker *process* (a re-exec of the binary)
-//!   whose journal is streamed into a per-shard write-ahead journal, and
-//!   the per-shard journals are merged byte-stably. Crashed, hung or
-//!   `kill -9`'d workers are re-queued and resume; the merged CSV is
-//!   byte-identical to a single-process run's. Tune with
-//!   `--shard-inflight N` (backpressure bound on live workers),
-//!   `--shard-retries N`, `--lease-timeout-s S` (hung-worker detection)
-//!   and `--chaos-workers P` (self-chaos: randomly kill/stall workers to
-//!   exercise recovery);
-//! * `--agents HOST:PORT,..` — distribute the shards over `wrsn agent`
-//!   daemons instead of loopback workers (DESIGN.md §4i); implies one
-//!   shard per agent when `--shards` is unset. Unreachable or refusing
-//!   agents degrade to loopback workers with a warning; links that die
-//!   mid-shard requeue and resume. `--chaos-net P` injects
-//!   deterministic network faults (torn frames, partitions, severed
-//!   agents) to exercise that path;
-//! * `--store DIR` / `--store-snap-every N` — record every run into the
-//!   event-sourced run store under `DIR` (per-job directories keyed by
-//!   the journal's grid hash), so any historical tick can later be
-//!   re-materialized with `wrsn replay` and mined with `wrsn query`.
+//! Flags (parsed by [`ExpOptions::from_args`]): the four listed on
+//! [`ExpOptions`], plus every sweep flag of [`SweepOptions`] (journal and
+//! resume, watchdog and retries, shard fabric and remote agents, run
+//! store), with the same meaning as in `wrsn sweep`.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Duration;
 use wrsn_metrics::{EvalReport, Summary};
-use wrsn_sim::batch::{JobPanic, JobSpec, SupervisorOptions};
-use wrsn_sim::journal::Journal;
-use wrsn_sim::shard::{run_sharded, ShardOptions, SWEEP_FLAGS};
-use wrsn_sim::{batch, SimConfig, SimOutcome};
+use wrsn_sim::batch::{JobPanic, JobSpec};
+use wrsn_sim::sweep::{flag_usage, Args, SweepOptions, SWEEP_FLAGS};
+use wrsn_sim::{SimConfig, SimOutcome};
+
+/// The figure binaries' own flags, beside the [`SWEEP_FLAGS`].
+const FLAGS: [(&str, &str); 4] = [("quick", ""), ("days", "N"), ("seeds", "N"), ("out", "DIR")];
 
 /// Options shared by the figure binaries.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
-    /// Simulated days per run.
+    /// Simulated days per run (`--days N`; default 120, or 12 with
+    /// `--quick`).
     pub days: f64,
-    /// Seeds averaged per grid point.
+    /// Seeds averaged per grid point (`--seeds N`; default 1, the paper's
+    /// single-run style).
     pub seeds: u64,
-    /// Quarter-scale quick mode.
+    /// Quarter-scale network (`--quick`), for smoke runs and CI.
     pub quick: bool,
-    /// Output directory for CSV files.
+    /// Output directory for CSV files (`--out DIR`; default `results`).
     pub out_dir: PathBuf,
-    /// Directory for the write-ahead run journal (`--journal DIR`).
-    pub journal_dir: Option<PathBuf>,
-    /// Resume from an existing journal instead of starting fresh.
-    pub resume: bool,
-    /// Per-attempt wall-clock timeout in seconds (`--timeout-s`).
-    pub timeout_s: Option<f64>,
-    /// Extra attempts after a panic or timeout (`--retries`).
-    pub retries: u32,
-    /// The sharded sweep fabric the fabric flags select (`--shards`,
-    /// `--agents` and their tuning flags, mapped by
-    /// [`ShardOptions::from_sweep_flags`]); `None` runs in-process.
-    pub fabric: Option<ShardOptions>,
-    /// Root directory for the event-sourced run store (`--store DIR`):
-    /// every executed run is recorded for time-travel replay and cross-run
-    /// queries (`wrsn replay` / `wrsn query`). `None` disables recording.
-    pub store_dir: Option<PathBuf>,
-    /// Snapshot-chain interval in ticks for recorded runs
-    /// (`--store-snap-every N`).
-    pub store_snap_every: u64,
+    /// How the sweep's jobs run, from the sweep flags.
+    pub sweep: SweepOptions,
 }
 
 impl Default for ExpOptions {
     fn default() -> Self {
-        Self {
-            days: 120.0,
-            seeds: 1,
-            quick: false,
-            out_dir: PathBuf::from("results"),
-            journal_dir: None,
-            resume: false,
-            timeout_s: None,
-            retries: 1,
-            fabric: None,
-            store_dir: None,
-            store_snap_every: wrsn_sim::store::RecordOptions::default().snap_every,
-        }
+        Self::parse([]).expect("no flags always parse")
     }
 }
 
 impl ExpOptions {
-    /// Parses the figure binaries' flags from argv: `--quick`, `--days N`,
-    /// `--seeds N`, `--out DIR`, `--journal DIR`, `--resume`,
-    /// `--timeout-s S`, `--retries N`, `--shards N`, `--shard-inflight N`,
-    /// `--shard-retries N`, `--lease-timeout-s S`, `--chaos-workers P`,
-    /// `--agents HOST:PORT,..`, `--chaos-net P`, `--store DIR` and
-    /// `--store-snap-every N`.
-    ///
-    /// # Panics
-    /// Panics with a usage message on malformed flags.
+    /// Parses the figure binaries' flags from argv. On a stray token, an
+    /// unknown flag or an invalid value it prints the error and the flag
+    /// list, and exits with status 2.
     pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("flags: {} {}", flag_usage(&FLAGS), flag_usage(&SWEEP_FLAGS));
+            std::process::exit(2);
+        })
     }
 
     /// [`ExpOptions::from_args`] over explicit tokens (argv without the
     /// program name). Flag order never matters: `--quick` selects 12
     /// simulated days only when `--days` is absent.
     ///
-    /// # Panics
-    /// Panics with a usage message on malformed flags.
-    pub fn parse(tokens: impl IntoIterator<Item = String>) -> Self {
-        let mut opts = Self::default();
-        let mut days = None;
-        let mut fabric_flags = HashMap::new();
-        let mut args = tokens.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => opts.quick = true,
-                "--days" => {
-                    let v = args.next().expect("--days needs a value");
-                    days = Some(v.parse().expect("--days must be a number"));
-                }
-                "--seeds" => {
-                    let v = args.next().expect("--seeds needs a value");
-                    opts.seeds = v.parse().expect("--seeds must be an integer");
-                }
-                "--out" => {
-                    opts.out_dir = PathBuf::from(args.next().expect("--out needs a value"));
-                }
-                "--journal" => {
-                    opts.journal_dir = Some(PathBuf::from(
-                        args.next().expect("--journal needs a directory"),
-                    ));
-                }
-                "--resume" => opts.resume = true,
-                "--timeout-s" => {
-                    let v = args.next().expect("--timeout-s needs a value");
-                    opts.timeout_s = Some(v.parse().expect("--timeout-s must be a number"));
-                }
-                "--retries" => {
-                    let v = args.next().expect("--retries needs a value");
-                    opts.retries = v.parse().expect("--retries must be an integer");
-                }
-                "--store" => {
-                    opts.store_dir = Some(PathBuf::from(
-                        args.next().expect("--store needs a directory"),
-                    ));
-                }
-                "--store-snap-every" => {
-                    let v = args.next().expect("--store-snap-every needs a value");
-                    opts.store_snap_every =
-                        v.parse().expect("--store-snap-every must be an integer");
-                }
-                flag if flag
-                    .strip_prefix("--")
-                    .is_some_and(|name| SWEEP_FLAGS.contains(&name)) =>
-                {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| panic!("{flag} needs a value"));
-                    fabric_flags.insert(flag[2..].to_string(), v);
-                }
-                other => {
-                    panic!(
-                        "unknown flag {other}; supported: --quick --days N --seeds N --out DIR \
-                         --journal DIR --resume --timeout-s S --retries N --shards N \
-                         --shard-inflight N --shard-retries N --lease-timeout-s S \
-                         --chaos-workers P --agents HOST:PORT,.. --chaos-net P \
-                         --store DIR --store-snap-every N"
-                    )
-                }
-            }
+    /// # Errors
+    /// Returns a message for a stray token, an unknown flag or an invalid
+    /// value.
+    pub fn parse(tokens: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let args = Args::parse(tokens)?;
+        if let Some(tok) = &args.command {
+            return Err(format!("unexpected argument `{tok}`"));
         }
-        opts.days = days.unwrap_or(if opts.quick { 12.0 } else { opts.days });
-        opts.fabric =
-            ShardOptions::from_sweep_flags(|name| fabric_flags.get(name).map(String::as_str))
-                .unwrap_or_else(|e| panic!("{e}"));
-        opts
-    }
-
-    /// The supervision settings these options describe (including run
-    /// recording when `--store DIR` is set).
-    pub fn supervisor_options(&self) -> SupervisorOptions {
-        SupervisorOptions {
-            timeout: self.timeout_s.map(Duration::from_secs_f64),
-            retries: self.retries,
-            store: self.store_dir.as_ref().map(|root| {
-                let mut sc = wrsn_sim::store::StoreConfig::new(root.clone());
-                sc.snap_every = self.store_snap_every.max(1);
-                sc
-            }),
-            ..SupervisorOptions::default()
+        let known = |name: &str| FLAGS.iter().chain(&SWEEP_FLAGS).any(|(f, _)| *f == name);
+        if let Some(name) = args.names().find(|name| !known(name)) {
+            return Err(format!("unknown flag --{name}"));
         }
-    }
-
-    /// The fabric directory a sharded sweep journals into: `--journal DIR`
-    /// when given, otherwise a per-binary subdirectory of the output dir
-    /// (so two fig binaries sharing `results/` never collide).
-    pub fn shard_fabric_dir(&self) -> PathBuf {
-        if let Some(dir) = &self.journal_dir {
-            return dir.clone();
-        }
-        let exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-            .unwrap_or_else(|| "sweep".to_string());
-        self.out_dir.join(format!("shards-{exe}"))
+        let quick = args.switch("quick")?;
+        Ok(Self {
+            days: args.num("days", if quick { 12.0 } else { 120.0 })?,
+            seeds: args.num("seeds", 1)?,
+            quick,
+            out_dir: PathBuf::from(args.get("out", "results")),
+            sweep: SweepOptions::from_flags(|name| args.opt(name))?,
+        })
     }
 
     /// The base configuration for this experiment scale.
@@ -274,42 +134,18 @@ pub fn grid_jobs(grid: &[GridPoint], seeds: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Runs every `(grid point, seed)` pair across worker threads and averages
-/// per point. Order of the results matches the input grid, and — because
-/// the batch driver returns outcomes in job order — every per-point seed
-/// sequence is identical whatever the worker count.
+/// The figure binaries' standard sweep entry point: runs every
+/// `(grid point, seed)` pair with [`run_jobs`] and averages per point, in
+/// grid order. The sweep is crash-isolated: a failed run is reported on
+/// stderr and in [`GridResult::failed_seeds`] while every other run
+/// completes.
 ///
-/// The sweep is crash-isolated: a panicking run (bad parameter point) is
-/// reported on stderr and in [`GridResult::failed_seeds`] while every
-/// other run completes normally.
-pub fn run_grid(grid: Vec<GridPoint>, seeds: u64) -> Vec<GridResult> {
-    run_grid_supervised(grid, seeds, &SupervisorOptions::default(), None)
-}
-
-/// [`run_grid`] with explicit supervision: a per-attempt wall-clock
-/// timeout, bounded retries, and an optional write-ahead [`Journal`]
-/// (whose completed jobs are skipped and replayed bit-identically).
-pub fn run_grid_supervised(
-    grid: Vec<GridPoint>,
-    seeds: u64,
-    opts: &SupervisorOptions,
-    journal: Option<&Journal>,
-) -> Vec<GridResult> {
-    let jobs = grid_jobs(&grid, seeds);
-    let outcomes = batch::run_supervised(&jobs, opts, journal);
-    aggregate_grid(grid, seeds, &outcomes)
-}
-
-/// Folds per-job outcomes (in [`grid_jobs`] order) back into per-point
-/// means — the shared tail of every sweep entry point, so the in-process
-/// and sharded paths produce identical tables from identical outcomes.
-fn aggregate_grid(
-    grid: Vec<GridPoint>,
-    seeds: u64,
-    outcomes: &[Result<SimOutcome, JobPanic>],
-) -> Vec<GridResult> {
+/// # Panics
+/// Panics as [`run_jobs`] does.
+pub fn run_sweep(grid: Vec<GridPoint>, opts: &ExpOptions) -> Vec<GridResult> {
+    let outcomes = run_jobs(&grid_jobs(&grid, opts.seeds), opts);
     grid.into_iter()
-        .zip(outcomes.chunks(seeds.max(1) as usize))
+        .zip(outcomes.chunks(opts.seeds.max(1) as usize))
         .map(|(point, chunk)| {
             let mut rs: Vec<EvalReport> = Vec::new();
             let mut failed_seeds = Vec::new();
@@ -338,61 +174,28 @@ fn aggregate_grid(
         .collect()
 }
 
-/// The figure binaries' standard sweep entry point: honors the
-/// `--journal`/`--resume`/`--timeout-s`/`--retries` flags in `opts`,
-/// creating or resuming the journal as requested, and `--shards N`, which
-/// moves execution onto the fault-tolerant sharded fabric (loopback
-/// worker processes with per-shard journals, heartbeat supervision and
-/// byte-stable merge — DESIGN.md §4g).
+/// Runs pre-built labeled jobs with [`SweepOptions::run`]. A sharded
+/// sweep without `--journal DIR` keeps its fabric in `shards-<binary>`
+/// under the output dir, so two binaries sharing `results/` never collide.
+/// Results come back in job order, bit-identical however the sweep ran,
+/// so callers' tables and CSVs never depend on it.
+///
+/// In a shard worker process this call never returns: the worker serves
+/// its one assignment and exits before any caller code after `run_jobs`
+/// (table rendering, CSV writing) executes.
 ///
 /// # Panics
-/// Panics when `--resume` is set against a missing or drifted journal
-/// (the journal's grid hash pins labels, seeds and configs), or when the
-/// shard fabric cannot run (e.g. a drifted shard manifest).
-pub fn run_sweep(grid: Vec<GridPoint>, opts: &ExpOptions) -> Vec<GridResult> {
-    let jobs = grid_jobs(&grid, opts.seeds);
-    let outcomes = run_jobs(&jobs, opts);
-    aggregate_grid(grid, opts.seeds, &outcomes)
-}
-
-/// Runs pre-built labeled jobs under the options' execution regime:
-/// sharded worker processes when `--shards N` is set, otherwise the
-/// in-process supervised (and optionally journaled) batch driver. Results
-/// come back in job order either way, bit-identical across regimes, so
-/// callers' tables and CSVs never depend on how the sweep was executed.
-///
-/// In a shard *worker* process this call never returns — the worker
-/// serves the one shard assignment its coordinator sends and exits before
-/// any caller code after `run_jobs` (table rendering, CSV writing)
-/// executes.
-///
-/// # Panics
-/// Panics on journal/fabric errors, as [`run_sweep`] does.
+/// Panics when the journal cannot be opened or resumed (missing, or
+/// written for a different grid), or when the shard fabric cannot run.
 pub fn run_jobs(jobs: &[JobSpec], opts: &ExpOptions) -> Vec<Result<SimOutcome, JobPanic>> {
-    let sup = opts.supervisor_options();
-    if let Some(fabric) = &opts.fabric {
-        let dir = opts.shard_fabric_dir();
-        return run_sharded(jobs, &sup, &dir, fabric, opts.resume)
-            .unwrap_or_else(|e| panic!("sharded sweep in {}: {e}", dir.display()));
-    }
-    let journal = opts.journal_dir.as_ref().map(|dir| {
-        let journal = if opts.resume {
-            Journal::resume(dir, jobs)
-        } else {
-            Journal::create(dir, jobs)
-        }
-        .unwrap_or_else(|e| panic!("cannot open run journal in {}: {e}", dir.display()));
-        if opts.resume {
-            eprintln!(
-                "resuming from {}: {} of {} runs already complete",
-                journal.path().display(),
-                journal.completed_count(),
-                jobs.len()
-            );
-        }
-        journal
-    });
-    batch::run_supervised(jobs, &sup, journal.as_ref())
+    let exe = std::env::current_exe()
+        .ok()
+        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
+        .unwrap_or_else(|| "sweep".to_string());
+    let fabric_dir = opts.out_dir.join(format!("shards-{exe}"));
+    opts.sweep
+        .run(jobs, Some(&fabric_dir))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn mean_report(rs: &[EvalReport]) -> EvalReport {
@@ -419,7 +222,16 @@ pub fn erp_sweep() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use wrsn_core::SchedulerKind;
+    use wrsn_sim::batch::SupervisorOptions;
+
+    fn two_seeds() -> ExpOptions {
+        ExpOptions {
+            seeds: 2,
+            ..ExpOptions::default()
+        }
+    }
 
     #[test]
     fn grid_runs_in_parallel_and_keeps_order() {
@@ -433,7 +245,7 @@ mod tests {
                 config: cfg,
             }
         };
-        let results = run_grid(vec![mk("a", 0.2), mk("b", 0.2)], 2);
+        let results = run_sweep(vec![mk("a", 0.2), mk("b", 0.2)], &two_seeds());
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].label, "a");
         assert_eq!(results[1].label, "b");
@@ -448,7 +260,7 @@ mod tests {
         good.num_targets = 2;
         let mut bad = good.clone();
         bad.tick_s = f64::NAN; // rejected by SimConfig::validate
-        let results = run_grid(
+        let results = run_sweep(
             vec![
                 GridPoint {
                     label: "good".into(),
@@ -459,7 +271,7 @@ mod tests {
                     config: bad,
                 },
             ],
-            2,
+            &two_seeds(),
         );
         assert_eq!(results.len(), 2, "the sweep must finish");
         assert!(results[0].failed_seeds.is_empty());
@@ -493,14 +305,15 @@ mod tests {
                 config: slow,
             },
         ];
-        let opts = SupervisorOptions {
+        let mut opts = ExpOptions::default();
+        opts.sweep.supervisor = SupervisorOptions {
             timeout: Some(Duration::from_millis(40)),
             retries: 1,
             retry_backoff: Duration::from_millis(1),
             workers: std::num::NonZeroUsize::new(1),
             ..SupervisorOptions::default()
         };
-        let results = run_grid_supervised(grid, 1, &opts, None);
+        let results = run_sweep(grid, &opts);
         assert_eq!(results.len(), 2, "the sweep must finish around the timeout");
         assert_eq!(
             results[1].failed_seeds,
@@ -529,13 +342,10 @@ mod tests {
                 },
             ]
         };
-        let mut opts = ExpOptions {
-            seeds: 2,
-            journal_dir: Some(dir.clone()),
-            ..ExpOptions::default()
-        };
+        let mut opts = two_seeds();
+        opts.sweep.journal = Some(dir.clone());
         let first = run_sweep(mk(), &opts);
-        opts.resume = true;
+        opts.sweep.resume = true;
         let second = run_sweep(mk(), &opts); // every run replayed from the journal
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.report, b.report);
@@ -545,35 +355,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn parse(flags: &str) -> ExpOptions {
+    fn parse(flags: &str) -> Result<ExpOptions, String> {
         ExpOptions::parse(flags.split_whitespace().map(String::from))
     }
 
     #[test]
     fn quick_keeps_an_explicit_day_count_in_either_order() {
-        assert_eq!(parse("--days 2 --quick").days, 2.0);
-        assert_eq!(parse("--quick --days 2").days, 2.0);
-        assert_eq!(parse("--quick").days, 12.0);
-        assert_eq!(parse("").days, 120.0);
+        let days = |flags| parse(flags).unwrap().days;
+        assert_eq!(days("--days 2 --quick"), 2.0);
+        assert_eq!(days("--quick --days 2"), 2.0);
+        assert_eq!(days("--quick"), 12.0);
+        assert_eq!(days(""), 120.0);
     }
 
     #[test]
-    fn fabric_flags_map_onto_shard_options_defaults() {
-        assert!(parse("--quick").fabric.is_none());
-        let defaults = ShardOptions::default();
-        let fabric = parse("--shards 3").fabric.expect("sharded");
-        assert_eq!(fabric.shards, 3);
-        assert_eq!(fabric.retries, defaults.retries);
-        assert_eq!(fabric.lease_timeout, defaults.lease_timeout);
-        // `--agents` alone implies one shard per agent; the lease timeout
-        // is floored.
-        let fabric = parse("--agents a:1,b:2 --lease-timeout-s 0 --shard-retries 5")
-            .fabric
-            .expect("sharded");
-        assert_eq!(fabric.shards, 2);
-        assert_eq!(fabric.agents, ["a:1", "b:2"]);
-        assert_eq!(fabric.retries, 5);
-        assert_eq!(fabric.lease_timeout, Duration::from_millis(100));
+    fn unknown_flags_and_stray_tokens_are_rejected() {
+        assert_eq!(
+            parse("--quick --bogus 3").unwrap_err(),
+            "unknown flag --bogus"
+        );
+        assert_eq!(
+            parse("extra --quick").unwrap_err(),
+            "unexpected argument `extra`"
+        );
+        assert_eq!(
+            parse("--quick extra").unwrap_err(),
+            "--quick takes no value, got `extra`"
+        );
+        assert!(parse("--seeds two").unwrap_err().starts_with("--seeds: "));
+    }
+
+    #[test]
+    fn timeout_zero_disables_the_watchdog_as_in_wrsn_sweep() {
+        let timeout = |flags| parse(flags).unwrap().sweep.supervisor.timeout;
+        assert_eq!(timeout("--quick --timeout-s 0"), None);
+        assert_eq!(
+            timeout("--quick --timeout-s 5"),
+            Some(Duration::from_secs(5))
+        );
+        assert_eq!(timeout("--quick"), None);
+    }
+
+    #[test]
+    fn a_negative_timeout_is_a_labelled_error_not_a_panic() {
+        let err = parse("--quick --timeout-s -1").unwrap_err();
+        assert!(
+            err.starts_with("--timeout-s: `-1` is not a valid number of seconds"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resume_needs_a_journal_unless_sharded() {
+        assert_eq!(
+            parse("--quick --resume").unwrap_err(),
+            "--resume needs --journal DIR"
+        );
+        // Sharded, the default `out/shards-<exe>` fabric dir is resumed.
+        let opts = parse("--quick --resume --shards 2").unwrap();
+        assert!(opts.sweep.resume && opts.sweep.fabric.is_some());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The CLI subcommands.
 
-use crate::args::Args;
 use wrsn_core::{balanced_clusters, CoverageMap, SchedulerKind};
 use wrsn_geom::{min_sensors_for_coverage, Field};
 use wrsn_metrics::Table;
 use wrsn_net::{CommGraph, RoutingTree};
+use wrsn_sim::sweep::{Args, SweepOptions};
 use wrsn_sim::{SimConfig, World};
 
 /// Top-level usage text.
@@ -68,18 +68,15 @@ fn config_from(args: &Args) -> Result<SimConfig, String> {
     cfg.duration_s = days * 86_400.0;
     cfg.duration_days = days;
     cfg.scheduler = scheduler_by_name(&args.get("scheduler", "combined"))?;
-    if args.is_set("no-rr") {
+    if args.switch("no-rr")? {
         cfg.activity.round_robin = false;
     }
     if let Some(k) = args.opt("erp") {
-        if k.eq_ignore_ascii_case("off") {
-            cfg.activity.erp = None;
+        cfg.activity.erp = if k.eq_ignore_ascii_case("off") {
+            None
         } else {
-            cfg.activity.erp = Some(
-                k.parse()
-                    .map_err(|_| format!("--erp: cannot parse `{k}`"))?,
-            );
-        }
+            Some(args.num("erp", 0.0)?)
+        };
     }
     cfg.permanent_failures_per_day = args.num("failures", 0.0)?;
     cfg.faults.rv_breakdowns_per_day = args.num("fault-rv-breakdowns", 0.0)?;
@@ -226,39 +223,15 @@ pub fn watch(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `wrsn sweep` — ERP sweep for one scheduler, supervised and optionally
-/// journaled.
-///
-/// With `--journal DIR` every run's completion is recorded write-ahead in
-/// `DIR/journal.jsonl`; after a crash (or `kill -9`), rerunning with
-/// `--resume` skips completed points — their outcomes are replayed
-/// bit-identically, so the final table and `--csv` file are byte-equal to
-/// an uninterrupted sweep's. `--timeout-s` puts a wall-clock watchdog on
-/// each run and `--retries` bounds how often a panicked or timed-out run
-/// is retried before it is reported as failed.
-///
-/// With `--shards N` the sweep runs on the fault-tolerant sharded fabric
-/// (DESIGN.md §4g): the grid is split into N contiguous shard ranges, each
-/// executed by a supervised loopback worker *process* that streams its
-/// journal into `DIR/shard-NNNN`. Crashed or hung workers are detected by
-/// their heartbeats, re-queued with capped exponential backoff, and
-/// resumed from their shard journal; the merged result — and therefore the
-/// table and `--csv` file — is byte-identical to a single-process run.
-/// `--chaos-workers P` self-injects worker kills/stalls to exercise that
-/// recovery path.
-///
-/// With `--agents HOST:PORT,..` the shards are assigned to `wrsn agent`
-/// daemons instead of loopback workers (DESIGN.md §4i); `--shards`
-/// defaults to one shard per agent. Unreachable or refusing agents degrade
-/// the affected shard to a loopback worker with a warning; a link that
-/// dies mid-shard requeues and resumes like a worker crash. `--chaos-net
-/// P` injects deterministic network faults
-/// (torn frames, delays, partitions, severed agents) to exercise that
-/// path — the merged CSV stays byte-identical throughout.
+/// `wrsn sweep` — ERP sweep for one scheduler over `--points N` evenly
+/// spaced ERP values, printed as a table and optionally written with
+/// `--csv FILE`. Every sweep flag of [`SweepOptions`] applies (journal,
+/// resume, supervision, shard fabric, remote agents, run store); a sharded
+/// sweep needs `--journal DIR` for its fabric. However the sweep runs,
+/// the table and CSV are byte-identical to an uninterrupted in-process
+/// run's.
 pub fn sweep(args: &Args) -> Result<(), String> {
-    use wrsn_sim::batch::{run_supervised, JobSpec, SupervisorOptions};
-    use wrsn_sim::journal::Journal;
-    use wrsn_sim::shard::{run_sharded, ShardOptions};
+    use wrsn_sim::batch::JobSpec;
 
     let base = config_from(args)?;
     let seed: u64 = args.num("seed", 0)?;
@@ -266,23 +239,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     if points < 2 {
         return Err("--points must be at least 2".into());
     }
-    let timeout_s: f64 = args.num("timeout-s", 0.0)?;
-    let retries: u32 = args.num("retries", 1)?;
-    let fabric = ShardOptions::from_sweep_flags(|name| args.opt(name))?;
-    let store = args
-        .opt("store")
-        .map(|root| {
-            let mut sc = wrsn_sim::store::StoreConfig::new(root);
-            sc.snap_every = args.num("store-snap-every", sc.snap_every)?.max(1);
-            Ok::<_, String>(sc)
-        })
-        .transpose()?;
-    let opts = SupervisorOptions {
-        timeout: (timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(timeout_s)),
-        retries,
-        store,
-        ..SupervisorOptions::default()
-    };
+    let sweep = SweepOptions::from_flags(|name| args.opt(name))?;
 
     // The sweep points are independent runs: fan out over the std-only
     // batch driver. Results come back in point order whatever the worker
@@ -305,38 +262,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
 
     // Crash-isolated: one bad point reports its panic and the rest of the
     // sweep still completes and prints.
-    let outcomes = if let Some(fabric) = fabric {
-        let dir = args
-            .opt("journal")
-            .ok_or("--shards needs --journal DIR (the fabric's shard/journal directory)")?;
-        run_sharded(&jobs, &opts, dir, &fabric, args.is_set("resume"))
-            .map_err(|e| format!("sharded sweep in {dir}: {e}"))?
-    } else {
-        let journal = match args.opt("journal") {
-            Some(dir) => Some(
-                if args.is_set("resume") {
-                    Journal::resume(dir, &jobs).inspect(|j| {
-                        eprintln!(
-                            "resuming from {}: {} of {} runs already complete",
-                            j.path().display(),
-                            j.completed_count(),
-                            jobs.len()
-                        );
-                    })
-                } else {
-                    Journal::create(dir, &jobs)
-                }
-                .map_err(|e| format!("run journal in {dir}: {e}"))?,
-            ),
-            None => {
-                if args.is_set("resume") {
-                    return Err("--resume needs --journal DIR".into());
-                }
-                None
-            }
-        };
-        run_supervised(&jobs, &opts, journal.as_ref())
-    };
+    let outcomes = sweep.run(&jobs, None)?;
 
     let mut table = Table::new(
         &format!(
@@ -558,7 +484,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
             run.tail()
         );
     }
-    if args.is_set("info") {
+    if args.switch("info")? {
         println!("run        : {}", run.name());
         println!("seed       : {}", run.seed());
         println!("config hash: {:#018x}", run.config_hash());
@@ -580,7 +506,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
     }
 
     let tick: u64 = args.num("tick", run.last_tick())?;
-    let world = if args.is_set("from-zero") {
+    let world = if args.switch("from-zero")? {
         run.materialize_from_zero(tick)
     } else {
         run.materialize(tick)
@@ -594,7 +520,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
         snap.len()
     );
 
-    if args.is_set("verify") {
+    if args.switch("verify")? {
         let mut live = World::new(world.config(), run.seed());
         live.enable_trace(run.trace_cap() as usize);
         for _ in 0..tick {
@@ -633,7 +559,7 @@ pub fn query(args: &Args) -> Result<(), String> {
     if store.runs().is_empty() {
         return Err(format!("no recorded runs under {root}"));
     }
-    if args.is_set("list") {
+    if args.switch("list")? {
         let mut table = Table::new(
             &format!("{} — {} recorded runs", root, store.runs().len()),
             &["run", "last tick", "events", "samples", "sealed"],

@@ -26,10 +26,9 @@
 //! The fault flags and defaults are listed in `commands::USAGE`, which
 //! `wrsn` prints when run without a command.
 
-mod args;
 mod commands;
 
-use args::Args;
+use wrsn_sim::sweep::Args;
 
 fn main() {
     let parsed = match Args::parse(std::env::args().skip(1)) {

@@ -44,6 +44,7 @@ mod rv_agent;
 pub mod shard;
 pub mod snapshot;
 pub mod store;
+pub mod sweep;
 mod trace;
 mod world;
 

@@ -66,19 +66,6 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// current binary.
 pub const WORKER_ENV: &str = "WRSN_SHARD_WORKER";
 
-/// The sweep flags that configure the fabric, as `wrsn sweep` and the
-/// figure binaries spell them (without the leading `--`); each takes a
-/// value. [`ShardOptions::from_sweep_flags`] maps them.
-pub const SWEEP_FLAGS: [&str; 7] = [
-    "shards",
-    "shard-inflight",
-    "shard-retries",
-    "lease-timeout-s",
-    "chaos-workers",
-    "agents",
-    "chaos-net",
-];
-
 /// Supervision policy for the shard fabric.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
@@ -136,59 +123,6 @@ impl Default for ShardOptions {
             agents: Vec::new(),
             chaos_net: 0.0,
         }
-    }
-}
-
-impl ShardOptions {
-    /// Maps a sweep's fabric flags ([`SWEEP_FLAGS`]) onto options, for
-    /// both sweep front ends. `flag(name)` returns the value given for
-    /// `--name`, or `None` when the flag is absent. Returns `Ok(None)` when
-    /// the sweep runs in-process: `--shards` is absent or 0 and no
-    /// `--agents` are given. `--agents` without `--shards` implies one
-    /// shard per agent. Absent flags keep [`ShardOptions::default`]'s
-    /// values, and the lease timeout is floored at 0.1 s.
-    ///
-    /// # Errors
-    /// Returns a message naming the flag whose value does not parse.
-    pub fn from_sweep_flags<'a>(
-        flag: impl Fn(&str) -> Option<&'a str>,
-    ) -> Result<Option<Self>, String> {
-        fn num<'a, T: std::str::FromStr>(
-            flag: &dyn Fn(&str) -> Option<&'a str>,
-            name: &str,
-            default: T,
-        ) -> Result<T, String> {
-            flag(name).map_or(Ok(default), |v| {
-                v.parse()
-                    .map_err(|_| format!("--{name}: cannot parse `{v}`"))
-            })
-        }
-        let agents: Vec<String> = flag("agents").map_or_else(Vec::new, |v| {
-            v.split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(String::from)
-                .collect()
-        });
-        let shards = match num(&flag, "shards", 0)? {
-            0 => agents.len(),
-            n => n,
-        };
-        if shards == 0 {
-            return Ok(None);
-        }
-        let d = Self::default();
-        let lease_s = num(&flag, "lease-timeout-s", d.lease_timeout.as_secs_f64())?;
-        Ok(Some(Self {
-            shards,
-            max_inflight: num(&flag, "shard-inflight", d.max_inflight)?,
-            retries: num(&flag, "shard-retries", d.retries)?,
-            lease_timeout: Duration::from_secs_f64(lease_s.max(0.1)),
-            chaos_workers: num(&flag, "chaos-workers", d.chaos_workers)?,
-            chaos_net: num(&flag, "chaos-net", d.chaos_net)?,
-            agents,
-            ..d
-        }))
     }
 }
 
