@@ -3,9 +3,9 @@
 //!
 //! Every scheduler has two execution paths producing bit-identical plans:
 //! the cached fast path (default) and the naive oracle retained from the
-//! pre-optimization code ([`ExecMode`]). The `scheduler_equivalence`
+//! pre-optimization code (`ExecMode`). The `scheduler_equivalence`
 //! proptest suite and the debug-build cross-checks inside
-//! [`insertion::build_site_route`] hold the two together; DESIGN.md §4e
+//! `insertion::build_site_route` hold the two together; DESIGN.md §4e
 //! documents the contract.
 
 mod combined;

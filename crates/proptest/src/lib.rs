@@ -223,7 +223,7 @@ impl<S: Strategy> Strategy for OneOf<S> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact `usize` or a
+    /// Length specification for [`vec()`]: an exact `usize` or a
     /// `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -269,7 +269,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -1,12 +1,11 @@
-//! Deterministic, crash-isolated parallel execution of simulation batches.
+//! Deterministic, crash-isolated, supervised execution of sweep jobs.
 //!
 //! Every experiment in the workspace — figure regeneration, ablations,
-//! robustness sweeps, CLI parameter scans — reduces to the same shape:
-//! run `World::new(&config, seed).run()` for a list of independent
-//! `(config, seed)` jobs and collect the outcomes *in job order*. This
-//! module is that shape as a library, built on `std::thread::scope` only
-//! (no external thread-pool crates), so results are byte-identical
-//! whatever the worker count or thread interleaving:
+//! robustness sweeps, `wrsn sweep` — reduces to the same shape: run a
+//! list of independent labeled `(config, seed)` jobs and collect the
+//! outcomes *in job order*. [`run_supervised`] is that shape, built on
+//! `std::thread::scope` only (no external thread-pool crates), so results
+//! are byte-identical whatever the worker count or thread interleaving:
 //!
 //! * each job is identified by its index in the input list;
 //! * workers claim indices from a shared atomic counter (dynamic load
@@ -14,28 +13,30 @@
 //! * outcomes land in a pre-sized slot table guarded by a [`Mutex`], so
 //!   the returned `Vec` is ordered by job index, never by completion
 //!   time;
-//! * every job runs under [`std::panic::catch_unwind`], so one panicking
-//!   job cannot poison the slot-table mutex or take the other jobs down
-//!   with it — a 500-point sweep with one bad point reports that point
-//!   and finishes the other 499.
+//! * every attempt runs under [`std::panic::catch_unwind`], optionally
+//!   under a wall-clock watchdog, with bounded retries — a 500-point sweep
+//!   with one bad point reports that point as a labeled [`JobPanic`] and
+//!   finishes the other 499;
+//! * an optional §4d journal records every transition write-ahead, and an
+//!   optional run store records every tick of every job.
 //!
-//! [`par_try_map`] is the policy-free crash-isolated core (any
-//! `index → T` function); [`par_map`] is its panic-propagating
-//! counterpart; [`run_batch`], [`run_batch_fallible`] and [`Batch`] are
-//! the simulation-facing wrappers.
+//! The shard fabric ([`crate::shard`]) runs each shard's slice through
+//! this same function on its worker.
 
+use crate::store::{RecordOptions, RunRecorder, StoreConfig, StoreError};
 use crate::{SimConfig, SimOutcome, World};
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// Number of worker threads to use for a batch of `jobs` jobs: the
 /// machine's available parallelism, but never more threads than jobs and
 /// always at least one.
-pub fn default_workers(jobs: usize) -> NonZeroUsize {
+pub(crate) fn default_workers(jobs: usize) -> NonZeroUsize {
     let hw = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(4);
@@ -74,7 +75,7 @@ impl std::error::Error for JobPanic {}
 
 /// Renders a panic payload as text: the `&str` / `String` payloads every
 /// `panic!` and failed assertion produce come through verbatim.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -84,139 +85,50 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A job's value or the boxed panic payload `catch_unwind` captured.
-type JobResult<T> = Result<T, Box<dyn Any + Send>>;
-
-/// The crash-isolated core: evaluates `f(0..n)` on `workers` threads,
-/// catching each job's panic individually. Slot stores happen outside any
-/// unwinding path, so the table mutex can never be poisoned.
-fn par_map_impl<T, F>(n: usize, workers: NonZeroUsize, f: F) -> Vec<JobResult<T>>
+/// Evaluates `f(0..n)` on `workers` threads and returns the results
+/// ordered by index — a deterministic parallel map. Each job runs under
+/// its own `catch_unwind`, and slot stores happen outside any unwinding
+/// path, so the table mutex can never be poisoned; a panic in `f` is
+/// re-raised with its original payload after every job has finished
+/// (lowest panicking index wins).
+fn par_map<T, F>(n: usize, workers: NonZeroUsize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
+    let run = |i| catch_unwind(AssertUnwindSafe(|| f(i)));
     let workers = workers.get().min(n);
-    if workers == 1 {
-        // Serial fast path: no threads, no locks — and the reference
-        // behaviour the parallel path must reproduce exactly.
-        return (0..n)
-            .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<JobResult<T>>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let value = catch_unwind(AssertUnwindSafe(|| f(i)));
-                slots.lock().expect("no panic can cross this lock")[i] = Some(value);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("no panic can cross this lock")
-        .into_iter()
-        .map(|slot| slot.expect("every index below n was claimed exactly once"))
-        .collect()
-}
-
-/// Evaluates `f(0..n)` on `workers` threads and returns the results
-/// ordered by index, with each job's panic caught and reported as a
-/// [`JobPanic`] in that job's slot — the other jobs always complete.
-///
-/// `f` runs once per index, on an unspecified thread; determinism of the
-/// *output* only requires `f` itself to be a pure function of its index.
-pub fn par_try_map<T, F>(n: usize, workers: NonZeroUsize, f: F) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_impl(n, workers, f)
-        .into_iter()
-        .enumerate()
-        .map(|(index, r)| {
-            r.map_err(|payload| JobPanic {
-                index,
-                label: String::new(),
-                message: panic_message(payload.as_ref()),
-            })
-        })
-        .collect()
-}
-
-/// Evaluates `f(0..n)` on `workers` threads and returns the results
-/// ordered by index — a deterministic parallel map.
-///
-/// A panic in `f` is re-raised with its original payload after every job
-/// has finished (lowest panicking index wins); use [`par_try_map`] to
-/// collect panics per job instead.
-pub fn par_map<T, F>(n: usize, workers: NonZeroUsize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n);
-    for result in par_map_impl(n, workers, f) {
-        match result {
-            Ok(v) => out.push(v),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Runs one `(config, seed)` job, stopping early at `sim_time_cap_s` of
-/// simulated time when given (the outcome is the usual mid-run snapshot).
-fn run_one(cfg: &SimConfig, seed: u64, sim_time_cap_s: Option<f64>) -> SimOutcome {
-    match sim_time_cap_s {
-        None => World::new(cfg, seed).run(),
-        Some(cap) => {
-            let mut w = World::new(cfg, seed);
-            while !w.finished() && w.time() < cap {
-                w.step();
+    let results: Vec<std::thread::Result<T>> = if workers <= 1 {
+        // Serial path: no threads, no locks — and the reference behaviour
+        // the parallel path must reproduce exactly.
+        (0..n).map(run).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let slots = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    let value = run(i);
+                    slots.lock().expect("no panic can cross this lock")[i] = Some(value);
+                });
             }
-            w.outcome()
-        }
-    }
+        });
+        slots
+            .into_inner()
+            .expect("no panic can cross this lock")
+            .into_iter()
+            .map(|slot| slot.expect("every index below n was claimed exactly once"))
+            .collect()
+    };
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
-
-/// Runs every `(config, seed)` job and returns the outcomes in job order.
-/// The result is independent of `workers`: `run_batch(jobs, 1)` and
-/// `run_batch(jobs, 32)` are byte-identical. A panicking job (e.g. an
-/// invalid config) is re-raised after the batch completes; use
-/// [`run_batch_fallible`] to keep the surviving outcomes instead.
-pub fn run_batch(jobs: &[(SimConfig, u64)], workers: NonZeroUsize) -> Vec<SimOutcome> {
-    par_map(jobs.len(), workers, |i| {
-        let (cfg, seed) = &jobs[i];
-        run_one(cfg, *seed, None)
-    })
-}
-
-/// Crash-isolated [`run_batch`]: each job's outcome or its [`JobPanic`],
-/// in job order. One bad parameter point in a 500-job sweep yields one
-/// `Err` carrying the panic message — the other 499 outcomes are intact.
-/// `sim_time_cap_s` optionally stops every job at that much simulated
-/// time.
-pub fn run_batch_fallible(
-    jobs: &[(SimConfig, u64)],
-    workers: NonZeroUsize,
-    sim_time_cap_s: Option<f64>,
-) -> Vec<Result<SimOutcome, JobPanic>> {
-    par_try_map(jobs.len(), workers, |i| {
-        let (cfg, seed) = &jobs[i];
-        run_one(cfg, *seed, sim_time_cap_s)
-    })
-}
-
-// --- Supervised execution ------------------------------------------------
 
 /// One labeled sweep job: a grid-point label (scheduler/K/seed style), the
 /// configuration, and the seed. The label travels into [`JobPanic`]s,
@@ -243,8 +155,8 @@ impl JobSpec {
 }
 
 /// Supervision policy for [`run_supervised`]: per-job wall-clock timeout,
-/// bounded retries with exponential backoff, optional simulated-time cap,
-/// worker-count override.
+/// bounded retries with exponential backoff, worker-count override and
+/// optional run-store recording.
 #[derive(Debug, Clone)]
 pub struct SupervisorOptions {
     /// Per-attempt wall-clock budget. `None` disables the watchdog (the
@@ -255,15 +167,14 @@ pub struct SupervisorOptions {
     /// Base delay before a retry; doubles per consecutive retry
     /// (exponential backoff).
     pub retry_backoff: Duration,
-    /// Optional simulated-time cap forwarded to every job.
-    pub sim_time_cap_s: Option<f64>,
-    /// Worker-thread override (default: [`default_workers`]).
+    /// Worker-thread override (default: one per core, at most one per
+    /// job).
     pub workers: Option<NonZeroUsize>,
     /// When set, every executed job is recorded into an event-sourced run
     /// store beneath `store.root`, in a per-job directory keyed by the
     /// journal's grid hash: `grid-<hash>/job-<index>-<label>/`. Jobs the
     /// journal skips as already completed are not re-recorded.
-    pub store: Option<crate::store::StoreConfig>,
+    pub store: Option<StoreConfig>,
 }
 
 impl Default for SupervisorOptions {
@@ -272,7 +183,6 @@ impl Default for SupervisorOptions {
             timeout: None,
             retries: 1,
             retry_backoff: Duration::from_millis(50),
-            sim_time_cap_s: None,
             workers: None,
             store: None,
         }
@@ -286,94 +196,92 @@ enum Attempt {
     TimedOut,
 }
 
-/// Cancellable run loop: checks the token between ticks, so a timed-out
-/// job stops gracefully at the next tick boundary instead of leaking a
-/// runaway thread. Returns `None` when cancelled before finishing.
-fn run_one_cancellable(
-    cfg: &SimConfig,
-    seed: u64,
-    sim_time_cap_s: Option<f64>,
-    cancel: &AtomicBool,
-) -> Option<SimOutcome> {
-    let mut w = World::new(cfg, seed);
-    while !w.finished() && sim_time_cap_s.is_none_or(|cap| w.time() < cap) {
-        if cancel.load(Ordering::Relaxed) {
-            return None;
-        }
-        w.step();
-    }
-    Some(w.outcome())
+/// The per-job recording target: the run directory plus recorder knobs.
+type StoreTarget = (PathBuf, RecordOptions);
+
+/// A job's world: stepped bare, or through a recorder that journals every
+/// tick into the job's run-store directory.
+enum JobWorld {
+    Bare(World),
+    Recorded(RunRecorder),
 }
 
-/// The per-job recording target: the run directory plus recorder knobs.
-type StoreTarget = (std::path::PathBuf, crate::store::RecordOptions);
-
-/// Cancellable *recorded* run loop: like [`run_one_cancellable`] but every
-/// tick is journaled into the job's run-store directory. Store I/O errors
-/// panic, so the supervisor's `catch_unwind` turns them into a labeled
-/// [`JobPanic`] like any other job failure. A cancelled (timed-out)
-/// recording leaves its partial log on disk — `RunRecorder::resume` can
-/// pick it up from the last snapshot link.
-fn run_one_recorded(
-    cfg: &SimConfig,
-    seed: u64,
-    sim_time_cap_s: Option<f64>,
+/// Runs one job to its end with [`World::run`]'s `while !finished { step }`
+/// loop, so its outcome is bit-identical to a plain run's. With `cancel`
+/// the token is checked between ticks, so a timed-out job stops at the
+/// next tick boundary instead of leaking a runaway thread; `None` comes
+/// back when it was cancelled. With `store` every tick is recorded; store
+/// I/O errors panic, so the supervisor's `catch_unwind` turns them into a
+/// labeled [`JobPanic`] like any other job failure, and a cancelled
+/// recording leaves its partial log on disk for `RunRecorder::resume`.
+fn run_job(
+    spec: &JobSpec,
     cancel: Option<&AtomicBool>,
-    target: &StoreTarget,
+    store: Option<&StoreTarget>,
 ) -> Option<SimOutcome> {
-    let (dir, ropts) = target;
-    let mut rec = crate::store::RunRecorder::create(dir, cfg.clone(), seed, ropts.clone())
-        .unwrap_or_else(|e| panic!("run store at {}: {e}", dir.display()));
-    while !rec.finished() && sim_time_cap_s.is_none_or(|cap| rec.world().time() < cap) {
+    let in_store = |e: StoreError| -> ! {
+        let dir = &store.expect("only a recorded job touches the store").0;
+        panic!("run store at {}: {e}", dir.display())
+    };
+    let mut job = match store {
+        None => JobWorld::Bare(World::new(&spec.config, spec.seed)),
+        Some((dir, ropts)) => JobWorld::Recorded(
+            RunRecorder::create(dir, spec.config.clone(), spec.seed, ropts.clone())
+                .unwrap_or_else(|e| in_store(e)),
+        ),
+    };
+    loop {
+        let world = match &job {
+            JobWorld::Bare(w) => w,
+            JobWorld::Recorded(rec) => rec.world(),
+        };
+        if world.finished() {
+            break;
+        }
         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
             return None;
         }
-        rec.step()
-            .unwrap_or_else(|e| panic!("run store at {}: {e}", dir.display()));
+        match &mut job {
+            JobWorld::Bare(w) => w.step(),
+            JobWorld::Recorded(rec) => rec.step().unwrap_or_else(|e| in_store(e)),
+        }
     }
-    rec.seal()
-        .unwrap_or_else(|e| panic!("run store at {}: {e}", dir.display()));
-    Some(rec.world().outcome())
+    Some(match &mut job {
+        JobWorld::Bare(w) => w.outcome(),
+        JobWorld::Recorded(rec) => {
+            rec.seal().unwrap_or_else(|e| in_store(e));
+            rec.world().outcome()
+        }
+    })
 }
 
 /// Runs one attempt, with a watchdog when a timeout is configured: the job
-/// runs on its own thread, the supervisor waits on a channel with
+/// runs on its own scoped thread, the supervisor waits on a channel with
 /// [`mpsc::Receiver::recv_timeout`], and on expiry sets the cancel token
 /// and joins the worker (which exits at its next tick check).
 fn run_attempt(spec: &JobSpec, opts: &SupervisorOptions, store: Option<&StoreTarget>) -> Attempt {
     let Some(budget) = opts.timeout else {
-        return match catch_unwind(AssertUnwindSafe(|| match store {
-            None => run_one(&spec.config, spec.seed, opts.sim_time_cap_s),
-            Some(target) => {
-                run_one_recorded(&spec.config, spec.seed, opts.sim_time_cap_s, None, target)
-                    .expect("uncancellable recording always finishes")
-            }
-        })) {
-            Ok(out) => Attempt::Done(out),
+        return match catch_unwind(AssertUnwindSafe(|| run_job(spec, None, store))) {
+            Ok(out) => Attempt::Done(out.expect("an uncancelled job always finishes")),
             Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
         };
     };
-    let cancel = Arc::new(AtomicBool::new(false));
+    let cancel = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel();
-    let worker = {
-        let cfg = spec.config.clone();
-        let seed = spec.seed;
-        let cap = opts.sim_time_cap_s;
-        let cancel = Arc::clone(&cancel);
-        let store = store.cloned();
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| match &store {
-                None => run_one_cancellable(&cfg, seed, cap, &cancel),
-                Some(target) => run_one_recorded(&cfg, seed, cap, Some(&cancel), target),
-            }));
-            let _ = tx.send(result);
-        })
-    };
-    let verdict = rx.recv_timeout(budget);
-    // Cancel unconditionally (a no-op for a finished worker) and reap the
-    // thread — after the join no stray thread survives the attempt.
-    cancel.store(true, Ordering::Relaxed);
-    let _ = worker.join();
+    let verdict = std::thread::scope(|scope| {
+        let cancel = &cancel;
+        scope.spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| {
+                run_job(spec, Some(cancel), store)
+            })));
+        });
+        let verdict = rx.recv_timeout(budget);
+        // Cancel unconditionally (a no-op for a finished worker); the
+        // scope then reaps the thread, so no stray thread survives the
+        // attempt.
+        cancel.store(true, Ordering::Relaxed);
+        verdict
+    });
     match verdict {
         Ok(Ok(Some(out))) => Attempt::Done(out),
         // The worker only returns None once the token is set, i.e. after
@@ -469,7 +377,7 @@ pub fn run_supervised(
 /// hash so re-running the same grid lands in (and overwrites) the same
 /// tree, while any grid change gets a fresh one. Labels are unique within
 /// a grid, so `job-<index>-<label>` never collides.
-fn store_targets(sc: &crate::store::StoreConfig, jobs: &[JobSpec]) -> Vec<StoreTarget> {
+fn store_targets(sc: &StoreConfig, jobs: &[JobSpec]) -> Vec<StoreTarget> {
     let grid = crate::journal::grid_hash(jobs);
     let base = sc.root.join(format!("grid-{grid:016x}"));
     jobs.iter()
@@ -496,93 +404,6 @@ fn sanitize_label(label: &str) -> String {
         .collect();
     out.truncate(60);
     out
-}
-
-/// Builder for common batch shapes: seed grids over one or many
-/// configurations.
-///
-/// ```
-/// use wrsn_sim::{batch::Batch, SimConfig};
-///
-/// let mut cfg = SimConfig::small(0.05);
-/// cfg.num_sensors = 30;
-/// cfg.num_targets = 2;
-/// let outcomes = Batch::new().push_seeds(&cfg, 0..3).run();
-/// assert_eq!(outcomes.len(), 3);
-/// ```
-#[derive(Default)]
-pub struct Batch {
-    jobs: Vec<(SimConfig, u64)>,
-    workers: Option<NonZeroUsize>,
-    sim_time_cap_s: Option<f64>,
-}
-
-impl Batch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one `(config, seed)` job.
-    pub fn push(mut self, config: &SimConfig, seed: u64) -> Self {
-        self.jobs.push((config.clone(), seed));
-        self
-    }
-
-    /// Appends one job per seed, all sharing `config`.
-    pub fn push_seeds(mut self, config: &SimConfig, seeds: impl IntoIterator<Item = u64>) -> Self {
-        for seed in seeds {
-            self.jobs.push((config.clone(), seed));
-        }
-        self
-    }
-
-    /// Overrides the worker count (default: [`default_workers`]).
-    pub fn workers(mut self, workers: NonZeroUsize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Stops every job after `cap_s` of *simulated* time (a runaway guard
-    /// for sweeps over untrusted parameter grids). Outcomes become
-    /// mid-run snapshots when the cap is shorter than the duration.
-    pub fn sim_time_cap_s(mut self, cap_s: f64) -> Self {
-        self.sim_time_cap_s = Some(cap_s);
-        self
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    fn resolved_workers(&self) -> NonZeroUsize {
-        self.workers
-            .unwrap_or_else(|| default_workers(self.jobs.len()))
-    }
-
-    /// Runs all jobs; outcomes are ordered like the `push` calls. A
-    /// panicking job is re-raised after the batch completes (see
-    /// [`Batch::try_run`] for crash isolation).
-    pub fn run(self) -> Vec<SimOutcome> {
-        let workers = self.resolved_workers();
-        par_map(self.jobs.len(), workers, |i| {
-            let (cfg, seed) = &self.jobs[i];
-            run_one(cfg, *seed, self.sim_time_cap_s)
-        })
-    }
-
-    /// Crash-isolated [`Batch::run`]: per-job outcome or [`JobPanic`], in
-    /// push order.
-    pub fn try_run(self) -> Vec<Result<SimOutcome, JobPanic>> {
-        let workers = self.resolved_workers();
-        run_batch_fallible(&self.jobs, workers, self.sim_time_cap_s)
-    }
 }
 
 #[cfg(test)]
@@ -615,30 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn one_panicking_job_does_not_poison_the_batch() {
-        // The ISSUE's crash-isolation criterion: every other job's result
-        // survives, the bad index carries the original panic message.
-        for workers in [1, 4] {
-            let out = par_try_map(10, NonZeroUsize::new(workers).unwrap(), |i| {
-                if i == 3 {
-                    panic!("bad parameter point {i}");
-                }
-                i * 2
-            });
-            assert_eq!(out.len(), 10);
-            for (i, r) in out.iter().enumerate() {
-                if i == 3 {
-                    let err = r.as_ref().unwrap_err();
-                    assert_eq!(err.index, 3);
-                    assert_eq!(err.message, "bad parameter point 3");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 2, "workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn par_map_propagates_the_lowest_panic_with_its_payload() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map(8, NonZeroUsize::new(4).unwrap(), |i| {
@@ -654,46 +451,24 @@ mod tests {
         assert_eq!(panic_message(caught.as_ref()), "boom at 5");
     }
 
-    #[test]
-    fn fallible_batch_finishes_around_a_bad_config() {
-        let good = tiny(0.1, SchedulerKind::Greedy);
-        let mut bad = good.clone();
-        bad.tick_s = f64::NAN; // rejected by SimConfig::validate
-        let jobs = vec![(good.clone(), 1), (bad, 2), (good.clone(), 3)];
-        let out = run_batch_fallible(&jobs, NonZeroUsize::new(2).unwrap(), None);
-        assert_eq!(out.len(), 3);
-        assert!(out[0].is_ok() && out[2].is_ok());
-        let err = out[1].as_ref().unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(
-            err.message.contains("finite"),
-            "panic message lost: {}",
-            err.message
-        );
-        // The surviving outcomes match standalone runs exactly.
-        let solo = World::new(&good, 3).run();
-        assert_eq!(out[2].as_ref().unwrap().report, solo.report);
+    fn labeled(jobs: &[(SimConfig, u64)]) -> Vec<JobSpec> {
+        jobs.iter()
+            .enumerate()
+            .map(|(i, (cfg, seed))| JobSpec::new(format!("job-{i}/seed={seed}"), cfg, *seed))
+            .collect()
+    }
+
+    fn on_workers(workers: Option<usize>) -> SupervisorOptions {
+        SupervisorOptions {
+            workers: workers.and_then(NonZeroUsize::new),
+            ..SupervisorOptions::default()
+        }
     }
 
     #[test]
-    fn sim_time_cap_stops_jobs_early() {
-        let cfg = tiny(0.5, SchedulerKind::Greedy);
-        let full = Batch::new().push(&cfg, 7).run();
-        let capped = Batch::new()
-            .push(&cfg, 7)
-            .sim_time_cap_s(cfg.duration_s / 4.0)
-            .try_run();
-        let capped = capped[0].as_ref().unwrap();
-        assert!(
-            capped.total_drained_j < full[0].total_drained_j,
-            "capped run should stop early"
-        );
-    }
-
-    #[test]
-    fn parallel_batch_is_byte_identical_to_serial_loop() {
-        // The ISSUE's determinism criterion: a parallel sweep over N seeds
-        // produces byte-identical `EvalReport`s to a serial loop.
+    fn supervised_run_is_byte_identical_to_serial_loop() {
+        // The determinism contract: a parallel sweep over N seeds produces
+        // byte-identical outcomes to a serial `World::run` loop.
         let jobs: Vec<(SimConfig, u64)> = (0..6)
             .map(|s| (tiny(0.2, SchedulerKind::Greedy), s))
             .collect();
@@ -701,11 +476,12 @@ mod tests {
             .iter()
             .map(|(cfg, seed)| World::new(cfg, *seed).run())
             .collect();
-        for workers in [1usize, 3, 8] {
-            let parallel = run_batch(&jobs, NonZeroUsize::new(workers).unwrap());
+        for workers in [None, Some(1), Some(3), Some(8)] {
+            let parallel = run_supervised(&labeled(&jobs), &on_workers(workers), None);
             assert_eq!(parallel.len(), serial.len());
             for (p, s) in parallel.iter().zip(&serial) {
-                assert_eq!(p.report, s.report, "workers={workers}");
+                let p = p.as_ref().unwrap();
+                assert_eq!(p.report, s.report, "workers={workers:?}");
                 assert_eq!(p.total_drained_j, s.total_drained_j);
                 assert_eq!(p.total_delivered_j, s.total_delivered_j);
                 assert_eq!(p.deaths, s.deaths);
@@ -716,20 +492,51 @@ mod tests {
     }
 
     #[test]
-    fn batch_builder_runs_mixed_configs_in_push_order() {
+    fn supervised_run_returns_mixed_configs_in_job_order() {
         let a = tiny(0.1, SchedulerKind::Greedy);
         let b = tiny(0.1, SchedulerKind::Combined);
-        let outcomes = Batch::new()
-            .push(&a, 3)
-            .push(&b, 3)
-            .push_seeds(&a, 4..6)
-            .workers(NonZeroUsize::new(2).unwrap())
-            .run();
+        let jobs = [(a.clone(), 3), (b, 3), (a.clone(), 4), (a, 5)];
+        let outcomes = run_supervised(&labeled(&jobs), &on_workers(Some(2)), None);
         assert_eq!(outcomes.len(), 4);
-        assert_eq!(outcomes[0].report, World::new(&a, 3).run().report);
-        assert_eq!(outcomes[1].report, World::new(&b, 3).run().report);
-        assert_eq!(outcomes[2].report, World::new(&a, 4).run().report);
-        assert_eq!(outcomes[3].report, World::new(&a, 5).run().report);
+        for (out, (cfg, seed)) in outcomes.iter().zip(&jobs) {
+            let solo = World::new(cfg, *seed).run();
+            assert_eq!(out.as_ref().unwrap().report, solo.report);
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_other_jobs_intact() {
+        // The crash-isolation contract: every other job's result survives,
+        // and the bad index carries the original panic message.
+        let good = tiny(0.1, SchedulerKind::Greedy);
+        let mut bad = good.clone();
+        bad.tick_s = f64::NAN; // rejected by SimConfig::validate
+        let original = catch_unwind(|| World::new(&bad, 3)).unwrap_err();
+        let original = panic_message(original.as_ref());
+        assert!(original.contains("finite"), "{original}");
+        let jobs: Vec<(SimConfig, u64)> = (0..10)
+            .map(|i| (if i == 3 { bad.clone() } else { good.clone() }, i))
+            .collect();
+        for workers in [1, 4] {
+            let opts = SupervisorOptions {
+                retries: 0,
+                ..on_workers(Some(workers))
+            };
+            let out = run_supervised(&labeled(&jobs), &opts, None);
+            assert_eq!(out.len(), 10);
+            for (i, r) in out.iter().enumerate() {
+                if i == 3 {
+                    let err = r.as_ref().unwrap_err();
+                    assert_eq!(err.index, 3);
+                    assert_eq!(err.label, "job-3/seed=3");
+                    assert_eq!(err.message, format!("panicked: {original} (1 attempts)"));
+                } else {
+                    let solo = World::new(&good, i as u64).run();
+                    let r = r.as_ref().unwrap();
+                    assert_eq!(r.report, solo.report, "workers={workers}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -737,19 +544,6 @@ mod tests {
         assert_eq!(default_workers(1).get(), 1);
         assert!(default_workers(0).get() >= 1);
         assert!(default_workers(1_000).get() >= 1);
-    }
-
-    #[test]
-    fn supervised_run_matches_plain_batch() {
-        let cfg = tiny(0.1, SchedulerKind::Greedy);
-        let jobs: Vec<JobSpec> = (0..3)
-            .map(|s| JobSpec::new(format!("greedy/seed={s}"), &cfg, s))
-            .collect();
-        let out = run_supervised(&jobs, &SupervisorOptions::default(), None);
-        for (s, r) in out.iter().enumerate() {
-            let solo = World::new(&cfg, s as u64).run();
-            assert_eq!(r.as_ref().unwrap().report, solo.report);
-        }
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! assignment served over a socket, and the coordinator-side handle that
 //! supervises it.
 //!
-//! **Agent side** ([`run_assignment`]): read one framed [`wire::Assign`],
-//! validate the handshake (protocol version via the stream header, job
-//! slice via a recomputed grid hash), seed the shard's journal from the
-//! coordinator's authoritative complete-line prefix, `Accept`, then run
-//! the slice through the ordinary [`crate::batch::run_supervised`] while
-//! streaming heartbeats and every *complete* new journal line back; finish
-//! with `Done`. A `wrsn agent` daemon ([`serve`]) does this for every
-//! connection; a loopback worker ([`serve_loopback`]) for exactly one.
+//! **Agent side**: read one framed [`wire::Assign`], validate the
+//! handshake (protocol version via the stream header, job slice via a
+//! recomputed grid hash, supervision seconds that fit a `Duration`), seed
+//! the shard's journal from the coordinator's authoritative complete-line
+//! prefix, `Accept`, then run the slice through the ordinary
+//! [`crate::batch::run_supervised`] while streaming heartbeats and every
+//! *complete* new journal line back; finish with `Done`. A `wrsn agent`
+//! daemon ([`serve`]) does this for every connection; a loopback worker
+//! for exactly one.
 //!
-//! **Coordinator side** ([`launch`], [`remote_launch`]): connect,
-//! assign, append the streamed lines to the local shard journal (which
-//! stays the single source of truth for resume and merge), and map every
-//! failure mode onto paths the §4g coordinator already owns:
+//! **Coordinator side**: connect, assign, append the streamed lines to the
+//! local shard journal (which stays the single source of truth for resume
+//! and merge), and map every failure mode onto paths the §4g coordinator
+//! already owns:
 //!
 //! * a remote agent that is absent or refuses → **fall back to a loopback
 //!   worker** with a warning (an absent agent never fails the sweep);
@@ -39,7 +40,7 @@ use std::time::{Duration, Instant};
 use super::chaos::{net_chaos_plan, NetChaos};
 use super::wire::{self, Msg};
 use super::{launch_loopback, LaunchSpec, Worker};
-use crate::batch::{run_supervised, SupervisorOptions};
+use crate::batch::{panic_message, run_supervised, SupervisorOptions};
 use crate::frame::{self, Reader, Writer, HEADER_LEN};
 use crate::journal::{grid_hash, Journal, JOURNAL_FILE};
 use crate::shard::{shard_dir, ShardError, ShardOptions};
@@ -194,6 +195,10 @@ fn run_assignment(
     if assign.jobs.is_empty() {
         return refuse("empty job slice".into());
     }
+    let sup = match supervisor_options(&assign, store) {
+        Ok(sup) => sup,
+        Err(why) => return refuse(why),
+    };
 
     // The grid hash makes the work directory location-independent: any
     // agent given the same slice uses the same directory name. The
@@ -241,14 +246,6 @@ fn run_assignment(
         return stall_until_hangup(&stream);
     }
 
-    let sup = SupervisorOptions {
-        timeout: (assign.timeout_s > 0.0).then(|| Duration::from_secs_f64(assign.timeout_s)),
-        retries: assign.retries,
-        retry_backoff: Duration::from_secs_f64(assign.retry_backoff_s.max(0.0)),
-        sim_time_cap_s: (assign.sim_time_cap_s > 0.0).then_some(assign.sim_time_cap_s),
-        workers: NonZeroUsize::new(assign.threads as usize),
-        store,
-    };
     let abort_at = (assign.abort_after_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(assign.abort_after_ms));
     let label = format!(
@@ -296,7 +293,7 @@ fn run_assignment(
             Ok(()) => (true, String::new()),
             Err(panic) => (
                 false,
-                format!("agent runner panicked: {}", panic_text(&panic)),
+                format!("agent runner panicked: {}", panic_message(&*panic)),
             ),
         };
         writer
@@ -306,14 +303,32 @@ fn run_assignment(
     })
 }
 
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
+/// The supervision an assignment asks for. Seconds fields that no
+/// `Duration` can hold, and the retired simulated-time cap, are refused
+/// rather than run.
+fn supervisor_options(
+    assign: &wire::Assign,
+    store: Option<StoreConfig>,
+) -> Result<SupervisorOptions, String> {
+    let secs = |name: &str, s: f64| {
+        Duration::try_from_secs_f64(s)
+            .map_err(|e| format!("{name} {s} is not a valid number of seconds ({e})"))
+    };
+    if assign.sim_time_cap_s > 0.0 {
+        return Err(format!(
+            "sim_time_cap_s {} asks for a simulated-time cap, which this agent does not support",
+            assign.sim_time_cap_s
+        ));
     }
+    Ok(SupervisorOptions {
+        timeout: (assign.timeout_s > 0.0)
+            .then(|| secs("timeout_s", assign.timeout_s))
+            .transpose()?,
+        retries: assign.retries,
+        retry_backoff: secs("retry_backoff_s", assign.retry_backoff_s.max(0.0))?,
+        workers: NonZeroUsize::new(assign.threads as usize),
+        store,
+    })
 }
 
 /// Holds the connection open silently until the coordinator hangs up (or
@@ -360,9 +375,9 @@ fn new_complete_lines(path: &Path, offset: &mut u64) -> std::io::Result<String> 
 // --- Coordinator side -----------------------------------------------------
 
 /// Starts one shard attempt: on `opts.agents` round-robin, with
-/// deterministic network chaos seeded by `opts.chaos_seed` and the full
-/// grid hash, or on a loopback worker when there are no agents or the
-/// chosen one is absent or refuses.
+/// deterministic network chaos seeded by the full grid hash, or on a
+/// loopback worker when there are no agents or the chosen one is absent
+/// or refuses.
 pub(crate) fn launch(
     spec: &LaunchSpec<'_>,
     opts: &ShardOptions,
@@ -374,13 +389,7 @@ pub(crate) fn launch(
     // Round-robin by (shard + attempt): a retry naturally lands on a
     // different agent, so one dead box cannot pin a shard down.
     let addr = &opts.agents[(spec.shard + spec.attempt as usize) % opts.agents.len()];
-    let plan = net_chaos_plan(
-        opts.chaos_net,
-        opts.chaos_seed,
-        grid_hash,
-        spec.shard,
-        spec.attempt,
-    );
+    let plan = net_chaos_plan(opts.chaos_net, grid_hash, spec.shard, spec.attempt);
     if let Some(c) = plan {
         eprintln!(
             "chaos: shard {} attempt {} gets a network fault: {}",
@@ -456,7 +465,9 @@ pub(crate) fn remote_launch(
         retries: spec.sup.retries,
         retry_backoff_s: spec.sup.retry_backoff.as_secs_f64(),
         timeout_s: spec.sup.timeout.map_or(-1.0, |d| d.as_secs_f64()),
-        sim_time_cap_s: spec.sup.sim_time_cap_s.unwrap_or(-1.0),
+        // The retired simulated-time cap: always "none", so the frame
+        // bytes stay those of WRSNFAB1 version 1.
+        sim_time_cap_s: -1.0,
         stall: spec.stall || matches!(plan, Some(NetChaos::StallAgent)),
         abort_after_ms: match plan {
             Some(NetChaos::AbortAgent(d)) => d.as_millis() as u64,
@@ -926,35 +937,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A well-formed assignment of `jobs` that the agent would accept.
+    fn assign_of(jobs: Vec<JobSpec>) -> wire::Assign {
+        wire::Assign {
+            shard: 0,
+            attempt: 0,
+            grid_hash: grid_hash(&jobs),
+            threads: 1,
+            retries: 1,
+            retry_backoff_s: 0.05,
+            timeout_s: -1.0,
+            sim_time_cap_s: -1.0,
+            stall: false,
+            abort_after_ms: 0,
+            jobs,
+            prior_journal: String::new(),
+        }
+    }
+
+    /// Sends `assign` to the agent at `addr` and returns its refusal.
+    fn refusal(addr: &str, assign: wire::Assign) -> String {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = Writer::new(stream.try_clone().unwrap());
+        writer
+            .send(&Msg::Assign(Box::new(assign)))
+            .expect("send assign");
+        let mut reader = Reader::new(stream);
+        match reader.recv() {
+            Ok(Some(Msg::Refuse { reason })) => reason,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
     #[test]
     fn agent_refuses_a_grid_hash_mismatch() {
         let addr = start_agent("refuse");
-        let cfg = tiny_cfg(0.02);
-        let jobs = jobs_of(&cfg, 2);
-        let stream = TcpStream::connect(&addr).expect("connect");
-        let mut writer = Writer::new(stream.try_clone().unwrap());
-        writer
-            .send(&Msg::Assign(Box::new(wire::Assign {
-                shard: 0,
-                attempt: 0,
-                grid_hash: grid_hash(&jobs) ^ 1,
-                threads: 1,
-                retries: 1,
-                retry_backoff_s: 0.05,
-                timeout_s: -1.0,
-                sim_time_cap_s: -1.0,
-                stall: false,
-                abort_after_ms: 0,
-                jobs,
-                prior_journal: String::new(),
-            })))
-            .expect("send assign");
-        let mut reader = Reader::new(stream);
-        match reader.recv().expect("handshake reply") {
-            Some(Msg::Refuse { reason }) => {
-                assert!(reason.contains("grid hash mismatch"), "{reason}")
-            }
-            other => panic!("expected a refusal, got {other:?}"),
+        let mut assign = assign_of(jobs_of(&tiny_cfg(0.02), 2));
+        assign.grid_hash ^= 1;
+        let reason = refusal(&addr, assign);
+        assert!(reason.contains("grid hash mismatch"), "{reason}");
+    }
+
+    #[test]
+    fn agent_refuses_seconds_no_duration_can_hold_and_a_sim_time_cap() {
+        let addr = start_agent("refuse-seconds");
+        let jobs = jobs_of(&tiny_cfg(0.02), 2);
+        type Spoil = fn(&mut wire::Assign);
+        let cases: [(&str, Spoil); 5] = [
+            ("timeout_s inf", |a| a.timeout_s = f64::INFINITY),
+            ("timeout_s 100000000000000000000", |a| a.timeout_s = 1e20),
+            ("retry_backoff_s inf", |a| a.retry_backoff_s = f64::INFINITY),
+            ("retry_backoff_s 100000000000000000000", |a| {
+                a.retry_backoff_s = 1e20
+            }),
+            ("sim_time_cap_s 3600", |a| a.sim_time_cap_s = 3600.0),
+        ];
+        for (label, spoil) in cases {
+            let mut assign = assign_of(jobs.clone());
+            spoil(&mut assign);
+            let reason = refusal(&addr, assign);
+            assert!(reason.starts_with(label), "{label}: {reason}");
         }
     }
 

@@ -1,8 +1,7 @@
 //! Deterministic network chaos for the agent transport (DESIGN.md §4i).
 //!
 //! Mirrors the worker chaos plan in `shard.rs`: the decision for one
-//! `(shard, attempt)` is a pure function of the chaos seed and the grid
-//! hash, so a chaotic sweep is reproducible and — because only the first
+//! `(shard, attempt)` is a pure function of the grid hash, so a chaotic sweep is reproducible and — because only the first
 //! two attempts of a shard can be faulted — always converges whenever the
 //! retry budget is at least two. Every fault mode lands on a path the
 //! coordinator already owns: torn assignments and severed links surface
@@ -36,18 +35,12 @@ pub(crate) enum NetChaos {
 /// Deterministic chaos decision for one `(shard, attempt)` assignment.
 /// Only the first two attempts can be faulted, so `retries >= 2` always
 /// converges.
-pub(crate) fn net_chaos_plan(
-    p: f64,
-    chaos_seed: u64,
-    hash: u64,
-    shard: usize,
-    attempt: u32,
-) -> Option<NetChaos> {
+pub(crate) fn net_chaos_plan(p: f64, hash: u64, shard: usize, attempt: u32) -> Option<NetChaos> {
     if p <= 0.0 || attempt >= 2 {
         return None;
     }
     let mut rng = StdRng::seed_from_u64(
-        chaos_seed ^ hash.rotate_left(17) ^ ((shard as u64) << 24) ^ ((attempt as u64) << 48),
+        hash.rotate_left(17) ^ ((shard as u64) << 24) ^ ((attempt as u64) << 48),
     );
     if !rng.gen_bool(p.min(1.0)) {
         return None;
@@ -69,16 +62,13 @@ mod tests {
     fn plan_is_deterministic_and_stops_after_two_attempts() {
         for shard in 0..16 {
             for attempt in 0..2 {
-                let a = net_chaos_plan(1.0, 42, 0xabc, shard, attempt);
-                let b = net_chaos_plan(1.0, 42, 0xabc, shard, attempt);
+                let a = net_chaos_plan(1.0, 0xabc, shard, attempt);
+                let b = net_chaos_plan(1.0, 0xabc, shard, attempt);
                 assert_eq!(a, b, "deterministic");
                 assert!(a.is_some(), "p=1.0 always faults early attempts");
             }
-            assert!(
-                net_chaos_plan(1.0, 42, 0xabc, shard, 2).is_none(),
-                "bounded"
-            );
-            assert!(net_chaos_plan(0.0, 42, 0xabc, shard, 0).is_none(), "off");
+            assert!(net_chaos_plan(1.0, 0xabc, shard, 2).is_none(), "bounded");
+            assert!(net_chaos_plan(0.0, 0xabc, shard, 0).is_none(), "off");
         }
     }
 
@@ -86,7 +76,7 @@ mod tests {
     fn plan_spreads_across_fault_modes() {
         let mut kinds = std::collections::HashSet::new();
         for shard in 0..64 {
-            if let Some(c) = net_chaos_plan(1.0, 7, 0xdef, shard, 0) {
+            if let Some(c) = net_chaos_plan(1.0, 0xdef, shard, 0) {
                 kinds.insert(std::mem::discriminant(&c));
             }
         }

@@ -14,9 +14,9 @@
 //!   [`crate::shard::ShardOptions::agents`] names any. An absent or
 //!   refusing agent degrades the shard to a loopback worker.
 //!
-//! Either way an [`agent::RemoteHandle`] is the one handle the coordinator
-//! polls, so a crashed worker, a severed link and a silent agent all land
-//! on the same requeue → resume → merge path.
+//! Either way one remote handle is what the coordinator polls, so a
+//! crashed worker, a severed link and a silent agent all land on the same
+//! requeue → resume → merge path.
 
 pub mod agent;
 pub(crate) mod chaos;

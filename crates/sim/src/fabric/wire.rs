@@ -38,7 +38,9 @@ pub struct Assign {
     pub retry_backoff_s: f64,
     /// Per-job watchdog timeout in seconds (`<= 0` = none).
     pub timeout_s: f64,
-    /// Simulated-time cap in seconds (`<= 0` = none).
+    /// Retired simulated-time cap in seconds. Coordinators always write
+    /// `-1.0` (none), which keeps the frame layout of this protocol
+    /// version; an agent refuses a positive value.
     pub sim_time_cap_s: f64,
     /// Chaos order: accept, then go silent (no heartbeats, no work) so
     /// the coordinator's lease watchdog has something to reap.

@@ -13,21 +13,20 @@
 //!   runs; a counter that stops advancing for longer than
 //!   [`ShardOptions::lease_timeout`] marks the attempt hung and it is
 //!   killed;
-//! * **watchdog** — [`ShardOptions::shard_timeout`] bounds one attempt's
-//!   wall clock;
 //! * **bounded retries with capped exponential backoff** — a crashed,
 //!   hung or chaos-killed shard is re-queued up to
 //!   [`ShardOptions::retries`] times, waiting
-//!   `min(backoff_cap, backoff · 2^attempt)` plus a deterministic seeded
-//!   jitter before each respawn (so a mass requeue never relaunches every
-//!   shard in the same instant);
+//!   `min(5 s, 200 ms · 2^attempt)` plus a deterministic seeded jitter
+//!   before each respawn (so a mass requeue never relaunches every shard
+//!   in the same instant);
 //! * **backpressure** — at most [`ShardOptions::max_inflight`] attempts
-//!   run concurrently (the fairy-style RAM barrier: a 64-shard grid on an
-//!   8-core box keeps 8 workers alive, not 64), and each attempt's thread
-//!   count is divided down so the machine is never oversubscribed;
+//!   run concurrently, never more than there are shards (the fairy-style
+//!   RAM barrier: a 64-shard grid on an 8-core box keeps 8 workers alive,
+//!   not 64), and the cores are divided between them so the machine is
+//!   never oversubscribed;
 //! * **chaos** — [`ShardOptions::chaos_workers`] randomly SIGKILLs or
-//!   stalls attempts mid-shard (deterministically, from
-//!   [`ShardOptions::chaos_seed`]) to prove the recovery path end-to-end.
+//!   stalls attempts mid-shard (deterministically, from the grid hash) to
+//!   prove the recovery path end-to-end.
 //!
 //! Every shard journals into its own `shard-NNNN/journal.jsonl` via the
 //! §4d write-ahead [`Journal`]: the agent streams its journal lines back
@@ -44,14 +43,13 @@
 //! [`crate::batch::run_supervised`] would, so a sharded sweep's CSV is
 //! byte-identical (`cmp`-equal) to the single-process run's.
 
-use crate::batch::{JobPanic, JobSpec, SupervisorOptions};
+use crate::batch::{default_workers, JobPanic, JobSpec, SupervisorOptions};
 use crate::fabric::{self, LaunchSpec, RemoteHandle};
 use crate::journal::{self, grid_hash, Journal, JournalError};
 use crate::SimOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::collections::VecDeque;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitStatus;
 use std::time::{Duration, Instant};
@@ -66,35 +64,31 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// current binary.
 pub const WORKER_ENV: &str = "WRSN_SHARD_WORKER";
 
+/// Base delay before a shard respawn; doubles per consecutive retry.
+const BACKOFF: Duration = Duration::from_millis(200);
+/// Upper bound on the exponential respawn backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
 /// Supervision policy for the shard fabric.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
     /// Number of shard ranges the job list is split into (clamped to the
     /// job count; at least 1).
     pub shards: usize,
-    /// Maximum concurrently running shard attempts; `0` means
-    /// `min(shards, available_parallelism)`.
+    /// Maximum concurrently running shard attempts, clamped to the shard
+    /// count; `0` means one per core.
     pub max_inflight: usize,
     /// Extra attempts after a shard's first attempt fails (crash, hang,
-    /// watchdog, chaos).
+    /// chaos).
     pub retries: u32,
-    /// Base delay before a shard respawn; doubles per consecutive retry.
-    pub backoff: Duration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap: Duration,
     /// An attempt whose heartbeat has not advanced for this long is
     /// declared hung, killed, and its shard re-queued.
     pub lease_timeout: Duration,
-    /// Per-attempt wall-clock budget for a whole shard; `None` disables
-    /// the shard watchdog (the heartbeat watchdog still applies).
-    pub shard_timeout: Option<Duration>,
     /// Probability that a launched attempt is chaos-faulted (SIGKILLed
     /// after a short delay, or stalled so its heartbeat stops). Applied
     /// only on a shard's first two attempts, so a bounded retry budget
     /// always converges. `0.0` disables chaos.
     pub chaos_workers: f64,
-    /// Seed for the deterministic chaos decisions.
-    pub chaos_seed: u64,
     /// `wrsn agent` addresses (`host:port`) to distribute shards over.
     /// Empty means every shard runs on a loopback worker, a re-exec of the
     /// current binary. An absent or refusing agent degrades the affected
@@ -114,12 +108,8 @@ impl Default for ShardOptions {
             shards: 1,
             max_inflight: 0,
             retries: 3,
-            backoff: Duration::from_millis(200),
-            backoff_cap: Duration::from_secs(5),
             lease_timeout: Duration::from_secs(30),
-            shard_timeout: None,
             chaos_workers: 0.0,
-            chaos_seed: 0,
             agents: Vec::new(),
             chaos_net: 0.0,
         }
@@ -355,9 +345,7 @@ fn chaos_plan(opts: &ShardOptions, hash: u64, shard: usize, attempt: u32) -> Opt
     if opts.chaos_workers <= 0.0 || attempt >= 2 {
         return None;
     }
-    let mut rng = StdRng::seed_from_u64(
-        opts.chaos_seed ^ hash ^ ((shard as u64) << 20) ^ ((attempt as u64) << 52),
-    );
+    let mut rng = StdRng::seed_from_u64(hash ^ ((shard as u64) << 20) ^ ((attempt as u64) << 52));
     if !rng.gen_bool(opts.chaos_workers.min(1.0)) {
         return None;
     }
@@ -382,7 +370,6 @@ struct Slot {
     shard: usize,
     attempt: u32,
     handle: RemoteHandle,
-    started: Instant,
     /// Last observed heartbeat counter and when it last advanced.
     heartbeat: u64,
     beat_at: Instant,
@@ -393,22 +380,14 @@ struct Slot {
     kill_reason: Option<String>,
 }
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
-}
-
 /// Backoff before a shard's `attempt`-th respawn: capped exponential plus
 /// a deterministic seeded jitter in `[0, base/2)`, so a mass requeue —
 /// every shard dying at once when a partition heals — spreads its
 /// relaunches instead of thundering back in the same instant.
-fn backoff_for(opts: &ShardOptions, shard: usize, attempt: u32) -> Duration {
-    let factor = 1u32 << attempt.min(16);
-    let base = (opts.backoff * factor).min(opts.backoff_cap);
-    let mut rng = StdRng::seed_from_u64(
-        opts.chaos_seed ^ 0x9e37_79b9_7f4a_7c15 ^ ((shard as u64) << 32) ^ attempt as u64,
-    );
+fn backoff_for(shard: usize, attempt: u32) -> Duration {
+    let base = (BACKOFF * (1u32 << attempt.min(16))).min(BACKOFF_CAP);
+    let mut rng =
+        StdRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ ((shard as u64) << 32) ^ attempt as u64);
     base + base.mul_f64(0.5 * rng.gen_range(0.0..1.0))
 }
 
@@ -423,7 +402,7 @@ fn attempt_failed(
     reason: String,
 ) {
     if attempt < opts.retries {
-        let delay = backoff_for(opts, shard, attempt);
+        let delay = backoff_for(shard, attempt);
         eprintln!(
             "warning: shard {shard} attempt {} failed ({reason}); respawning in {:.1} s",
             attempt + 1,
@@ -439,6 +418,18 @@ fn attempt_failed(
         eprintln!("warning: shard {shard} given up: {message}");
         dead.push((shard, message));
     }
+}
+
+/// The coordinator's backpressure on a `cores`-core machine: how many
+/// shard attempts run at once — `max_inflight` (`0`: one per core), never
+/// more than there are shards — and how many threads each one gets.
+fn worker_budget(max_inflight: usize, shards: usize, cores: usize) -> (usize, usize) {
+    let inflight = match max_inflight {
+        0 => cores,
+        n => n,
+    }
+    .clamp(1, shards);
+    (inflight, (cores / inflight).max(1))
 }
 
 fn coordinate(
@@ -466,12 +457,9 @@ fn coordinate(
         write_manifest(dir, jobs.len(), shards, hash)?;
     }
 
-    let inflight = if opts.max_inflight == 0 {
-        shards.min(available_parallelism()).max(1)
-    } else {
-        opts.max_inflight.max(1)
-    };
-    let threads_per_worker = (available_parallelism() / inflight).max(1);
+    // As many workers as jobs: the machine's whole parallelism.
+    let cores = default_workers(usize::MAX).get();
+    let (inflight, threads_per_worker) = worker_budget(opts.max_inflight, shards, cores);
 
     let mut queue: VecDeque<Pending> = (0..shards)
         .map(|shard| Pending {
@@ -526,7 +514,6 @@ fn coordinate(
                         shard: p.shard,
                         attempt: p.attempt,
                         handle,
-                        started: now,
                         heartbeat: 0,
                         beat_at: now,
                         kill_at: match chaos {
@@ -587,18 +574,6 @@ fn coordinate(
                             slot.kill_reason = Some("chaos-injected SIGKILL mid-shard".to_string());
                             slot.handle.kill();
                             slot.kill_at = None;
-                        }
-                    }
-                    // Per-shard wall-clock watchdog.
-                    if slot.kill_reason.is_none() {
-                        if let Some(budget) = opts.shard_timeout {
-                            if now.duration_since(slot.started) > budget {
-                                slot.kill_reason = Some(format!(
-                                    "exceeded the shard watchdog ({:.1} s of wall clock)",
-                                    budget.as_secs_f64()
-                                ));
-                                slot.handle.kill();
-                            }
                         }
                     }
                     // Heartbeat staleness: an agent that stopped
@@ -806,20 +781,19 @@ mod tests {
 
     #[test]
     fn backoff_jitter_is_deterministic_bounded_and_spread() {
-        let opts = ShardOptions::default();
         let mut distinct = std::collections::HashSet::new();
         for shard in 0..8usize {
             for attempt in 0..6u32 {
-                let d = backoff_for(&opts, shard, attempt);
-                assert_eq!(d, backoff_for(&opts, shard, attempt), "deterministic");
-                let base = (opts.backoff * (1u32 << attempt.min(16))).min(opts.backoff_cap);
+                let d = backoff_for(shard, attempt);
+                assert_eq!(d, backoff_for(shard, attempt), "deterministic");
+                let base = (BACKOFF * (1u32 << attempt.min(16))).min(BACKOFF_CAP);
                 assert!(d >= base, "jitter only adds delay: {d:?} < {base:?}");
                 assert!(
                     d <= base + base.mul_f64(0.5),
                     "jitter bounded by base/2: {d:?}"
                 );
             }
-            distinct.insert(backoff_for(&opts, shard, 1));
+            distinct.insert(backoff_for(shard, 1));
         }
         // Anti-thundering-herd: eight shards requeued together must not
         // share a relaunch instant.
@@ -834,11 +808,26 @@ mod tests {
             (7, 3, 1_643_718_577),
         ] {
             assert_eq!(
-                backoff_for(&opts, shard, attempt),
+                backoff_for(shard, attempt),
                 Duration::from_nanos(nanos),
                 "pinned jitter drifted for shard {shard} attempt {attempt}"
             );
         }
+    }
+
+    #[test]
+    fn worker_budget_clamps_inflight_to_shards_and_divides_the_cores() {
+        // More inflight than shards would idle cores: `--shards 2
+        // --shard-inflight 8` on 8 cores runs 2 workers of 4 threads.
+        assert_eq!(worker_budget(8, 2, 8), (2, 4));
+        // The default is one worker per core, at most one per shard.
+        assert_eq!(worker_budget(0, 2, 8), (2, 4));
+        assert_eq!(worker_budget(0, 64, 8), (8, 1));
+        // An explicit bound below the shard count is kept, and a worker
+        // always gets at least one thread.
+        assert_eq!(worker_budget(1, 6, 2), (1, 2));
+        assert_eq!(worker_budget(3, 6, 2), (3, 1));
+        assert_eq!(worker_budget(5, 1, 1), (1, 1));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! [`RunStore`] opens a tree of run directories (a sweep's per-job stores,
 //! keyed by the journal's grid hash) and answers cross-run predicate
-//! queries ([`query`]): "where did coverage dip below 0.9", "which RV
+//! queries ([`Predicate`]): "where did coverage dip below 0.9", "which RV
 //! breakdowns happened within 50 ticks of a depletion", and so on.
 
 pub mod log;

@@ -212,7 +212,6 @@ impl SweepOptions {
                 chaos_workers: get("chaos-workers").num(d.chaos_workers)?,
                 chaos_net: get("chaos-net").num(d.chaos_net)?,
                 agents,
-                ..d
             })
         };
         let journal = flag("journal").map(PathBuf::from);

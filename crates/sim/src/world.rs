@@ -258,7 +258,7 @@ impl World {
 
     /// Advances the world by one tick: the engine phase pipeline.
     ///
-    /// Each numbered phase is one subsystem call (see [`crate::engine`]);
+    /// Each numbered phase is one subsystem call (see the `engine` module);
     /// the order is part of the determinism contract — subsystems draw
     /// from the shared RNG in pipeline order.
     pub fn step(&mut self) {
