@@ -6,7 +6,7 @@
 //!
 //! * `step` — one engine tick on a warmed mid-run world with mixed
 //!   battery health (deaths, requests, revivals). With the SoC crossing
-//!   predictions + chunked drain + dirty-set routing this costs event-
+//!   predictions + drain-rate column + dirty-set routing this costs event-
 //!   rather than population-proportional time.
 //! * `naive_refresh` — the historical per-refresh pipeline: a
 //!   from-scratch canonical Dijkstra rebuild + full relay-load fold +

@@ -68,12 +68,7 @@ fn main() {
         config: cfg,
     });
 
-    eprintln!(
-        "ablation: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("ablation", grid.len());
     let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(

@@ -39,12 +39,7 @@ fn main() {
             }
         })
         .collect();
-    eprintln!(
-        "extensions: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("extensions", grid.len());
     let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(

@@ -64,12 +64,7 @@ fn main() {
             });
         }
     }
-    eprintln!(
-        "fig4: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("fig4", grid.len());
     let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(

@@ -31,12 +31,7 @@ fn main() {
             }
         })
         .collect();
-    eprintln!(
-        "fig5: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("fig5", grid.len());
     let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(

@@ -34,12 +34,7 @@ fn main() {
             });
         }
     }
-    eprintln!(
-        "fig6: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("fig6", grid.len());
     let results = run_sweep(grid, &opts);
 
     type Panel = (

@@ -33,12 +33,7 @@ fn main() {
             });
         }
     }
-    eprintln!(
-        "fig7: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("fig7", grid.len());
     let results = run_sweep(grid, &opts);
 
     type Panel = (

@@ -77,12 +77,7 @@ fn main() {
         config: cfg,
     });
 
-    eprintln!(
-        "robustness: {} runs × {} seed(s), {} days each…",
-        grid.len(),
-        opts.seeds,
-        opts.days
-    );
+    opts.announce("robustness", grid.len());
     let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(

@@ -16,6 +16,7 @@
 use std::path::PathBuf;
 use wrsn_metrics::{EvalReport, Summary};
 use wrsn_sim::batch::{JobPanic, JobSpec};
+use wrsn_sim::shard::WORKER_ENV;
 use wrsn_sim::sweep::{flag_usage, Args, SweepOptions, SWEEP_FLAGS};
 use wrsn_sim::{SimConfig, SimOutcome};
 
@@ -81,6 +82,18 @@ impl ExpOptions {
             out_dir: PathBuf::from(args.get("out", "results")),
             sweep: SweepOptions::from_flags(|name| args.opt(name))?,
         })
+    }
+
+    /// Prints the sweep's start banner (`"{name}: N runs × S seed(s), D
+    /// days each…"`) to stderr. A loopback shard worker re-executes the
+    /// binary with the same argv, so only the coordinator prints it.
+    pub fn announce(&self, name: &str, runs: usize) {
+        if std::env::var_os(WORKER_ENV).is_none() {
+            eprintln!(
+                "{name}: {runs} runs × {} seed(s), {} days each…",
+                self.seeds, self.days
+            );
+        }
     }
 
     /// The base configuration for this experiment scale.

@@ -162,9 +162,10 @@ pub struct DynamicRoutingTree {
     loads: Vec<TrafficLoad>,
     // Deduplicated queue of nodes whose materialized load changed since
     // the last `take_load_events` drain; `load_events_all` collapses the
-    // queue after a wholesale rebuild / load restore. Consumers (the
-    // dispatch crossing predictions) use it to re-predict drain rates for
-    // only the nodes that actually changed.
+    // queue after a wholesale rebuild / load restore. The consumer (the
+    // simulator's drain-rate refresh, which also seeds the dispatch
+    // crossing predictions) recomputes drain rates for only the nodes
+    // that actually changed.
     load_events: Vec<u32>,
     load_event_flag: Vec<bool>,
     load_events_all: bool,
@@ -380,6 +381,15 @@ impl DynamicRoutingTree {
         }
         self.load_events.clear();
         all
+    }
+
+    /// Whether `v`'s load change since the last
+    /// [`take_load_events`](Self::take_load_events) drain is still queued
+    /// (always `true` while a pending wholesale rebuild collapses the
+    /// queue to "all").
+    #[inline]
+    pub fn load_event_pending(&self, v: usize) -> bool {
+        self.load_events_all || self.load_event_flag[v]
     }
 
     // ---- differential oracle -------------------------------------------

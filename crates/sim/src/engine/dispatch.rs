@@ -9,7 +9,6 @@
 
 use super::{faults, WorldState};
 use wrsn_core::{ClusterId, RechargeRequest, RvState, ScheduleInput, SensorId};
-use wrsn_energy::SensorActivity;
 
 /// Updates the request board from current battery states: recoveries
 /// leave, threshold crossings enter, and the §III-B ERC quorum releases
@@ -32,7 +31,7 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
     let thr = state.cfg.recharge_threshold_frac;
     let now = state.crossings.tick;
     state.crossings.tick = now + 1;
-    let mut set = state.crossings.take_scan(&mut state.routing, now);
+    let mut set = state.crossings.take_scan(now);
 
     // ---- One ascending pass over the set, a batch of ids at a time. Per
     // sensor it does the naive scan's recovery clear (only at/above
@@ -179,25 +178,9 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
         return;
     }
     let dt = state.cfg.tick_s;
-    let load = state.routing.loads()[s + 1];
-    let activity = if state.sensors.active(s) {
-        SensorActivity::Sensing {
-            tx_pps: load.tx_pps,
-            rx_pps: load.rx_pps,
-        }
-    } else if state.sensors.dormant(s) {
-        SensorActivity::Idle {
-            tx_pps: load.tx_pps,
-            rx_pps: load.rx_pps,
-        }
-    } else {
-        SensorActivity::Watching {
-            duty: state.cfg.watch_duty,
-            tx_pps: load.tx_pps,
-            rx_pps: load.rx_pps,
-        }
-    };
-    let mut per_tick = state.cfg.sensor_profile.power(activity) * dt;
+    // Current since this tick's drain-phase refresh: nothing changes an
+    // activity bit or a relay load between drain and dispatch.
+    let mut per_tick = state.sensors.tick_draw_j[s];
     let sd = state.cfg.self_discharge_per_day;
     if sd > 0.0 {
         per_tick += state.sensors.level[s] * sd * dt / 86_400.0;

@@ -6,11 +6,22 @@
 //! runs — may suffer a permanent Poisson hardware fault. Depletions and
 //! faults invalidate the routing tree and feed the death/failure ledgers
 //! the conservation tests audit.
+//!
+//! The activity-and-relay part of each sensor's draw changes only when
+//! its activity or suspension bit flips or its relay load moves, so it is
+//! kept in a maintained column, [`SensorSoA::tick_draw_j`].
+//! [`refresh_draws`] recomputes just the changed entries at the start of
+//! the drain phase, and [`drain_sensors`] is then a min/subtract/sum pass
+//! over levels and that column (DESIGN.md §4j).
+//! [`drain_sensors_naive`] derives every draw from scratch and stays in
+//! the build as the differential oracle.
 
-use super::{WorldState, CHUNK, F_ACTIVE, F_DORMANT, F_SUSPENDED, F_WAS_DEPLETED};
+use super::{SensorSoA, WorldState, F_ACTIVE, F_DORMANT, F_SUSPENDED};
+use crate::SimConfig;
 use rand::Rng;
 use wrsn_core::SensorId;
 use wrsn_energy::SensorActivity;
+use wrsn_net::TrafficLoad;
 
 /// Samples permanent hardware faults: each live sensor fails with
 /// probability `rate·dt/86400` this tick. Failed sensors lose their
@@ -52,98 +63,143 @@ pub(crate) fn inject_failures(state: &mut WorldState, dt: f64) {
     }
 }
 
+/// One tick of activity-and-relay draw for a sensor with flag byte `fl`
+/// and relay load `load`: the value [`SensorSoA::tick_draw_j`] holds.
+/// Dormant sensors still relay (Idle keeps the radio on); suspended ones
+/// are powered down for the outage and draw nothing.
+pub(crate) fn tick_draw(cfg: &SimConfig, fl: u8, load: TrafficLoad) -> f64 {
+    if fl & F_SUSPENDED != 0 {
+        return 0.0;
+    }
+    let (tx_pps, rx_pps) = (load.tx_pps, load.rx_pps);
+    let activity = if fl & F_ACTIVE != 0 {
+        SensorActivity::Sensing { tx_pps, rx_pps }
+    } else if fl & F_DORMANT != 0 {
+        SensorActivity::Idle { tx_pps, rx_pps }
+    } else {
+        SensorActivity::Watching {
+            duty: cfg.watch_duty,
+            tx_pps,
+            rx_pps,
+        }
+    };
+    cfg.sensor_profile.power(activity) * cfg.tick_s
+}
+
+/// Recomputes every [`SensorSoA::tick_draw_j`] entry: at construction and
+/// on snapshot resume.
+pub(crate) fn rebuild_draws(state: &mut WorldState) {
+    let n = state.sensors.len();
+    state.sensors.draw_stale.fill(n);
+    recompute_stale_draws(state);
+}
+
+/// Brings [`SensorSoA::tick_draw_j`] up to date at the start of the drain
+/// phase, in fast and naive drain mode alike. It recomputes only the
+/// sensors whose activity or suspension bit changed (marked by the
+/// [`SensorSoA`] setters) and the sensors whose relay load changed, or
+/// every sensor when the routing tree reports that all loads changed. It
+/// is the only consumer of the tree's load events and forwards each into
+/// the dispatch next-scan set, where a rise can bring a threshold
+/// crossing forward (DESIGN.md §4j). Nothing changes an activity bit or a
+/// load between here and the dispatch phase, so the column is also what
+/// the crossing predictions read.
+pub(crate) fn refresh_draws(state: &mut WorldState) {
+    let WorldState {
+        sensors,
+        routing,
+        crossings,
+        ..
+    } = state;
+    // Node 0 is the base station.
+    let all = routing.take_load_events(|v| {
+        if v >= 1 {
+            let s = v as usize - 1;
+            crossings.note_check(s);
+            sensors.draw_stale.insert(s);
+        }
+    });
+    if all {
+        crossings.note_check_all();
+        let n = sensors.len();
+        sensors.draw_stale.fill(n);
+    }
+    recompute_stale_draws(state);
+}
+
+/// Recomputes the column entries of the sensors marked stale, clearing
+/// the marks.
+fn recompute_stale_draws(state: &mut WorldState) {
+    let WorldState {
+        cfg,
+        sensors,
+        routing,
+        ..
+    } = state;
+    let loads = routing.loads();
+    let SensorSoA {
+        tick_draw_j,
+        draw_stale,
+        flags,
+        ..
+    } = sensors;
+    draw_stale.drain(|batch| {
+        for &s in batch {
+            let s = s as usize;
+            tick_draw_j[s] = tick_draw(cfg, flags[s], loads[s + 1]);
+        }
+    });
+}
+
 /// Integrates one tick of battery drain for every live sensor.
 ///
-/// The fast path is a chunked kernel over the SoA columns: per-class
-/// base powers and per-packet radio energies are hoisted out of the
-/// loop, dead/suspended lanes are masked to a zero demand (`level -=
-/// 0.0` and `total += 0.0` are bitwise no-ops for the non-negative
-/// levels the battery maintains, so masking matches the naive loop's
-/// `continue` byte for byte), and depletion transitions are queued and
+/// After [`refresh_draws`], the fast path is one pass over two columns,
+/// levels and [`SensorSoA::tick_draw_j`]: per lane `d = min(draw, level)`,
+/// `level -= d`, `total += d`, with the total summed in sensor order.
+/// Depleted lanes are masked to a zero demand (`level -= 0.0` and
+/// `total += 0.0` are bitwise no-ops for the non-negative levels the
+/// battery maintains, so masking matches the naive loop's `continue`
+/// byte for byte), and suspended lanes hold a zero draw. With
+/// self-discharge on, the level-dependent term is added on top in the
+/// naive loop's expression order. Depletion transitions are queued and
 /// replayed after the sweep in the same ascending order the naive loop
 /// fires them (transition side effects never feed back into other
 /// sensors' draws within the tick, so deferral is invisible).
 ///
-/// [`drain_sensors_naive`] keeps the historical per-sensor loop as the
-/// differential oracle; the equivalence proptests require byte-identical
-/// snapshots between the two.
+/// [`drain_sensors_naive`] keeps the historical per-sensor loop, which
+/// derives each draw from the activity class and relay load itself, as
+/// the differential oracle; the equivalence proptests require
+/// byte-identical snapshots between the two.
 pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
+    debug_assert_eq!(dt.to_bits(), state.cfg.tick_s.to_bits());
+    refresh_draws(state);
     if state.naive_drain {
         drain_sensors_naive(state, dt);
         return;
     }
-    let n = state.cfg.num_sensors;
-    let profile = state.cfg.sensor_profile;
-    let sd = state.cfg.self_discharge_per_day;
-    // Per-class base power with zeroed packet rates. `power()` computes
-    // `base + detector + tx·txe + rx·rxe` with left-associated adds, so
-    // `dtab + tx·txe + rx·rxe` below reproduces it bitwise (the zeroed
-    // rate terms add exact `+0.0`s).
-    let d_sensing = profile.power(SensorActivity::Sensing {
-        tx_pps: 0.0,
-        rx_pps: 0.0,
-    });
-    let d_idle = profile.power(SensorActivity::Idle {
-        tx_pps: 0.0,
-        rx_pps: 0.0,
-    });
-    let d_watch = profile.power(SensorActivity::Watching {
-        duty: state.cfg.watch_duty,
-        tx_pps: 0.0,
-        rx_pps: 0.0,
-    });
-    let txe = profile.radio.tx_energy(profile.packet_bytes);
-    let rxe = profile.radio.rx_energy(profile.packet_bytes);
-
-    let mut transitions: Vec<u32> = Vec::new();
-    {
-        let WorldState {
-            sensors,
-            routing,
-            total_drained_j,
-            ..
-        } = state;
-        let loads = routing.loads();
-        let mut c0 = 0;
-        while c0 < n {
-            let c1 = (c0 + CHUNK).min(n);
-            for s in c0..c1 {
-                let fl = sensors.flags[s];
-                let level = sensors.level[s];
-                // Dormant sensors still relay (Idle keeps the radio on);
-                // only depletion and suspension stop the draw entirely.
-                let masked = level <= 0.0 || fl & F_SUSPENDED != 0;
-                let base = if fl & F_ACTIVE != 0 {
-                    d_sensing
-                } else if fl & F_DORMANT != 0 {
-                    d_idle
-                } else {
-                    d_watch
-                };
-                let load = loads[s + 1];
-                let power = base + load.tx_pps * txe + load.rx_pps * rxe;
-                let mut demand = power * dt;
-                if sd > 0.0 {
-                    demand += level * sd * dt / 86_400.0;
-                }
-                if masked {
-                    demand = 0.0;
-                }
-                debug_assert!(demand.is_finite() && demand >= 0.0);
-                // Inlined `SensorSoA::draw`, same min/subtract sequence.
-                let delivered = demand.min(level);
-                sensors.level[s] = level - delivered;
-                *total_drained_j += delivered;
-                if !masked && level - delivered <= 0.0 && fl & F_WAS_DEPLETED == 0 {
-                    transitions.push(s as u32);
-                }
-            }
-            c0 = c1;
-        }
-    }
-    // Replay depletion transitions in the naive loop's (ascending) order.
+    let SensorSoA {
+        level,
+        tick_draw_j,
+        flags,
+        ..
+    } = &mut state.sensors;
+    let mut transitions = Vec::new();
+    drain_lanes(
+        level,
+        tick_draw_j,
+        flags,
+        state.cfg.self_discharge_per_day,
+        dt,
+        &mut state.total_drained_j,
+        &mut transitions,
+    );
+    // Replay depletion transitions in the naive loop's (ascending) order,
+    // with its test that the depletion is not already recorded.
     for &s32 in &transitions {
         let s = s32 as usize;
+        if state.sensors.was_depleted(s) {
+            continue;
+        }
         state.sensors.set_was_depleted(s, true);
         state.deaths += 1;
         state.note_liveness_changed(s);
@@ -155,8 +211,54 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
     }
 }
 
+/// The column kernel: drains every lane of `levels` by its `draws`
+/// entry, adds what was drawn to `total` in lane order, and queues the
+/// lanes that reached zero this tick, ascending. It is kept out of line
+/// and fills a caller's queue so that its loop compiles to a dozen
+/// instructions per lane with the running total in a register. Inlined
+/// into [`drain_sensors`], or owning its queue, the loop kept the total
+/// and each lane's draw on the stack, a store and a reload per lane, and
+/// the traced paper run spent twice as long in it.
+#[inline(never)]
+fn drain_lanes(
+    levels: &mut [f64],
+    draws: &[f64],
+    flags: &[u8],
+    sd: f64,
+    dt: f64,
+    total: &mut f64,
+    transitions: &mut Vec<u32>,
+) {
+    let mut sum = *total;
+    for (s, (level, &draw)) in levels.iter_mut().zip(draws).enumerate() {
+        let old = *level;
+        // A suspended lane's draw is already 0; its level-dependent
+        // self-discharge term is masked here.
+        let demand = if old <= 0.0 {
+            0.0
+        } else if sd > 0.0 && flags[s] & F_SUSPENDED == 0 {
+            draw + old * sd * dt / 86_400.0
+        } else {
+            draw
+        };
+        debug_assert!(demand.is_finite() && demand >= 0.0);
+        // Inlined `SensorSoA::draw`, with its `demand.min(level)` as a
+        // select. The two agree on every non-NaN level (a NaN demand
+        // included), and levels are never NaN: decode rejects them and
+        // the invariant audit checks them. The select skips `min`'s NaN
+        // fix-up.
+        let delivered = if demand < old { demand } else { old };
+        *level = old - delivered;
+        sum += delivered;
+        if old > 0.0 && *level <= 0.0 {
+            transitions.push(s as u32);
+        }
+    }
+    *total = sum;
+}
+
 /// The historical per-sensor drain loop, retained as the differential
-/// oracle for the chunked kernel above. The loop
+/// oracle for the column kernel above. The loop
 /// strides the SoA columns (levels, packed flags, relay loads) directly;
 /// depletions feed the liveness dirty-set so the routing refresh repairs
 /// only the affected subtrees.

@@ -126,6 +126,25 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         ));
     }
 
+    // --- Drain-rate column (DESIGN.md §4j) ------------------------------
+    // An entry may differ from its from-scratch value only while a
+    // refresh mark says the next drain phase recomputes it: a changed
+    // activity/suspension bit, or a queued relay-load event.
+    let loads = state.routing.loads();
+    for s in 0..n {
+        let want = super::energy::tick_draw(&state.cfg, state.sensors.flags[s], loads[s + 1]);
+        let have = state.sensors.tick_draw_j[s];
+        if have.to_bits() != want.to_bits()
+            && !state.sensors.draw_stale.contains(s)
+            && !state.routing.load_event_pending(s + 1)
+        {
+            return Err(format!(
+                "sensor {s} drain-rate column holds {have} J, not its from-scratch \
+                 {want} J, with no refresh pending"
+            ));
+        }
+    }
+
     // --- Dispatch scan coverage (DESIGN.md §4j) -------------------------
     // The event-driven request scan must never let an *acting* sensor
     // escape examination: every below-threshold live sensor is in the
@@ -392,6 +411,24 @@ mod tests {
             .expect("a fresh world has at least one active sensor");
         state.sensors.set_active(s, false);
         assert!(check(&state).is_err());
+    }
+
+    #[test]
+    fn unmarked_drain_rate_column_entry_is_caught() {
+        let mut state = tiny_state();
+        crate::engine::energy::refresh_draws(&mut state);
+        check(&state).unwrap();
+        // A stale entry with a pending mark is the refresh's to fix…
+        state.sensors.tick_draw_j[4] *= 2.0;
+        state.sensors.draw_stale.insert(4);
+        check(&state).unwrap();
+        crate::engine::energy::refresh_draws(&mut state);
+        check(&state).unwrap();
+        // …one without a mark is a missed refresh.
+        state.sensors.tick_draw_j[4] *= 2.0;
+        assert!(check(&state)
+            .unwrap_err()
+            .contains("sensor 4 drain-rate column"));
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub(crate) const F_ACTIVE: u8 = 1 << 3;
 /// Sensor flag bit: fully asleep this slot (off-duty round-robin member).
 pub(crate) const F_DORMANT: u8 = 1 << 4;
 
-/// Sensors per SoA chunk: the drain kernel's lane width and the span of
-/// one crossing-prediction bound.
+/// Sensors per crossing-prediction chunk: the span of one lower bound on
+/// the predicted crossing ticks.
 pub(crate) const CHUNK: usize = 1024;
 
 /// Per-sensor hot state in structure-of-arrays layout (DESIGN.md §4f).
@@ -94,6 +94,16 @@ pub(crate) struct SensorSoA {
     /// Number of sensors with [`F_SUSPENDED`] set — lets the fault
     /// phase's resume scan early-out on the (common) fault-free runs.
     suspended_count: usize,
+    /// Each sensor's activity-and-relay draw over one tick (J):
+    /// `profile.power(class, relay load) · tick_s`, `0.0` while suspended
+    /// (depletion is masked by the drain kernel instead). Derived state,
+    /// never serialized: [`energy::refresh_draws`] brings it up to date at
+    /// the start of every drain phase (DESIGN.md §4j).
+    pub(crate) tick_draw_j: Vec<f64>,
+    /// Sensors whose [`F_ACTIVE`], [`F_DORMANT`] or [`F_SUSPENDED`] bit
+    /// changed since their [`tick_draw_j`](Self::tick_draw_j) entry was
+    /// last computed. The setters below are those bits' only writers.
+    draw_stale: ScanSet,
 }
 
 impl SensorSoA {
@@ -106,6 +116,8 @@ impl SensorSoA {
             flags: vec![0; batteries.len()],
             suspend_until: vec![f64::NAN; batteries.len()],
             suspended_count: 0,
+            tick_draw_j: vec![0.0; batteries.len()],
+            draw_stale: ScanSet::new(batteries.len()),
         }
     }
 
@@ -192,6 +204,19 @@ impl SensorSoA {
         }
     }
 
+    /// Sets one of the bits the tick draw depends on, marking the
+    /// sensor's [`tick_draw_j`](Self::tick_draw_j) entry stale when the
+    /// bit actually changes. Returns whether it did.
+    #[inline]
+    fn set_draw_flag(&mut self, s: usize, bit: u8, on: bool) -> bool {
+        let changed = (self.flags[s] & bit != 0) != on;
+        if changed {
+            self.set_flag(s, bit, on);
+            self.draw_stale.insert(s);
+        }
+        changed
+    }
+
     #[inline]
     pub(crate) fn set_was_depleted(&mut self, s: usize, on: bool) {
         self.set_flag(s, F_WAS_DEPLETED, on);
@@ -205,8 +230,7 @@ impl SensorSoA {
     /// Sets the suspension bit, keeping the suspended counter exact.
     #[inline]
     pub(crate) fn set_suspended(&mut self, s: usize, on: bool) {
-        if self.suspended(s) != on {
-            self.set_flag(s, F_SUSPENDED, on);
+        if self.set_draw_flag(s, F_SUSPENDED, on) {
             if on {
                 self.suspended_count += 1;
             } else {
@@ -217,12 +241,12 @@ impl SensorSoA {
 
     #[inline]
     pub(crate) fn set_active(&mut self, s: usize, on: bool) {
-        self.set_flag(s, F_ACTIVE, on);
+        self.set_draw_flag(s, F_ACTIVE, on);
     }
 
     #[inline]
     pub(crate) fn set_dormant(&mut self, s: usize, on: bool) {
-        self.set_flag(s, F_DORMANT, on);
+        self.set_draw_flag(s, F_DORMANT, on);
     }
 
     /// Sensors currently suspended by a transient outage.
@@ -251,8 +275,9 @@ impl SensorSoA {
 ///   ERC vote (activity flips, liveness changes, route abandonment,
 ///   request-group refreshes). Rate *drops* need no seed: the old
 ///   prediction fires early and re-predicts.
-/// * relay-load events from [`DynamicRoutingTree::take_load_events`];
-///   a full tree rebuild reports "all", which sets every bit.
+/// * relay-load events from [`DynamicRoutingTree::take_load_events`],
+///   forwarded by the drain phase's [`energy::refresh_draws`] (their only
+///   consumer); a full tree rebuild reports "all", which sets every bit.
 /// * ungrouped pending requests still waiting on a lossy uplink.
 ///
 /// A below-threshold sensor leaves the set once its examination can no
@@ -320,6 +345,11 @@ impl CrossingState {
         self.next.insert(s);
     }
 
+    /// Seeds every sensor for re-examination at the next request scan.
+    pub(crate) fn note_check_all(&mut self) {
+        self.next.fill(self.sched.len());
+    }
+
     /// Whether `s` will be examined at the next request scan. Exposed
     /// for the invariant audit.
     #[inline]
@@ -384,20 +414,10 @@ impl CrossingState {
         *c = (*c).min(due);
     }
 
-    /// Starts the request scan at tick `now`: adds the relay-load events
-    /// (node 0 is the base station) and the due predictions to the
-    /// next-scan set, then hands the set over whole, leaving an empty
+    /// Starts the request scan at tick `now`: adds the due predictions to
+    /// the next-scan set, then hands the set over whole, leaving an empty
     /// one to collect the following scan's causes.
-    fn take_scan(&mut self, routing: &mut DynamicRoutingTree, now: u64) -> ScanSet {
-        let next = &mut self.next;
-        let all = routing.take_load_events(|v| {
-            if v >= 1 {
-                next.insert(v as usize - 1);
-            }
-        });
-        if all {
-            self.next.fill(self.sched.len());
-        }
+    fn take_scan(&mut self, now: u64) -> ScanSet {
         self.take_due(now);
         let empty = std::mem::take(&mut self.scan);
         std::mem::replace(&mut self.next, empty)
@@ -941,6 +961,7 @@ impl WorldState {
         };
         mobility::rebuild_clusters(&mut state);
         activity::refresh_routing(&mut state);
+        energy::rebuild_draws(&mut state);
         state
     }
 

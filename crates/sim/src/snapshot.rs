@@ -574,7 +574,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         // like the pending full routing refresh above), and cluster
         // repair falls back to one
         // wholesale rebuild to re-establish its baseline (byte-identical
-        // to incremental by contract, DESIGN.md §4f/§4j).
+        // to incremental by contract, DESIGN.md §4f/§4j). The drain-rate
+        // column is rebuilt from the restored flags and loads below.
         crossings: engine::CrossingState::new_all_pending(n),
         repair: None,
         naive_dispatch: false,
@@ -588,6 +589,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         cfg,
     };
     engine::coverage::rebuild(&mut state);
+    engine::energy::rebuild_draws(&mut state);
     // Snapshots from builds without request-group compaction may hold
     // more groups than a refresh leaves behind.
     engine::mobility::compact_request_groups(&mut state);

@@ -59,7 +59,7 @@ pub struct StepTimings {
     pub faults_ns: u64,
     /// Phase 5 — event-incremental routing/activity refresh.
     pub routing_ns: u64,
-    /// Phase 6 — the chunked battery-drain kernel.
+    /// Phase 6 — the drain-rate column refresh + battery-drain kernel.
     pub drain_ns: u64,
     /// Phase 7 — crossing-prediction request scan + batched planning.
     pub dispatch_ns: u64,
@@ -429,8 +429,9 @@ impl World {
     }
 
     /// Switches the drain phase to the historical per-sensor loop instead
-    /// of the chunked kernel. Differential-oracle knob; byte-identical by
-    /// contract. Not serialized.
+    /// of the column kernel. Differential-oracle knob; byte-identical by
+    /// contract. Not serialized. The drain-rate column is refreshed in
+    /// both modes, so a switch needs no reset.
     pub fn set_naive_drain(&mut self, on: bool) {
         self.state.naive_drain = on;
     }

@@ -1,6 +1,7 @@
 //! Property-based differential oracles for the event-proportional tick
-//! (DESIGN.md §4f/§4j): the crossing-heap dispatch scan, the chunked
-//! drain kernel and incremental cluster repair must each be
+//! (DESIGN.md §4f/§4j): the crossing-prediction dispatch scan, the
+//! drain kernel over the maintained draw column and incremental cluster
+//! repair must each be
 //! **byte-identical** to the historical naive pipeline they replaced —
 //! not statistically close, the same world, snapshot for snapshot.
 //!
@@ -22,7 +23,7 @@ prop_compose! {
     /// starts low (crossings + recharges + deaths), faults are common,
     /// targets move under all three mobility models, the ERP spans its
     /// range, and the zero data-rate edge (activity flips without load
-    /// events) is sampled.
+    /// events) and self-discharge are sampled.
     fn arb_churny_config()(
         sensors in 20usize..70,
         targets in 1usize..5,
@@ -38,7 +39,13 @@ prop_compose! {
             Just(TargetMobility::RandomWaypoint { speed_mps: 0.5 }),
             Just(TargetMobility::Static),
         ],
-        zero_rate in proptest::bool::weighted(0.25),
+        // Zero data rate (activity flips without load events) and
+        // self-discharge (a level-dependent term on top of the maintained
+        // per-sensor draw), paired to stay within the strategy tuple.
+        rates in (
+            proptest::bool::weighted(0.25),
+            prop_oneof![Just(0.0), Just(0.02)],
+        ),
         // K = 1 parks almost every pending request behind its quorum;
         // K = 0 releases on the first vote and parks none.
         erp in prop_oneof![Just(0.0), Just(0.6), Just(1.0)],
@@ -58,6 +65,8 @@ prop_compose! {
         cfg.faults.uplink_backoff_cap_s = 3_600.0;
         cfg.target_mobility = mobility;
         cfg.target_period_s = 5_400.0; // several rebuilds per run
+        let (zero_rate, self_discharge) = rates;
+        cfg.self_discharge_per_day = self_discharge;
         if zero_rate {
             // Activity flips change detector power but produce no relay
             // load events — the seed path load events cannot cover.
@@ -113,7 +122,7 @@ proptest! {
         cfg in arb_churny_config(),
         seed in 0u64..1_000,
     ) {
-        // The headline property: heap dispatch + chunked drain +
+        // The headline property: predicted dispatch + column drain +
         // incremental repair together vs. the all-naive pipeline,
         // snapshot-compared throughout the run.
         let mut fast = World::new(&cfg, seed);
@@ -143,9 +152,10 @@ proptest! {
         seed in 0u64..1_000,
         cut in 50usize..200,
     ) {
-        // The crossing heap and repair baseline are *not* serialized:
-        // resume restarts them (all-pending scan / one wholesale
-        // rebuild). That restart must be invisible — the resumed world
+        // The crossing predictions, drain-rate column and repair
+        // baseline are *not* serialized: resume restarts them
+        // (all-pending scan / column rebuilt from the restored flags and
+        // loads / one wholesale rebuild). That restart must be invisible — the resumed world
         // continues byte-identically to the never-paused one.
         let mut paused = World::new(&cfg, seed);
         for _ in 0..cut {
@@ -317,6 +327,49 @@ fn naive_dispatch_switched_off_mid_run_matches_naive_twin() {
     }
 }
 
+/// Regression for the naive-drain switch: the drain-rate column is
+/// refreshed in both drain modes, so a world that runs the naive loop
+/// from tick 100 to tick 400 and the column kernel around it stays
+/// byte-identical to an all-naive-drain twin. Faults, depletions and
+/// self-discharge keep the refresh marks busy across both switches.
+#[test]
+fn naive_drain_switched_off_mid_run_matches_naive_twin() {
+    let mut cfg = SimConfig::small(1.0);
+    cfg.num_sensors = 80;
+    cfg.num_targets = 4;
+    cfg.num_rvs = 1;
+    cfg.field_side = 50.0;
+    cfg.initial_soc = (0.01, 0.7);
+    cfg.self_discharge_per_day = 0.02;
+    cfg.permanent_failures_per_day = 0.2;
+    cfg.faults.transients_per_day = 6.0;
+    cfg.faults.transient_outage_s = (300.0, 2_400.0);
+    cfg.faults.uplink_loss = 0.3;
+    cfg.target_mobility = TargetMobility::RandomWaypoint { speed_mps: 0.5 };
+    cfg.min_batch_demand_j = 10e3;
+    let seed = 3;
+    let mut mixed = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, false, true, false);
+    let mut ticks = 0u64;
+    while !mixed.finished() {
+        if ticks == 100 || ticks == 400 {
+            mixed.set_naive_drain(ticks == 100);
+        }
+        mixed.step();
+        slow.step();
+        ticks += 1;
+        assert_eq!(
+            mixed.save_snapshot(),
+            slow.save_snapshot(),
+            "the switched world diverged from the naive-drain twin at tick {ticks}"
+        );
+    }
+    let out = mixed.outcome();
+    assert!(out.deaths > 0, "no sensor depleted");
+    assert!(out.permanent_failures > 0, "no permanent failure happened");
+    assert!(out.transient_faults > 0, "no outage was exercised");
+}
+
 /// Parking under the strictest quorum (DESIGN.md §4j): at K = 1 nearly
 /// every pending grouped request waits behind its group while sensors
 /// deplete, fail, go down and come back, lose uplinks and see their
@@ -369,10 +422,11 @@ fn parked_requests_match_naive_scan_every_tick_at_full_quorum() {
     assert!(max_parked > 0, "no request was ever parked");
 }
 
-/// The first step of a paper-length lockstep: the Table II world for its
-/// full 120 days at two seeds, fast dispatch against the naive scan,
-/// snapshots compared every simulated day and at the end. Release only
-/// (a few seconds there; the per-tick debug audit makes it minutes).
+/// Paper-length lockstep: the Table II world for its full 120 days at two
+/// seeds, the fast tick against two oracle twins, naive dispatch and
+/// naive drain, snapshots compared every simulated day and at the end.
+/// Release only (seconds there; the per-tick debug audit makes it
+/// minutes).
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn paper_length_dispatch_matches_naive_scan() {
@@ -380,26 +434,36 @@ fn paper_length_dispatch_matches_naive_scan() {
     let ticks_per_day = (86_400.0 / cfg.tick_s).round() as u64;
     for seed in [1u64, 7] {
         let mut fast = World::new(&cfg, seed);
-        let mut slow = naive_twin(&cfg, seed, true, false, false);
+        let mut twins = [
+            ("dispatch", naive_twin(&cfg, seed, true, false, false)),
+            ("drain", naive_twin(&cfg, seed, false, true, false)),
+        ];
         let mut ticks = 0u64;
         while !fast.finished() {
             fast.step();
-            slow.step();
             ticks += 1;
-            if ticks.is_multiple_of(ticks_per_day) {
-                assert_eq!(
-                    fast.save_snapshot(),
-                    slow.save_snapshot(),
-                    "seed {seed}: paper-scale dispatch diverged from the naive scan on day {}",
-                    ticks / ticks_per_day
-                );
+            let day_end = ticks.is_multiple_of(ticks_per_day);
+            let snap = day_end.then(|| fast.save_snapshot());
+            for (oracle, twin) in &mut twins {
+                twin.step();
+                if let Some(snap) = &snap {
+                    assert!(
+                        *snap == twin.save_snapshot(),
+                        "seed {seed}: paper-scale world diverged from the naive {oracle} \
+                         twin on day {}",
+                        ticks / ticks_per_day
+                    );
+                }
             }
         }
-        assert!(slow.finished());
-        assert_eq!(
-            fast.save_snapshot(),
-            slow.save_snapshot(),
-            "seed {seed}: paper-scale dispatch diverged at the end of the run"
-        );
+        let snap = fast.save_snapshot();
+        for (oracle, twin) in &twins {
+            assert!(twin.finished());
+            assert!(
+                snap == twin.save_snapshot(),
+                "seed {seed}: paper-scale world diverged from the naive {oracle} twin at \
+                 the end of the run"
+            );
+        }
     }
 }
