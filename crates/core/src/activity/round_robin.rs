@@ -28,6 +28,23 @@ impl RoundRobinRota {
         Self { members, cursor: 0 }
     }
 
+    /// Restarts the rota over `members`, reusing its storage: afterwards
+    /// it equals `RoundRobinRota::new(members.to_vec())`. When the member
+    /// list is unchanged this only rewinds the cursor.
+    ///
+    /// # Panics
+    /// Panics on an empty member list.
+    pub fn reset(&mut self, members: &[SensorId]) {
+        if self.members != members {
+            assert!(!members.is_empty(), "a rota needs at least one member");
+            self.members.clear();
+            self.members.extend_from_slice(members);
+            self.members.sort_unstable();
+            self.members.dedup();
+        }
+        self.cursor = 0;
+    }
+
     /// The members in rota order.
     #[inline]
     pub fn members(&self) -> &[SensorId] {
@@ -141,6 +158,24 @@ mod tests {
         let copy = RoundRobinRota::restore(r.members().to_vec(), r.cursor());
         assert_eq!(copy, r);
         assert_eq!(copy.active(all_alive), Some(SensorId(2)));
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_rota() {
+        let mut r = RoundRobinRota::new(ids(&[1, 2, 3]));
+        let all_alive = |_s: SensorId| true;
+        r.advance(all_alive);
+        r.reset(&ids(&[1, 2, 3]));
+        assert_eq!(r, RoundRobinRota::new(ids(&[1, 2, 3])));
+        r.advance(all_alive);
+        r.reset(&ids(&[9, 4, 9, 6]));
+        assert_eq!(r, RoundRobinRota::new(ids(&[9, 4, 9, 6])));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one member")]
+    fn reset_to_no_members_panics() {
+        RoundRobinRota::new(ids(&[1])).reset(&[]);
     }
 
     #[test]

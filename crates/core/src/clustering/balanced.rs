@@ -1,7 +1,7 @@
 //! Algorithm 1: the balanced clustering algorithm (§III-A).
 
 use super::{Cluster, ClusterSet, CoverageMap};
-use crate::TargetId;
+use crate::{SensorId, TargetId};
 
 /// Runs the paper's **Algorithm 1** to organize sensors into balanced
 /// clusters around targets.
@@ -18,11 +18,19 @@ use crate::TargetId;
 /// sizes, which equalizes cluster drain rates and therefore recharge
 /// frequency (§III-A).
 ///
+/// The paper bounds this by O(MN log M): phase 2 re-sorts the M targets
+/// by `U` for every sensor. This implementation costs O(MN + |A|·L +
+/// Σ load), where L ≤ M is the largest load: building the coverage map
+/// is the O(MN) part, phase 1 makes one pass over `A` per load level, and
+/// a sensor's smallest eligible cluster is a minimum over the targets it
+/// detects — the very target the paper's sorted scan stops at — so
+/// phase 2 never sorts.
+///
 /// Targets whose candidate set is empty produce **no** cluster (they cannot
 /// be monitored at all); callers can list them via
 /// [`CoverageMap::uncovered_targets`].
 pub fn balanced_clusters(coverage: &CoverageMap) -> ClusterSet {
-    balanced_clusters_with(coverage, coverage.covering_sensors())
+    balanced_clusters_with(coverage, &coverage.covering_sensors())
 }
 
 /// [`balanced_clusters`] with the set `A` supplied by the caller — for
@@ -30,48 +38,113 @@ pub fn balanced_clusters(coverage: &CoverageMap) -> ClusterSet {
 /// simulator's event-driven cluster repair) instead of paying the O(n)
 /// [`CoverageMap::covering_sensors`] scan per rebuild. `a` may arrive in
 /// any order; the `(load, id)` sort key is a total order, so the result is
-/// identical to passing `covering_sensors()`.
-pub fn balanced_clusters_with(coverage: &CoverageMap, mut a: Vec<crate::SensorId>) -> ClusterSet {
+/// identical to passing `covering_sensors()`. Phase 1 scans an `a`
+/// ascending by id, as both of those are, once per load level; any other
+/// order costs a copy and an O(|A| log |A|) sort.
+pub fn balanced_clusters_with(coverage: &CoverageMap, a: &[SensorId]) -> ClusterSet {
+    let mut set = ClusterSet::default();
+    balanced_clusters_into(coverage, a, &mut set);
+    set
+}
+
+/// [`balanced_clusters_with`] into `out`, reusing its cluster and member
+/// storage: with an `a` ascending by id, a rerun over a map whose
+/// clusters fit the old capacities allocates nothing.
+pub fn balanced_clusters_into(coverage: &CoverageMap, a: &[SensorId], out: &mut ClusterSet) {
+    // One slot per target while phase 2 runs; `U[j]` is slot `j`'s size.
+    // Each old cluster moves to its target's slot first, so a target
+    // keeps the member storage it had.
     let m = coverage.num_targets();
-
-    // Phase 1: A sorted ascending by load, ties by id.
-    a.sort_by_key(|&s| (coverage.load(s), s));
-
-    // Phase 2.
-    let mut members: Vec<Vec<_>> = vec![Vec::new(); m];
-    let mut u = vec![0usize; m];
-    // Target ids sorted by (cluster size, id); re-sorted as U changes.
-    let mut order: Vec<usize> = (0..m).collect();
-    for s in a {
-        order.sort_by_key(|&j| (u[j], j));
-        for &j in &order {
-            if coverage.candidates(TargetId(j as u32)).contains(&s) {
-                members[j].push(s);
-                u[j] += 1;
-                break;
-            }
+    let slots = &mut out.clusters;
+    let old = slots.len();
+    slots.resize_with(old.max(m), || Cluster {
+        target: TargetId(0),
+        members: Vec::new(),
+    });
+    for i in (0..old).rev() {
+        let t = slots[i].target.index();
+        if i < t && t < m {
+            slots.swap(i, t);
         }
     }
+    slots.truncate(m);
+    for (j, c) in slots.iter_mut().enumerate() {
+        c.target = TargetId(j as u32);
+        c.members.clear();
+    }
 
-    let clusters = members
-        .into_iter()
-        .enumerate()
-        .filter(|(_, ms)| !ms.is_empty())
-        .map(|(j, ms)| Cluster {
-            target: TargetId(j as u32),
-            members: ms,
-        })
-        .collect();
-    ClusterSet::new(clusters)
+    // Phase 2: a sensor joins the target in `detects(s)` with the least
+    // `(U[j], j)`.
+    let mut join = |s: SensorId| {
+        let smallest = coverage
+            .detects(s)
+            .iter()
+            .min_by_key(|j| (slots[j.index()].members.len(), j.index()));
+        if let Some(j) = smallest {
+            slots[j.index()].members.push(s);
+        }
+    };
+
+    // Phase 1: visit A ascending by load, ties by id.
+    if a.is_sorted() {
+        // One pass per load level keeps id order within the level.
+        let max_load = a.iter().map(|&s| coverage.load(s)).max().unwrap_or(0);
+        for load in 1..=max_load {
+            a.iter()
+                .filter(|&&s| coverage.load(s) == load)
+                .for_each(|&s| join(s));
+        }
+    } else {
+        let mut order = a.to_vec();
+        order.sort_unstable_by_key(|&s| (coverage.load(s), s));
+        order.into_iter().for_each(join);
+    }
+
+    // A target nobody joined forms no cluster; members are listed by id.
+    slots.retain(|c| !c.members.is_empty());
+    for c in slots {
+        c.members.sort_unstable();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SensorId;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use wrsn_geom::Point2;
+
+    /// Alg. 1 with phase 2 as the paper states it, kept as the oracle for
+    /// [`balanced_clusters_with`]: for every sensor, re-sort all targets
+    /// by `(U, id)`, then scan for the first whose candidate set holds it.
+    fn reference(coverage: &CoverageMap, a: &[SensorId]) -> ClusterSet {
+        let m = coverage.num_targets();
+        let mut a = a.to_vec();
+        a.sort_by_key(|&s| (coverage.load(s), s));
+        let mut members: Vec<Vec<_>> = vec![Vec::new(); m];
+        let mut u = vec![0usize; m];
+        let mut order: Vec<usize> = (0..m).collect();
+        for s in a {
+            order.sort_by_key(|&j| (u[j], j));
+            for &j in &order {
+                if coverage.candidates(TargetId(j as u32)).contains(&s) {
+                    members[j].push(s);
+                    u[j] += 1;
+                    break;
+                }
+            }
+        }
+        let clusters = members
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ms)| !ms.is_empty())
+            .map(|(j, ms)| Cluster {
+                target: TargetId(j as u32),
+                members: ms,
+            })
+            .collect();
+        ClusterSet::new(clusters)
+    }
 
     fn build(sensors: &[Point2], targets: &[Point2], range: f64) -> (CoverageMap, ClusterSet) {
         let cov = CoverageMap::build(sensors, targets, range);
@@ -154,6 +227,54 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_matches_the_paper_phase_two(seed in 0u64..10_000) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let side = rng.gen_range(20.0..120.0);
+            let point = |rng: &mut rand::rngs::StdRng| {
+                Point2::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))
+            };
+            let sensors: Vec<Point2> = (0..rng.gen_range(0..160usize))
+                .map(|_| point(&mut rng))
+                .collect();
+            let mut targets: Vec<Point2> = Vec::new();
+            for j in 0..rng.gen_range(1..14usize) {
+                let p = match rng.gen_range(0..4u32) {
+                    // Co-located with an earlier target: equal candidate
+                    // sets, so `U` ties happen.
+                    0 if j > 0 => targets[rng.gen_range(0..j)],
+                    // Far outside the field: an empty candidate set.
+                    1 => Point2::new(side * 10.0, -side * 10.0),
+                    _ => point(&mut rng),
+                };
+                targets.push(p);
+            }
+            let cov = CoverageMap::build(&sensors, &targets, rng.gen_range(4.0..30.0));
+            let a = cov.covering_sensors();
+            let want = reference(&cov, &a);
+            prop_assert_eq!(&balanced_clusters(&cov), &want);
+            prop_assert_eq!(&balanced_clusters_with(&cov, &a), &want);
+
+            // The same A in a shuffled order (Fisher-Yates).
+            let mut shuffled = a.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            prop_assert_eq!(&balanced_clusters_with(&cov, &shuffled), &want);
+
+            // Into the clustering of the targets in reverse order, and into
+            // a set holding more, unrelated clusters than there are
+            // targets: nothing of the old contents survives.
+            let reversed: Vec<Point2> = targets.iter().rev().copied().collect();
+            let mut reused = balanced_clusters(&CoverageMap::build(&sensors, &reversed, 6.0));
+            balanced_clusters_into(&cov, &a, &mut reused);
+            prop_assert_eq!(&reused, &want);
+            let junk = Cluster { target: TargetId(99), members: vec![SensorId(7), SensorId(3)] };
+            let mut reused = ClusterSet::new(vec![junk; 16]);
+            balanced_clusters_into(&cov, &a, &mut reused);
+            prop_assert_eq!(&reused, &want);
+        }
 
         #[test]
         fn prop_clusters_are_disjoint_and_valid(seed in 0u64..500) {

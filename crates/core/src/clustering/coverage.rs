@@ -31,12 +31,8 @@ impl CoverageMap {
         let mut candidates = Vec::with_capacity(targets.len());
         let mut detects: Vec<Vec<TargetId>> = vec![Vec::new(); sensors.len()];
         for (j, &t) in targets.iter().enumerate() {
-            let mut p: Vec<SensorId> = grid
-                .within(t, sensing_range)
-                .into_iter()
-                .map(SensorId::from)
-                .collect();
-            p.sort_unstable();
+            let mut p: Vec<SensorId> = Vec::new();
+            grid.within_into(t, sensing_range, &mut p);
             for &s in &p {
                 detects[s.index()].push(TargetId(j as u32));
             }
@@ -116,26 +112,26 @@ impl CoverageMap {
     /// detect list stays sorted by target id.
     ///
     /// `grid` must index the same (immutable) sensor positions the map was
-    /// built over — use [`CoverageMap::grid_for`]. `on_load_change(s, old,
-    /// new)` fires for every sensor whose load changed, letting callers
-    /// maintain the covering-sensor set `A` incrementally.
+    /// built over — use [`CoverageMap::grid_for`]. `scratch` is the grid
+    /// query's buffer; the call leaves the old candidate set in it, so a
+    /// caller that keeps one buffer across calls retargets without
+    /// allocating. `on_load_change(s, old, new)` fires for every sensor
+    /// whose load changed, letting callers maintain the covering-sensor
+    /// set `A` incrementally.
     pub fn retarget<F>(
         &mut self,
         j: TargetId,
         grid: &GridIndex,
         pos: Point2,
         sensing_range: f64,
+        scratch: &mut Vec<SensorId>,
         mut on_load_change: F,
     ) where
         F: FnMut(SensorId, usize, usize),
     {
-        let mut new: Vec<SensorId> = grid
-            .within(pos, sensing_range)
-            .into_iter()
-            .map(SensorId::from)
-            .collect();
-        new.sort_unstable();
-        let old = std::mem::take(&mut self.candidates[j.index()]);
+        grid.within_into(pos, sensing_range, scratch);
+        std::mem::swap(&mut self.candidates[j.index()], scratch);
+        let (old, new) = (&*scratch, &self.candidates[j.index()]);
         // Diff the two sorted candidate sets.
         let (mut oi, mut ni) = (0, 0);
         while oi < old.len() || ni < new.len() {
@@ -165,7 +161,6 @@ impl CoverageMap {
                 ni += 1;
             }
         }
-        self.candidates[j.index()] = new;
     }
 }
 
@@ -237,6 +232,7 @@ mod tests {
         let range = 5.0;
         let mut live = CoverageMap::build(&sensors, &targets, range);
         let grid = CoverageMap::grid_for(&sensors, range);
+        let mut scratch = Vec::new();
         // Walk target 0 across the field, target 1 out of everyone's range,
         // then back; the maintained map must equal a fresh build each step.
         let moves = [
@@ -248,7 +244,7 @@ mod tests {
         for (j, p) in moves {
             targets[j.index()] = p;
             let mut changes = Vec::new();
-            live.retarget(j, &grid, p, range, |s, old, new| {
+            live.retarget(j, &grid, p, range, &mut scratch, |s, old, new| {
                 changes.push((s, old, new));
             });
             let fresh = CoverageMap::build(&sensors, &targets, range);

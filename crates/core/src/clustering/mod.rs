@@ -3,7 +3,7 @@
 mod balanced;
 mod coverage;
 
-pub use balanced::{balanced_clusters, balanced_clusters_with};
+pub use balanced::{balanced_clusters, balanced_clusters_into, balanced_clusters_with};
 pub use coverage::CoverageMap;
 
 use crate::{ClusterId, SensorId, TargetId};

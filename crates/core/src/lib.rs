@@ -52,7 +52,10 @@ pub mod scheduling;
 
 pub use activity::{ErpController, RoundRobinRota};
 pub use analysis::DeploymentAnalysis;
-pub use clustering::{balanced_clusters, balanced_clusters_with, Cluster, ClusterSet, CoverageMap};
+pub use clustering::{
+    balanced_clusters, balanced_clusters_into, balanced_clusters_with, Cluster, ClusterSet,
+    CoverageMap,
+};
 pub use formulation::{MipAssignment, Violation};
 pub use ids::{ClusterId, RvId, SensorId, TargetId};
 pub use problem::{RechargeRequest, RvRoute, RvState, ScheduleInput};

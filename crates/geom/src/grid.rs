@@ -116,9 +116,18 @@ impl GridIndex {
     /// index order.
     pub fn within(&self, q: Point2, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.for_each_within(q, radius, |i| out.push(i));
-        out.sort_unstable();
+        self.within_into(q, radius, &mut out);
         out
+    }
+
+    /// [`GridIndex::within`] into a caller-owned buffer: `out` is cleared,
+    /// then holds the hits in ascending index order, converted to `T`
+    /// (an id newtype, say). Reusing `out` across queries keeps a hot
+    /// query loop allocation-free.
+    pub fn within_into<T: From<usize> + Ord>(&self, q: Point2, radius: f64, out: &mut Vec<T>) {
+        out.clear();
+        self.for_each_within(q, radius, |i| out.push(T::from(i)));
+        out.sort_unstable();
     }
 
     /// Calls `f(index)` for every point with `distance(q) <= radius`, in
@@ -226,10 +235,14 @@ mod tests {
             .map(|_| Point2::new(rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0)))
             .collect();
         let g = GridIndex::build(&pts, 8.0);
+        // One buffer across every query: each fill starts from a clear.
+        let mut reused: Vec<usize> = vec![usize::MAX; 7];
         for _ in 0..50 {
             let q = Point2::new(rng.gen_range(-10.0..210.0), rng.gen_range(-10.0..210.0));
             let r = rng.gen_range(0.0..30.0);
             assert_eq!(g.within(q, r), brute_within(&pts, q, r));
+            g.within_into(q, r, &mut reused);
+            assert_eq!(reused, brute_within(&pts, q, r));
         }
     }
 

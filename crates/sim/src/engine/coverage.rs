@@ -97,22 +97,10 @@ fn cluster_live_count(state: &WorldState, ci: usize) -> u32 {
 /// itself changed (mobility's cluster rebuild, world construction) — the
 /// only O(sensors × clusters)-ish moment the cache has.
 pub(crate) fn rebuild(state: &mut WorldState) {
-    let n_clusters = state.clusters.len();
-    let mut live = Vec::with_capacity(n_clusters);
-    for ci in 0..n_clusters {
-        live.push(cluster_live_count(state, ci));
-    }
-    let covered = live.iter().filter(|&&c| c > 0).count();
-    let alive = (0..state.sensors.len())
+    state.coverage.alive = (0..state.sensors.len())
         .filter(|&s| !state.sensors.is_depleted(s))
         .count();
-    state.coverage = CoverageCache {
-        live_members: live,
-        covered,
-        dirty: Vec::new(),
-        dirty_flag: vec![false; n_clusters],
-        alive,
-    };
+    clusters_rebuilt(state);
 }
 
 /// [`rebuild`] minus the O(sensors) alive recount: re-derives the
@@ -120,22 +108,19 @@ pub(crate) fn rebuild(state: &mut WorldState) {
 /// structure while keeping the (exact, event-maintained) alive counter —
 /// clustering changes cannot alter which batteries are depleted. Used by
 /// the incremental cluster repair so a mid-run rebuild stays proportional
-/// to cluster membership, not to the sensor count.
+/// to cluster membership, not to the sensor count. Reuses the cache's
+/// storage.
 pub(crate) fn clusters_rebuilt(state: &mut WorldState) {
-    let alive = state.coverage.alive;
     let n_clusters = state.clusters.len();
-    let mut live = Vec::with_capacity(n_clusters);
-    for ci in 0..n_clusters {
-        live.push(cluster_live_count(state, ci));
-    }
-    let covered = live.iter().filter(|&&c| c > 0).count();
-    state.coverage = CoverageCache {
-        live_members: live,
-        covered,
-        dirty: Vec::new(),
-        dirty_flag: vec![false; n_clusters],
-        alive,
-    };
+    let mut live = std::mem::take(&mut state.coverage.live_members);
+    live.clear();
+    live.extend((0..n_clusters).map(|ci| cluster_live_count(state, ci)));
+    let cache = &mut state.coverage;
+    cache.covered = live.iter().filter(|&&c| c > 0).count();
+    cache.live_members = live;
+    cache.dirty.clear();
+    cache.dirty_flag.clear();
+    cache.dirty_flag.resize(n_clusters, false);
 }
 
 /// Recounts every dirty cluster and settles the covered counter. O(dirty

@@ -30,6 +30,10 @@ pub(crate) struct RepairState {
     /// Maintained Alg. 1 input set `A` (sensors with load > 0), sorted
     /// ascending; patched on load 0↔positive transitions.
     covering: Vec<SensorId>,
+    /// Scratch for [`CoverageMap::retarget`]'s grid query.
+    query: Vec<SensorId>,
+    /// Scratch: the members of the clusters a repair replaces.
+    old_members: Vec<SensorId>,
 }
 
 /// Advances target positions by one tick and rebuilds clustering when the
@@ -115,6 +119,8 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
             covering: coverage.covering_sensors(),
             synced: state.target_pos.clone(),
             cov: coverage,
+            query: Vec::new(),
+            old_members: Vec::new(),
         })
     };
     // The cluster structure changed: the routing refresh and the coverage
@@ -125,19 +131,22 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
     super::coverage::rebuild(state);
 }
 
-/// Installs what follows a new clustering: fresh rotas (cursor reset),
-/// the rebuild trace event, and each member's stored request group
-/// (§III-A member lists), appending a group only for a cluster whose
-/// membership changed. Past `2 · num_sensors` groups it compacts them.
-/// A parked dispatch request whose stored group is replaced goes back to
-/// the next scan: its quorum recount may have changed (DESIGN.md §4j).
+/// Installs what follows a new clustering: fresh rotas (cursor reset,
+/// reusing the old rotas' storage), the rebuild trace event, and each
+/// member's stored request group (§III-A member lists), appending a
+/// group only for a cluster whose membership changed. Past `2 ·
+/// num_sensors` groups it compacts them. A parked dispatch request whose
+/// stored group is replaced goes back to the next scan: its quorum
+/// recount may have changed (DESIGN.md §4j).
 fn refresh_request_groups(state: &mut WorldState) {
-    state.rotas = state
-        .clusters
-        .clusters()
-        .iter()
-        .map(|c| RoundRobinRota::new(c.members.clone()))
-        .collect();
+    let clusters = state.clusters.clusters();
+    state.rotas.truncate(clusters.len());
+    for (rota, c) in state.rotas.iter_mut().zip(clusters) {
+        rota.reset(&c.members);
+    }
+    for c in &clusters[state.rotas.len()..] {
+        state.rotas.push(RoundRobinRota::new(c.members.clone()));
+    }
     state.trace.push(crate::TraceEvent::ClustersRebuilt {
         t: state.t,
         clusters: state.clusters.len(),
@@ -218,6 +227,8 @@ fn repair_clusters(state: &mut WorldState) {
             cov,
             synced,
             covering,
+            query,
+            ..
         } = &mut rs;
         for (j, &p) in state.target_pos.iter().enumerate() {
             if synced[j] != p {
@@ -227,6 +238,7 @@ fn repair_clusters(state: &mut WorldState) {
                     grid,
                     p,
                     state.cfg.sensing_range,
+                    query,
                     |s, old, new| {
                         if old == 0 {
                             let i = covering
@@ -245,20 +257,20 @@ fn repair_clusters(state: &mut WorldState) {
         }
     }
 
-    // 2. Alg. 1 over the maintained A set.
-    let new_clusters = wrsn_core::balanced_clusters_with(&rs.cov, rs.covering.clone());
-    state.repair = Some(rs);
-
-    // 3. Assignment diff: clear old members, set new ones. Only members
-    // ever hold `Some`, so the diff equals a fresh assignment scan.
-    let mut old_members: Vec<SensorId> = Vec::new();
+    // 2. Assignment diff, first half: clear the old members. Only
+    // members ever hold `Some`, so the diff equals a fresh assignment
+    // scan.
+    rs.old_members.clear();
     for cluster in state.clusters.clusters() {
         for &m in &cluster.members {
-            old_members.push(m);
+            rs.old_members.push(m);
             state.assignment[m.index()] = None;
         }
     }
-    state.clusters = new_clusters;
+
+    // 3. Alg. 1 over the maintained A set, into the old clusters'
+    // storage, then the new members' assignment.
+    wrsn_core::balanced_clusters_into(&rs.cov, &rs.covering, &mut state.clusters);
     for (ci, cluster) in state.clusters.iter() {
         for &m in &cluster.members {
             state.assignment[m.index()] = Some(ci);
@@ -272,12 +284,13 @@ fn repair_clusters(state: &mut WorldState) {
     // 5. Sensors departed from the structure entirely: their flag clears
     // happen at the refresh; their drain class changes, so seed a
     // dispatch re-check as well.
-    for &m in &old_members {
+    for &m in &rs.old_members {
         if state.assignment[m.index()].is_none() {
             state.routing_dirty.note_departed(m.index());
             state.crossings.note_check(m.index());
         }
     }
+    state.repair = Some(rs);
 
     // 6. Queued cluster ids refer to the pre-repair structure: drop them
     // and queue every new cluster for re-derivation (the wholesale path's

@@ -423,8 +423,10 @@ fn parked_requests_match_naive_scan_every_tick_at_full_quorum() {
 }
 
 /// Paper-length lockstep: the Table II world for its full 120 days at two
-/// seeds, the fast tick against two oracle twins, naive dispatch and
-/// naive drain, snapshots compared every simulated day and at the end.
+/// seeds, the fast tick against three oracle twins, naive dispatch, naive
+/// drain and wholesale cluster rebuilds (the run makes ~12.5k incremental
+/// repairs, one per target teleport), snapshots compared every simulated
+/// day and at the end.
 /// Release only (seconds there; the per-tick debug audit makes it
 /// minutes).
 #[test]
@@ -437,6 +439,7 @@ fn paper_length_dispatch_matches_naive_scan() {
         let mut twins = [
             ("dispatch", naive_twin(&cfg, seed, true, false, false)),
             ("drain", naive_twin(&cfg, seed, false, true, false)),
+            ("repair", naive_twin(&cfg, seed, false, false, true)),
         ];
         let mut ticks = 0u64;
         while !fast.finished() {
