@@ -24,13 +24,15 @@
 //!   hot path instead of the rare teleport rebuild).
 //!
 //! Setting `WRSN_TICK_PHASES=1` additionally prints a per-phase
-//! breakdown (via [`World::step_timed`]) before the criterion run.
+//! breakdown (via [`World::step_timed`]) before the criterion run: one
+//! line per quiescent and waypoint world, and one per tick class of a
+//! 20-day Table II world (quiet, slot handover, cluster rebuild, both).
 //! `results/BENCH_tick.json` snapshots a run of this bench; refresh it
 //! with `WRSN_BENCH_1M=1 WRSN_TICK_PHASES=1 cargo bench -p wrsn-bench
 //! --bench tick`.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use wrsn_sim::{SimConfig, StepTimings, TargetMobility, World};
+use wrsn_sim::{SimConfig, StepTimings, TargetMobility, TraceEvent, World};
 
 /// A field at the seed tests' sensor density (60 sensors on a 60 m
 /// square) scaled to `sensors`, with a capped target count so the
@@ -84,8 +86,9 @@ fn million_enabled() -> bool {
 }
 
 /// `WRSN_TICK_PHASES=1`: prints the mean per-phase ns over 50 timed
-/// steps of each quiescent and waypoint world, for
-/// `results/BENCH_tick.json`'s phase breakdowns.
+/// steps of each quiescent and waypoint world, and over each tick class
+/// of the Table II world, for `results/BENCH_tick.json`'s phase
+/// breakdowns.
 fn print_phase_breakdown() {
     if std::env::var_os("WRSN_TICK_PHASES").is_none() {
         return;
@@ -100,6 +103,7 @@ fn print_phase_breakdown() {
     for &sensors in &sizes {
         print_world_phases("waypoint", sensors, waypoint_world(sensors));
     }
+    print_tick_classes();
 }
 
 /// Times 50 steps of `w` and prints the mean per-phase ns.
@@ -107,28 +111,74 @@ fn print_world_phases(world: &str, sensors: usize, mut w: World) {
     let ticks = 50u64;
     let mut sum = StepTimings::default();
     for _ in 0..ticks {
-        let t = w.step_timed();
-        sum.mobility_ns += t.mobility_ns;
-        sum.activity_ns += t.activity_ns;
-        sum.faults_ns += t.faults_ns;
-        sum.routing_ns += t.routing_ns;
-        sum.drain_ns += t.drain_ns;
-        sum.dispatch_ns += t.dispatch_ns;
-        sum.fleet_ns += t.fleet_ns;
-        sum.sample_ns += t.sample_ns;
+        add(&mut sum, &w.step_timed());
     }
+    print_means(&format!("world={world} sensors={sensors}"), ticks, &sum);
+}
+
+/// Steps the Table II world (seed 1, the `paper-run` world) for 20 days
+/// and prints the mean per-phase ns of each tick class: quiet, a slot
+/// handover (every rota passes its duty on), a cluster rebuild (a target
+/// teleport), or both at once.
+fn print_tick_classes() {
+    let mut cfg = SimConfig::paper_defaults();
+    cfg.duration_days = 20.0;
+    cfg.duration_s = cfg.duration_days * 86_400.0;
+    let mut w = World::new(&cfg, 1);
+    w.enable_trace(64);
+    // Mirrors the activity phase's slot clock.
+    let mut next_slot = cfg.slot_s;
+    let mut classes = [(0u64, StepTimings::default()); 4];
+    while !w.finished() {
+        let slot = w.time() >= next_slot;
+        if slot {
+            next_slot = w.time() + cfg.slot_s;
+        }
+        let seen = w.trace().total_recorded();
+        let t = w.step_timed();
+        let fresh = (w.trace().total_recorded() - seen) as usize;
+        let events = w.trace().events();
+        let rebuild = events[events.len().saturating_sub(fresh)..]
+            .iter()
+            .any(|e| matches!(e, TraceEvent::ClustersRebuilt { .. }));
+        let (ticks, sum) = &mut classes[slot as usize + 2 * rebuild as usize];
+        *ticks += 1;
+        add(sum, &t);
+    }
+    for (class, (ticks, sum)) in ["quiet", "slot", "rebuild", "slot+rebuild"]
+        .into_iter()
+        .zip(&classes)
+    {
+        print_means(&format!("world=table2 days=20 class={class}"), *ticks, sum);
+    }
+}
+
+fn add(sum: &mut StepTimings, t: &StepTimings) {
+    sum.mobility_ns += t.mobility_ns;
+    sum.activity_ns += t.activity_ns;
+    sum.faults_ns += t.faults_ns;
+    sum.routing_ns += t.routing_ns;
+    sum.drain_ns += t.drain_ns;
+    sum.dispatch_ns += t.dispatch_ns;
+    sum.fleet_ns += t.fleet_ns;
+    sum.sample_ns += t.sample_ns;
+}
+
+/// Prints one `tick-phases` line: `sum`'s per-phase means over `ticks`.
+fn print_means(label: &str, ticks: u64, sum: &StepTimings) {
+    let n = ticks.max(1);
     eprintln!(
-        "tick-phases world={world} sensors={sensors} ticks={ticks} mean_ns: mobility={} activity={} \
+        "tick-phases {label} ticks={ticks} mean_ns: mobility={} activity={} \
          faults={} routing={} drain={} dispatch={} fleet={} sample={} total={}",
-        sum.mobility_ns / ticks,
-        sum.activity_ns / ticks,
-        sum.faults_ns / ticks,
-        sum.routing_ns / ticks,
-        sum.drain_ns / ticks,
-        sum.dispatch_ns / ticks,
-        sum.fleet_ns / ticks,
-        sum.sample_ns / ticks,
-        sum.total_ns() / ticks
+        sum.mobility_ns / n,
+        sum.activity_ns / n,
+        sum.faults_ns / n,
+        sum.routing_ns / n,
+        sum.drain_ns / n,
+        sum.dispatch_ns / n,
+        sum.fleet_ns / n,
+        sum.sample_ns / n,
+        sum.total_ns() / n
     );
 }
 

@@ -1,7 +1,8 @@
 //! Routing trees toward the base station: the one-shot [`RoutingTree`]
 //! (full Dijkstra, the differential oracle) and the event-incremental
 //! [`DynamicRoutingTree`] (subtree repair on liveness changes, relay-load
-//! deltas on generator changes).
+//! deltas on generator changes and handovers, loads settled once per
+//! batch).
 
 use crate::shortest_path::HeapEntry;
 use crate::{shortest_paths_enabled, CommGraph, TrafficLoad};
@@ -126,9 +127,13 @@ const NONE: u32 = u32::MAX;
 /// * [`set_enabled`](Self::set_enabled) — a node dies/revives/suspends/
 ///   resumes. Repairs only the detached subtree (disable) or the improved
 ///   region (enable) instead of re-running Dijkstra over the whole graph.
-/// * [`set_generator`](Self::set_generator) — a rota handover moves the
-///   sensing duty. Walks the ancestor chain applying a ±1 subtree-count
+/// * [`set_generator`](Self::set_generator) — a node starts or stops
+///   generating. Walks the ancestor chain applying a ±1 subtree-count
 ///   delta instead of re-folding the whole tree's loads.
+/// * [`move_generator`](Self::move_generator) — a rota handover moves the
+///   sensing duty from one node to another. Walks the two ancestor
+///   chains only up to where they meet: above that point the −1 and +1
+///   cancel.
 /// * [`rebuild`](Self::rebuild) — the graph itself changed (mobility):
 ///   full Dijkstra fallback.
 ///
@@ -147,6 +152,15 @@ const NONE: u32 = u32::MAX;
 /// counts and materialized as `count × rate`. For dyadic rates (the
 /// production `data_rate_pps = 0.25`) this is bitwise identical to the
 /// historical `relay_loads` float fold; see `traffic::relay_load_counts`.
+///
+/// **Settling.** Chain walks and repairs update counts only and mark the
+/// nodes they touch; [`settle`](Self::settle) materializes each marked
+/// node once. A load event keeps the node's load as of the last
+/// [`take_load_events`](Self::take_load_events) drain, and a drain
+/// reports only the loads that still differ, so the events name exactly
+/// the loads that moved net since the last drain. Every mutator but
+/// `move_generator` settles before it returns; [`loads`](Self::loads)
+/// must not be read while a move is unsettled.
 #[derive(Debug, Clone)]
 pub struct DynamicRoutingTree {
     sink: usize,
@@ -161,14 +175,19 @@ pub struct DynamicRoutingTree {
     sc: Vec<u32>,
     loads: Vec<TrafficLoad>,
     // Deduplicated queue of nodes whose materialized load changed since
-    // the last `take_load_events` drain; `load_events_all` collapses the
-    // queue after a wholesale rebuild / load restore. The consumer (the
-    // simulator's drain-rate refresh, which also seeds the dispatch
-    // crossing predictions) recomputes drain rates for only the nodes
-    // that actually changed.
-    load_events: Vec<u32>,
+    // the last `take_load_events` drain, each with its load as of that
+    // drain, so a drain reports only net changes; `load_events_all`
+    // collapses the queue after a wholesale rebuild / load restore. The
+    // consumer (the simulator's drain-rate refresh) recomputes drain
+    // rates for only the nodes that actually changed.
+    load_events: Vec<(u32, TrafficLoad)>,
     load_event_flag: Vec<bool>,
     load_events_all: bool,
+    // Deduplicated nodes whose subtree count, generator bit or
+    // connectivity changed since the last `settle`; their `loads` entry
+    // is stale until then.
+    unsettled: Vec<u32>,
+    unsettled_flag: Vec<bool>,
     // Scratch buffers reused across repairs (no per-event allocation in
     // the steady state).
     heap: BinaryHeap<HeapEntry>,
@@ -195,6 +214,8 @@ impl DynamicRoutingTree {
             load_events: Vec::new(),
             load_event_flag: vec![false; n],
             load_events_all: false,
+            unsettled: Vec::new(),
+            unsettled_flag: vec![false; n],
             heap: BinaryHeap::new(),
             affected: Vec::new(),
             in_affected: vec![false; n],
@@ -247,6 +268,7 @@ impl DynamicRoutingTree {
                 self.sc[p as usize] += self.sc[v];
             }
         }
+        self.clear_unsettled();
         for v in 0..n {
             self.materialize(v);
         }
@@ -254,7 +276,7 @@ impl DynamicRoutingTree {
     }
 
     /// Flips a node's sensing-duty (generator) flag, updating relay loads
-    /// along its ancestor chain only. O(depth).
+    /// along its ancestor chain only. O(depth). Settles.
     pub fn set_generator(&mut self, v: usize, on: bool) {
         if self.gen[v] == on {
             return;
@@ -263,10 +285,52 @@ impl DynamicRoutingTree {
         if self.dist[v].is_finite() {
             self.chain_add(v, if on { 1 } else { -1 });
         }
+        self.settle();
+    }
+
+    /// Hands the sensing duty from generator `from` to non-generator `to`
+    /// (a rota handover). Both chains are climbed together, always the
+    /// one whose head has the larger canonical `(dist, node≠sink, node)`
+    /// key, applying −1 on `from`'s side and +1 on `to`'s until the heads
+    /// meet; the nodes above the meeting point keep their counts. The
+    /// meeting node itself is marked too: when it *is* `from` or `to`,
+    /// its rx load changes though its count does not. A disconnected
+    /// endpoint contributes no chain. O(distance between the two nodes
+    /// in the tree).
+    ///
+    /// Does **not** settle: call [`settle`](Self::settle) once after a
+    /// batch of moves.
+    pub fn move_generator(&mut self, from: usize, to: usize) {
+        debug_assert!(from != to, "handover to the same node {from}");
+        debug_assert!(self.gen[from], "handover from non-generator {from}");
+        debug_assert!(!self.gen[to], "handover to generator {to}");
+        self.gen[from] = false;
+        self.gen[to] = true;
+        match (self.dist[from].is_finite(), self.dist[to].is_finite()) {
+            (true, true) => {}
+            (true, false) => return self.chain_add(from, -1),
+            (false, true) => return self.chain_add(to, 1),
+            (false, false) => return,
+        }
+        let (mut a, mut b) = (from, to);
+        // The sink's key is the smallest, and it is every connected node's
+        // root, so the heads meet at the latest there.
+        while a != b {
+            if self.key_gt(a, b) {
+                self.sc[a] -= 1;
+                self.touch(a);
+                a = self.parent[a] as usize;
+            } else {
+                self.sc[b] += 1;
+                self.touch(b);
+                b = self.parent[b] as usize;
+            }
+        }
+        self.touch(a);
     }
 
     /// Flips a node's relay/liveness eligibility, repairing the routing
-    /// tree incrementally. The sink cannot be disabled.
+    /// tree incrementally. The sink cannot be disabled. Settles.
     pub fn set_enabled(&mut self, graph: &CommGraph, v: usize, on: bool) {
         assert!(v != self.sink, "cannot disable the sink");
         if self.enabled[v] == on {
@@ -277,6 +341,18 @@ impl DynamicRoutingTree {
         } else {
             self.disable(graph, v);
         }
+        self.settle();
+    }
+
+    /// Materializes the load of every node touched since the last settle,
+    /// once each, recording a load event where the value changed.
+    pub fn settle(&mut self) {
+        for i in 0..self.unsettled.len() {
+            let v = self.unsettled[i] as usize;
+            self.unsettled_flag[v] = false;
+            self.materialize(v);
+        }
+        self.unsettled.clear();
     }
 
     /// Overwrites the materialized loads wholesale (snapshot resume: the
@@ -288,6 +364,7 @@ impl DynamicRoutingTree {
     /// Panics when `loads.len()` differs from the tree size.
     pub fn restore_loads(&mut self, loads: &[TrafficLoad]) {
         assert_eq!(loads.len(), self.loads.len(), "loads length mismatch");
+        self.clear_unsettled();
         self.loads.copy_from_slice(loads);
         self.load_events_all = true;
     }
@@ -352,9 +429,11 @@ impl DynamicRoutingTree {
     }
 
     /// Maintained per-node relay loads (identical to `relay_loads` over
-    /// the equivalent naive tree; bitwise so for dyadic rates).
+    /// the equivalent naive tree; bitwise so for dyadic rates). Valid
+    /// only when settled.
     #[inline]
     pub fn loads(&self) -> &[TrafficLoad] {
+        debug_assert!(self.unsettled.is_empty(), "loads read before settle");
         &self.loads
     }
 
@@ -364,18 +443,19 @@ impl DynamicRoutingTree {
         self.sc[v]
     }
 
-    /// Drains the deduplicated set of nodes whose materialized load
-    /// changed since the last drain, passing each to `f` (unsorted).
-    /// Returns `true` when *every* node must be treated as changed (a
-    /// wholesale [`rebuild`](Self::rebuild) or
+    /// Drains the set of nodes whose materialized load differs from its
+    /// value at the last drain, passing each to `f` once (unsorted): a
+    /// load that moved and moved back is not reported. Returns `true`
+    /// when *every* node must be treated as changed (a wholesale
+    /// [`rebuild`](Self::rebuild) or
     /// [`restore_loads`](Self::restore_loads) happened since the last
     /// drain) — in that case `f` is not called.
     pub fn take_load_events(&mut self, mut f: impl FnMut(u32)) -> bool {
         let all = self.load_events_all;
         self.load_events_all = false;
-        for &v in &self.load_events {
+        for &(v, base) in &self.load_events {
             self.load_event_flag[v as usize] = false;
-            if !all {
+            if !all && self.loads[v as usize] != base {
                 f(v);
             }
         }
@@ -383,10 +463,10 @@ impl DynamicRoutingTree {
         all
     }
 
-    /// Whether `v`'s load change since the last
-    /// [`take_load_events`](Self::take_load_events) drain is still queued
-    /// (always `true` while a pending wholesale rebuild collapses the
-    /// queue to "all").
+    /// Whether `v`'s load moved since the last
+    /// [`take_load_events`](Self::take_load_events) drain, possibly back
+    /// to its drained value (always `true` while a pending wholesale
+    /// rebuild collapses the queue to "all").
     #[inline]
     pub fn load_event_pending(&self, v: usize) -> bool {
         self.load_events_all || self.load_event_flag[v]
@@ -406,6 +486,7 @@ impl DynamicRoutingTree {
     pub fn verify(&self, graph: &CommGraph) -> Result<(), String> {
         let n = self.len();
         assert_eq!(graph.len(), n, "graph size mismatch");
+        debug_assert!(self.unsettled.is_empty(), "verify before settle");
         let en = &self.enabled;
         let sp = shortest_paths_enabled(graph, self.sink, |v| en[v]);
         let mut sc_ref = vec![0u32; n];
@@ -479,27 +560,55 @@ impl DynamicRoutingTree {
         }
     }
 
+    /// Stores `v`'s load as derived from its current count, generator bit
+    /// and connectivity, queueing it for the next drain (with its drained
+    /// value) when the value actually changed. The comparison is
+    /// bitwise-safe: every materialized load is a non-negative product
+    /// (never `-0.0`), so value equality implies bit equality.
     fn materialize(&mut self, v: usize) {
         let new = self.load_for(v, self.sc[v], self.dist[v].is_finite());
-        self.set_load(v, new);
-    }
-
-    /// Stores a new materialized load, recording a load event when the
-    /// value actually changed. The comparison is bitwise-safe: every
-    /// materialized load is a non-negative product (never `-0.0`), so
-    /// value equality implies bit equality.
-    fn set_load(&mut self, v: usize, new: TrafficLoad) {
-        if self.loads[v] != new {
+        let old = self.loads[v];
+        if old != new {
             self.loads[v] = new;
             if !self.load_events_all && !self.load_event_flag[v] {
                 self.load_event_flag[v] = true;
-                self.load_events.push(v as u32);
+                self.load_events.push((v as u32, old));
             }
         }
     }
 
+    /// Marks `v`'s load for the next [`settle`](Self::settle).
+    #[inline]
+    fn touch(&mut self, v: usize) {
+        if !self.unsettled_flag[v] {
+            self.unsettled_flag[v] = true;
+            self.unsettled.push(v as u32);
+        }
+    }
+
+    /// Drops the pending marks: a wholesale rebuild or restore overwrites
+    /// every load anyway.
+    fn clear_unsettled(&mut self) {
+        for &v in &self.unsettled {
+            self.unsettled_flag[v as usize] = false;
+        }
+        self.unsettled.clear();
+    }
+
+    /// Whether `a`'s canonical `(dist, a≠sink, a)` key exceeds `b`'s: a
+    /// parent's key is below its child's, so the larger key is the head
+    /// to climb.
+    #[inline]
+    fn key_gt(&self, a: usize, b: usize) -> bool {
+        let key = |v: usize| (v != self.sink, v);
+        match self.dist[a].total_cmp(&self.dist[b]) {
+            std::cmp::Ordering::Equal => key(a) > key(b),
+            o => o == std::cmp::Ordering::Greater,
+        }
+    }
+
     /// Applies `delta` to the subtree counts of `from` and every ancestor
-    /// up to the sink, re-materializing loads along the chain.
+    /// up to the sink, marking each for the next settle.
     fn chain_add(&mut self, from: usize, delta: i64) {
         if delta == 0 {
             return;
@@ -507,7 +616,7 @@ impl DynamicRoutingTree {
         let mut v = from;
         loop {
             self.sc[v] = (self.sc[v] as i64 + delta) as u32;
-            self.materialize(v);
+            self.touch(v);
             let p = self.parent[v];
             if p == NONE {
                 break;
@@ -608,7 +717,7 @@ impl DynamicRoutingTree {
             self.parent[u] = NONE;
             self.children[u].clear();
             self.sc[u] = 0;
-            self.set_load(u, TrafficLoad::default());
+            self.touch(u);
         }
         // Re-seed the enabled members of S from the (untouched) boundary
         // and re-run Dijkstra restricted to the improved region.
@@ -732,7 +841,7 @@ impl DynamicRoutingTree {
                     self.chain_add(best as usize, self.sc[u] as i64);
                 }
             }
-            self.materialize(u);
+            self.touch(u);
         }
         for i in 0..self.affected.len() {
             let u = self.affected[i] as usize;
@@ -897,6 +1006,108 @@ mod tests {
         assert_matches_oracle(&t, &g, "handover");
     }
 
+    /// The nodes a drain reports, sorted; panics on a wholesale "all".
+    fn drained_events(t: &mut DynamicRoutingTree) -> Vec<u32> {
+        let mut v = Vec::new();
+        assert!(
+            !t.take_load_events(|x| v.push(x)),
+            "unexpected wholesale event"
+        );
+        v.sort_unstable();
+        v
+    }
+
+    /// A fresh tree over `g` with generators `gen`, its rebuild's
+    /// wholesale event already drained.
+    fn fresh(g: &CommGraph, gen: impl Fn(usize) -> bool) -> DynamicRoutingTree {
+        let mut t = DynamicRoutingTree::new(g.len(), 0, 0.25);
+        t.rebuild(g, |_| true, gen);
+        assert!(t.take_load_events(|_| {}));
+        t
+    }
+
+    #[test]
+    fn handover_stops_where_the_chains_meet() {
+        // 0 — 1, with 2 and 3 both children of 1 (out of each other's
+        // range): the duty moves 2 → 3, the chains meet at 1, and 1 and
+        // the sink keep their loads.
+        let pos = [
+            Point2::new(0.0, 0.0),
+            Point2::new(10.0, 0.0),
+            Point2::new(18.0, 6.0),
+            Point2::new(18.0, -6.0),
+        ];
+        let g = CommGraph::build(&pos, 11.0);
+        let mut t = fresh(&g, |v| v == 2);
+        assert_eq!((t.next_hop(2), t.next_hop(3)), (Some(1), Some(1)));
+        t.move_generator(2, 3);
+        t.settle();
+        assert_matches_oracle(&t, &g, "sibling handover");
+        assert_eq!(drained_events(&mut t), vec![2, 3]);
+    }
+
+    #[test]
+    fn handover_to_an_ancestor_moves_its_rx_load() {
+        // 0 — 1 — 2 — 3: the duty moves 3 → 1. Node 1 is the meeting
+        // node: its count stays 1 but its rx load drops to zero.
+        let g = chain(4, 10.0);
+        let mut t = fresh(&g, |v| v == 3);
+        t.move_generator(3, 1);
+        t.settle();
+        assert_matches_oracle(&t, &g, "handover to an ancestor");
+        assert_eq!(t.loads()[1].rx_pps, 0.0);
+        assert_eq!(drained_events(&mut t), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn handover_from_the_parent_moves_its_rx_load() {
+        // 0 — 1 — 2 — 3: the duty moves 2 → 3. Node 2 now relays 3.
+        let g = chain(4, 10.0);
+        let mut t = fresh(&g, |v| v == 2);
+        t.move_generator(2, 3);
+        t.settle();
+        assert_matches_oracle(&t, &g, "handover from the parent");
+        assert_eq!(t.loads()[2].rx_pps, 0.25);
+        assert_eq!(drained_events(&mut t), vec![2, 3]);
+    }
+
+    #[test]
+    fn handover_with_a_disconnected_endpoint_walks_one_chain() {
+        // 0 — 1 — 2, plus node 3 out of everyone's range.
+        let pos = [
+            Point2::new(0.0, 0.0),
+            Point2::new(10.0, 0.0),
+            Point2::new(20.0, 0.0),
+            Point2::new(100.0, 0.0),
+        ];
+        let g = CommGraph::build(&pos, 11.0);
+        let mut t = fresh(&g, |v| v == 2);
+        assert!(!t.connected(3));
+        t.move_generator(2, 3);
+        t.settle();
+        assert_matches_oracle(&t, &g, "handover to a disconnected node");
+        assert_eq!(drained_events(&mut t), vec![0, 1, 2]);
+        t.move_generator(3, 1);
+        t.settle();
+        assert_matches_oracle(&t, &g, "handover from a disconnected node");
+        assert_eq!(drained_events(&mut t), vec![0, 1]);
+    }
+
+    #[test]
+    fn moved_and_restored_loads_report_nothing() {
+        // Self-settling flips that cancel out before a drain leave no
+        // event behind.
+        let g = chain(4, 10.0);
+        let mut t = fresh(&g, |v| v == 3);
+        t.set_generator(2, true);
+        t.set_generator(2, false);
+        t.move_generator(3, 1);
+        t.move_generator(1, 3);
+        t.settle();
+        assert_matches_oracle(&t, &g, "round trip");
+        assert_eq!(drained_events(&mut t), Vec::<u32>::new());
+    }
+
     #[test]
     fn coincident_with_sink_parents_to_sink() {
         // Two nodes exactly on top of the sink plus one off to the side:
@@ -941,13 +1152,18 @@ mod tests {
 
     proptest! {
         /// The crate-level incrementality contract: any sequence of
-        /// enable/disable/generator events on any geometry (coincident
-        /// points included via snapped coordinates) leaves the dynamic
-        /// tree bitwise-equal to a from-scratch rebuild.
+        /// enable/disable/generator/handover events on any geometry
+        /// (coincident points included via snapped coordinates) leaves
+        /// the dynamic tree bitwise-equal to a from-scratch rebuild, and
+        /// after each batch of events plus one settle the load events
+        /// name exactly the nodes whose load bits changed in the batch.
         #[test]
         fn prop_incremental_equals_naive_under_event_sequences(
             pts in proptest::collection::vec((0u8..16, 0u8..16), 2..40),
-            events in proptest::collection::vec((0u8..4, 0usize..40), 1..60),
+            events in proptest::collection::vec(
+                (0u8..5, 0usize..40, 0usize..40, proptest::bool::weighted(0.3)),
+                1..60,
+            ),
             range_sel in 1u8..5,
         ) {
             // Snap positions to a coarse grid so coincident nodes and
@@ -958,19 +1174,47 @@ mod tests {
                 .collect();
             let g = CommGraph::build(&pts, range_sel as f64 * 5.0 + 1.0);
             let n = g.len();
-            let mut t = DynamicRoutingTree::new(n, 0, 0.25);
-            t.rebuild(&g, |_| true, |v| v != 0);
-            for (step, &(kind, raw)) in events.iter().enumerate() {
+            let mut t = fresh(&g, |v| v != 0);
+            let bits = |l: TrafficLoad| (l.tx_pps.to_bits(), l.rx_pps.to_bits());
+            let mut before = t.loads().to_vec();
+            for (step, &(kind, raw, raw2, batch_end)) in events.iter().enumerate() {
                 let v = 1 + raw % (n.max(2) - 1); // never the sink
                 match kind {
                     0 => t.set_enabled(&g, v, false),
                     1 => t.set_enabled(&g, v, true),
                     2 => t.set_generator(v, false),
-                    _ => t.set_generator(v, true),
+                    3 => t.set_generator(v, true),
+                    _ => {
+                        // A handover between a generator and a
+                        // non-generator, whichever way round they come.
+                        let w = 1 + raw2 % (n.max(2) - 1);
+                        if t.generator(v) && !t.generator(w) {
+                            t.move_generator(v, w);
+                        } else if t.generator(w) && !t.generator(v) {
+                            t.move_generator(w, v);
+                        }
+                    }
                 }
+                if !batch_end && step + 1 < events.len() {
+                    continue;
+                }
+                t.settle();
                 t.verify(&g).map_err(|e| {
-                    TestCaseError(format!("step {step} (kind {kind}, node {v}): {e}"))
+                    TestCaseError(format!("batch ending at step {step} (kind {kind}, node {v}): {e}"))
                 })?;
+                let mut reported = vec![false; n];
+                let all = t.take_load_events(|x| reported[x as usize] = true);
+                prop_assert!(!all, "a batch reported a wholesale change");
+                for x in 0..n {
+                    prop_assert_eq!(
+                        reported[x],
+                        bits(before[x]) != bits(t.loads()[x]),
+                        "batch ending at step {}: load event of node {} vs its load change",
+                        step,
+                        x
+                    );
+                }
+                before.copy_from_slice(t.loads());
             }
             // Final deep check against the naive pipeline.
             let enabled: Vec<bool> = (0..n).map(|v| t.enabled(v)).collect();

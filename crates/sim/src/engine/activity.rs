@@ -15,8 +15,21 @@
 //! * otherwise each dirty *node* is an enabled-set toggle on the
 //!   maintained [`wrsn_net::DynamicRoutingTree`] (subtree detach/repair)
 //!   and each dirty *cluster* (all of them after a slot advance)
-//!   re-derives its members' activity, flipping tree generators only
-//!   where the active bit actually changed (ancestor-chain load deltas).
+//!   re-derives its members' activity, changing tree generators only
+//!   where the active bit actually changed. A round-robin cluster whose
+//!   holder changed makes one handover
+//!   ([`move_generator`](wrsn_net::DynamicRoutingTree::move_generator)),
+//!   which walks the two holders' ancestor chains only up to where they
+//!   meet. A switch-off with no partner in its cluster (a holder that
+//!   departed the structure or now serves in another cluster) waits in
+//!   [`Handovers`] for a switch-on with none either; only what is left
+//!   unpaired at the end is a single ancestor-chain delta.
+//!
+//! The handovers leave their loads unsettled, and [`refresh_routing`]
+//! settles the tree once at its end, so each touched node's load is
+//! materialized once and the tree reports only the loads that moved net.
+//! No phase seeds a dispatch re-check for an activity flip: the drain
+//! phase's draw refresh does that for every draw that rose.
 //!
 //! The final tree is a pure function of the final enabled/generator sets
 //! (canonical-tree argument, DESIGN.md §4f), so replay order and event
@@ -26,6 +39,7 @@
 
 use super::{SensorSoA, WorldState};
 use wrsn_core::SensorId;
+use wrsn_net::DynamicRoutingTree;
 
 /// Hands the monitoring duty to the next live rota member when the slot
 /// boundary passed. Marks all rotas dirty so loads follow the holders.
@@ -82,6 +96,7 @@ pub(crate) fn refresh_routing(state: &mut WorldState) {
     } else {
         refresh_incremental(state);
     }
+    state.routing.settle();
     let num_clusters = state.clusters.len();
     state.routing_dirty.reset(num_clusters);
 }
@@ -104,9 +119,50 @@ fn refresh_full(state: &mut WorldState) {
     );
 }
 
+/// Generator switch-offs of one refresh still waiting for a switch-on
+/// to pair with, oldest first from `next`. Pairing any switch-off with
+/// any switch-on is exact: the two chain deltas cancel above the node
+/// where the chains meet, whichever nodes they are. Clusters stay
+/// ordered by target across a repair, so oldest-first mostly pairs the
+/// departed holder of a target's old cluster with the new holder of the
+/// same target's cluster, whose chains usually meet nearby.
+struct Handovers {
+    offs: Vec<u32>,
+    next: usize,
+}
+
+impl Handovers {
+    /// Switches tree node `v`'s generator on, as the far end of the
+    /// oldest waiting switch-off if there is one.
+    fn on(&mut self, routing: &mut DynamicRoutingTree, v: usize) {
+        match self.offs.get(self.next) {
+            Some(&from) => {
+                self.next += 1;
+                routing.move_generator(from as usize, v);
+            }
+            None => routing.set_generator(v, true),
+        }
+    }
+
+    /// Queues tree node `v`'s generator switch-off for a partner.
+    fn off(&mut self, v: usize) {
+        self.offs.push(v as u32);
+    }
+
+    /// Switches off whatever found no partner, and hands back the
+    /// emptied buffer.
+    fn finish(mut self, routing: &mut DynamicRoutingTree) -> Vec<u32> {
+        for &v in &self.offs[self.next..] {
+            routing.set_generator(v as usize, false);
+        }
+        self.offs.clear();
+        self.offs
+    }
+}
+
 /// Event-incremental path: toggle the enabled bit of each dirty node
 /// (subtree detach/repair inside the tree), then re-derive activity for
-/// each dirty cluster — all clusters after a slot advance — flipping
+/// each dirty cluster — all clusters after a slot advance — changing
 /// generators only where the active bit actually changed.
 fn refresh_incremental(state: &mut WorldState) {
     for i in 0..state.routing_dirty.nodes.len() {
@@ -114,68 +170,78 @@ fn refresh_incremental(state: &mut WorldState) {
         let on = !state.sensors.is_depleted(s) && !state.sensors.suspended(s);
         state.routing.set_enabled(&state.graph, s + 1, on);
     }
+    let mut handovers = Handovers {
+        offs: std::mem::take(&mut state.routing_dirty.handover_offs),
+        next: 0,
+    };
     // Sensors the incremental cluster repair dropped from the structure:
     // back to the duty-cycled watch (active = dormant = false), exactly
-    // what `naive_activity` derives for unassigned sensors. The repair
-    // already seeded their dispatch re-check.
+    // what `naive_activity` derives for unassigned sensors.
     for i in 0..state.routing_dirty.departed.len() {
         let s = state.routing_dirty.departed[i] as usize;
         if state.sensors.active(s) {
             state.sensors.set_active(s, false);
-            state.routing.set_generator(s + 1, false);
+            handovers.off(s + 1);
         }
         state.sensors.set_dormant(s, false);
     }
     if state.routing_dirty.slots {
         for ci in 0..state.clusters.len() {
-            apply_cluster_activity(state, ci);
+            apply_cluster_activity(state, ci, &mut handovers);
         }
     } else {
         for i in 0..state.routing_dirty.clusters.len() {
             let ci = state.routing_dirty.clusters[i] as usize;
-            apply_cluster_activity(state, ci);
+            apply_cluster_activity(state, ci, &mut handovers);
         }
     }
+    state.routing_dirty.handover_offs = handovers.finish(&mut state.routing);
 }
 
 /// Re-derives one cluster's activity from its rota and liveness (same
 /// rule as [`naive_activity`], restricted to `ci`) and diffs it against
-/// the stored flags, flipping tree generators on change. Sensors outside
+/// the stored flags, changing tree generators on change. Sensors outside
 /// every cluster keep active = dormant = false, so never need visiting.
-fn apply_cluster_activity(state: &mut WorldState, ci: usize) {
+///
+/// Under round robin the diff pass collects the old holder (switched
+/// off) and the new one (switched on) and hands the duty over with one
+/// [`move_generator`](wrsn_net::DynamicRoutingTree::move_generator). A
+/// flip with no partner in the cluster (a dead holder, no live member, a
+/// member that held another cluster's duty before a repair), and every
+/// flip under full-time activation, goes through `handovers`.
+fn apply_cluster_activity(state: &mut WorldState, ci: usize, handovers: &mut Handovers) {
     let WorldState {
         cfg,
         clusters,
         rotas,
         sensors,
         routing,
-        crossings,
         ..
     } = state;
     let cluster = &clusters.clusters()[ci];
-    // Every activity-class flip changes the sensor's drain rate, so it
-    // seeds a dispatch re-check (DESIGN.md §4j). Relay-load changes are
-    // reported separately by the routing tree's own load events; the
-    // explicit seed covers the detector-power component, which flips even
-    // when relay loads (e.g. at a zero data rate) do not.
     if cfg.activity.round_robin {
         let sn: &SensorSoA = sensors;
         let holder =
             rotas[ci].active(|s: SensorId| !sn.is_depleted(s.index()) && !sn.suspended(s.index()));
+        let (mut off, mut on) = (None, None);
         for &m in &cluster.members {
             let mi = m.index();
             let want_active = holder == Some(m);
             if sensors.active(mi) != want_active {
                 sensors.set_active(mi, want_active);
-                routing.set_generator(mi + 1, want_active);
-                crossings.note_check(mi);
+                if want_active {
+                    on = Some(mi + 1);
+                } else if let Some(prev) = off.replace(mi + 1) {
+                    handovers.off(prev);
+                }
             }
-            // Value-compared (the flag byte ends up identical either
-            // way) so dormancy flips can seed the re-check too.
-            if sensors.dormant(mi) == want_active {
-                sensors.set_dormant(mi, !want_active);
-                crossings.note_check(mi);
-            }
+            sensors.set_dormant(mi, !want_active);
+        }
+        match (off, on) {
+            (Some(from), Some(to)) => routing.move_generator(from, to),
+            (Some(v), None) => handovers.off(v),
+            (None, Some(v)) => handovers.on(routing, v),
+            (None, None) => {}
         }
     } else {
         for &m in &cluster.members {
@@ -183,8 +249,11 @@ fn apply_cluster_activity(state: &mut WorldState, ci: usize) {
             let want_active = !sensors.is_depleted(mi) && !sensors.suspended(mi);
             if sensors.active(mi) != want_active {
                 sensors.set_active(mi, want_active);
-                routing.set_generator(mi + 1, want_active);
-                crossings.note_check(mi);
+                if want_active {
+                    handovers.on(routing, mi + 1);
+                } else {
+                    handovers.off(mi + 1);
+                }
             }
             // Dormancy is a round-robin concept; stays false here.
         }

@@ -11,8 +11,10 @@
 //! its activity or suspension bit flips or its relay load moves, so it is
 //! kept in a maintained column, [`SensorSoA::tick_draw_j`].
 //! [`refresh_draws`] recomputes just the changed entries at the start of
-//! the drain phase, and [`drain_sensors`] is then a min/subtract/sum pass
-//! over levels and that column (DESIGN.md §4j).
+//! the drain phase (the routing tree reports only loads that moved net),
+//! seeds a dispatch re-check for each entry that rose, and
+//! [`drain_sensors`] is then a min/subtract/sum pass over levels and that
+//! column (DESIGN.md §4j).
 //! [`drain_sensors_naive`] derives every draw from scratch and stays in
 //! the build as the differential oracle.
 
@@ -87,7 +89,8 @@ pub(crate) fn tick_draw(cfg: &SimConfig, fl: u8, load: TrafficLoad) -> f64 {
 }
 
 /// Recomputes every [`SensorSoA::tick_draw_j`] entry: at construction and
-/// on snapshot resume.
+/// on snapshot resume, where every sensor is in the dispatch next-scan
+/// set anyway.
 pub(crate) fn rebuild_draws(state: &mut WorldState) {
     let n = state.sensors.len();
     state.sensors.draw_stale.fill(n);
@@ -97,13 +100,12 @@ pub(crate) fn rebuild_draws(state: &mut WorldState) {
 /// Brings [`SensorSoA::tick_draw_j`] up to date at the start of the drain
 /// phase, in fast and naive drain mode alike. It recomputes only the
 /// sensors whose activity or suspension bit changed (marked by the
-/// [`SensorSoA`] setters) and the sensors whose relay load changed, or
-/// every sensor when the routing tree reports that all loads changed. It
-/// is the only consumer of the tree's load events and forwards each into
-/// the dispatch next-scan set, where a rise can bring a threshold
-/// crossing forward (DESIGN.md §4j). Nothing changes an activity bit or a
-/// load between here and the dispatch phase, so the column is also what
-/// the crossing predictions read.
+/// [`SensorSoA`] setters) and the sensors whose relay load changed net,
+/// or every sensor when the routing tree reports that all loads changed
+/// (which also seeds every sensor for the next dispatch scan). It is the
+/// only consumer of the tree's load events. Nothing changes an activity
+/// bit or a load between here and the dispatch phase, so the column is
+/// also what the crossing predictions read.
 pub(crate) fn refresh_draws(state: &mut WorldState) {
     let WorldState {
         sensors,
@@ -114,9 +116,7 @@ pub(crate) fn refresh_draws(state: &mut WorldState) {
     // Node 0 is the base station.
     let all = routing.take_load_events(|v| {
         if v >= 1 {
-            let s = v as usize - 1;
-            crossings.note_check(s);
-            sensors.draw_stale.insert(s);
+            sensors.draw_stale.insert(v as usize - 1);
         }
     });
     if all {
@@ -128,12 +128,16 @@ pub(crate) fn refresh_draws(state: &mut WorldState) {
 }
 
 /// Recomputes the column entries of the sensors marked stale, clearing
-/// the marks.
+/// the marks, and seeds a dispatch re-check for every entry that rose: a
+/// higher draw can bring a threshold crossing forward, while a standing
+/// prediction made at a higher or equal draw still fires at or before
+/// the crossing (DESIGN.md §4j).
 fn recompute_stale_draws(state: &mut WorldState) {
     let WorldState {
         cfg,
         sensors,
         routing,
+        crossings,
         ..
     } = state;
     let loads = routing.loads();
@@ -146,7 +150,9 @@ fn recompute_stale_draws(state: &mut WorldState) {
     draw_stale.drain(|batch| {
         for &s in batch {
             let s = s as usize;
-            tick_draw_j[s] = tick_draw(cfg, flags[s], loads[s + 1]);
+            let draw = tick_draw(cfg, flags[s], loads[s + 1]);
+            crossings.note_check_if(s, draw > tick_draw_j[s]);
+            tick_draw_j[s] = draw;
         }
     });
 }

@@ -18,6 +18,46 @@ use wrsn_core::SensorId;
 /// millions of draw/charge events loses at most ~1 ulp per event.
 const REL_EPS: f64 = 1e-6;
 
+/// Checks that above-threshold sensor `s`, outside the next dispatch
+/// scan set, holds a crossing prediction no later than the first scan
+/// that would find it below threshold at its current draw (see the scan
+/// coverage audit in [`check`]).
+fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
+    let sensors = &state.sensors;
+    if sensors.is_depleted(s)
+        || sensors.failed(s)
+        || sensors.suspended(s)
+        || sensors.draw_stale.contains(s)
+        || state.routing.load_event_pending(s + 1)
+    {
+        return Ok(());
+    }
+    let mut per_tick = sensors.tick_draw_j[s];
+    let sd = state.cfg.self_discharge_per_day;
+    if sd > 0.0 {
+        per_tick += sensors.level[s] * sd * state.cfg.tick_s / 86_400.0;
+    }
+    if per_tick <= 0.0 {
+        return Ok(());
+    }
+    let margin = sensors.level[s] - state.cfg.recharge_threshold_frac * sensors.capacity[s];
+    // The next scan runs after one more drain, so the scan `k` ticks
+    // after it sees `margin - (k + 1) · per_tick`, first negative at
+    // `k = floor(margin / per_tick)` (`as u64` saturates).
+    let latest = state
+        .crossings
+        .tick
+        .saturating_add((margin / per_tick) as u64);
+    let due = state.crossings.sched[s];
+    if due > latest {
+        return Err(format!(
+            "sensor {s} drains {per_tick} J per tick with a late crossing prediction: \
+             due at scan {due}, but it is below threshold by scan {latest}"
+        ));
+    }
+    Ok(())
+}
+
 /// Verifies every engine invariant; returns a description of the first
 /// violation.
 pub(crate) fn check(state: &WorldState) -> Result<(), String> {
@@ -153,6 +193,12 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
     // unscheduled sensor's recorded threshold side is its current one
     // (no flip went unseen), and a parked sensor is a live, pending,
     // grouped request whose group's recount does not meet the quorum.
+    // Only draw *rises* seed a re-check, so every other unscheduled live
+    // sensor's standing crossing prediction must still fire by the first
+    // scan that would find it below threshold at its current draw: the
+    // predictor aims two ticks before that, and a missed rise shows up
+    // as a prediction past it. Sensors whose column entry awaits the
+    // next drain-phase refresh are exempt (that refresh seeds a rise).
     // The scan state must also be sound: the bit sets well formed, no
     // crossing prediction expired past the last scan, and no chunk bound
     // above its chunk's earliest prediction. Skipped in naive-dispatch
@@ -189,6 +235,9 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
                     "sensor {s} crossed the request threshold without a dispatch \
                      re-check"
                 ));
+            }
+            if !below {
+                verify_prediction(state, s)?;
             }
         }
     }
@@ -461,6 +510,21 @@ mod tests {
         assert!(check(&state)
             .unwrap_err()
             .contains("below the request threshold"));
+    }
+
+    #[test]
+    fn late_crossing_prediction_is_caught() {
+        let mut state = tiny_state();
+        crate::engine::energy::refresh_draws(&mut state);
+        crate::engine::dispatch::manage_requests(&mut state);
+        check(&state).unwrap();
+        // Stand in for a draw rise that seeded nothing: sensor 4's
+        // prediction moves past the scan at which its current draw takes
+        // it below threshold.
+        let s = 4;
+        assert!(!state.crossings.scheduled(s) && state.sensors.tick_draw_j[s] > 0.0);
+        state.crossings.sched[s] = u64::MAX - 1;
+        assert!(check(&state).unwrap_err().contains("sensor 4 drains"));
     }
 
     #[test]

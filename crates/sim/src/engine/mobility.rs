@@ -282,12 +282,11 @@ fn repair_clusters(state: &mut WorldState) {
     refresh_request_groups(state);
 
     // 5. Sensors departed from the structure entirely: their flag clears
-    // happen at the refresh; their drain class changes, so seed a
-    // dispatch re-check as well.
+    // happen at the refresh (and a draw that rises there seeds their
+    // dispatch re-check).
     for &m in &rs.old_members {
         if state.assignment[m.index()].is_none() {
             state.routing_dirty.note_departed(m.index());
-            state.crossings.note_check(m.index());
         }
     }
     state.repair = Some(rs);

@@ -270,14 +270,17 @@ impl SensorSoA {
 ///   plus one lower bound per [`CHUNK`]-sensor chunk. A scan visits only
 ///   chunks whose bound has expired, sets the due sensors' bits and
 ///   re-derives the bound exactly. Memory is two fixed arrays.
-/// * [`note_check`](Self::note_check) — every event that can *raise* a
-///   sensor's drain rate, flip its board recovery state or change its
-///   ERC vote (activity flips, liveness changes, route abandonment,
-///   request-group refreshes). Rate *drops* need no seed: the old
-///   prediction fires early and re-predicts.
-/// * relay-load events from [`DynamicRoutingTree::take_load_events`],
-///   forwarded by the drain phase's [`energy::refresh_draws`] (their only
-///   consumer); a full tree rebuild reports "all", which sets every bit.
+/// * [`note_check`](Self::note_check) — every event that can flip a
+///   sensor's board recovery state or change its ERC vote (liveness
+///   changes, RV charge delivery, route abandonment, request-group
+///   refreshes).
+/// * draw rises found by the drain-phase refresh
+///   ([`energy::refresh_draws`]): an entry of the drain-rate column that
+///   rose, whether through an activity flip or a relay load that moved
+///   net ([`DynamicRoutingTree::take_load_events`]). Rate *drops* and
+///   unchanged draws need no seed: the standing prediction was made at a
+///   draw at least as high, so it fires at or before the crossing. A
+///   full tree rebuild reports "all", which sets every bit.
 /// * ungrouped pending requests still waiting on a lossy uplink.
 ///
 /// A below-threshold sensor leaves the set once its examination can no
@@ -338,11 +341,21 @@ impl CrossingState {
     }
 
     /// Seeds sensor `s` for re-examination at the next request scan.
-    /// Called by every event that can raise `s`'s drain rate, flip its
-    /// recovery-relevant board state or change its ERC vote.
+    /// Called by every event that can flip `s`'s recovery-relevant board
+    /// state or change its ERC vote, and by the drain-phase refresh for
+    /// every draw that rose.
     #[inline]
     pub(crate) fn note_check(&mut self, s: usize) {
         self.next.insert(s);
+    }
+
+    /// [`note_check`](Self::note_check) when `on`, without a branch on
+    /// `on`: the drain-phase refresh's rise test goes either way about
+    /// as often, and mispredicting it cost the `chaos-replay` world's
+    /// drain phase about a quarter of its time.
+    #[inline]
+    pub(crate) fn note_check_if(&mut self, s: usize, on: bool) {
+        self.next.insert_if(s, on);
     }
 
     /// Seeds every sensor for re-examination at the next request scan.
@@ -496,6 +509,14 @@ impl ScanSet {
         self.summary[w / 64] |= 1 << (w % 64);
     }
 
+    /// Adds `s` when `on`; a no-op otherwise.
+    #[inline]
+    fn insert_if(&mut self, s: usize, on: bool) {
+        let w = s / 64;
+        self.words[w] |= (on as u64) << (s % 64);
+        self.summary[w / 64] |= (on as u64) << (w % 64);
+    }
+
     #[inline]
     fn contains(&self, s: usize) -> bool {
         self.words[s / 64] >> (s % 64) & 1 == 1
@@ -590,7 +611,7 @@ impl ScanSet {
 ///   full Dijkstra rebuild. Queued node/cluster events are dropped (a
 ///   full rebuild supersedes them) and new ones are not collected.
 /// * `slots` — every rota advanced: re-derive activity for all clusters
-///   (holder handovers are generator flips on the maintained tree).
+///   (holder handovers are generator moves on the maintained tree).
 /// * node/cluster sets — a liveness change re-enables/disables one
 ///   routing node and re-derives activity for its cluster only.
 #[derive(Debug, Default)]
@@ -612,6 +633,9 @@ pub(crate) struct RoutingDirty {
     /// bytes stay tick-phase-identical to the wholesale path, which also
     /// only touches flags at refresh time.
     pub(crate) departed: Vec<u32>,
+    /// Scratch of the refresh's handover pairing (`activity::Handovers`),
+    /// empty between refreshes.
+    pub(crate) handover_offs: Vec<u32>,
 }
 
 impl RoutingDirty {
@@ -624,6 +648,7 @@ impl RoutingDirty {
             slots: false,
             full: false,
             departed: Vec::new(),
+            handover_offs: Vec::new(),
         }
     }
 
@@ -1037,8 +1062,10 @@ mod tests {
 
         set.insert(9_999);
         set.fill(130);
+        set.insert_if(5_000, false);
+        set.insert_if(6_000, true);
         set.verify().unwrap();
-        let want: Vec<u32> = (0..130).chain([9_999]).collect();
+        let want: Vec<u32> = (0..130).chain([6_000, 9_999]).collect();
         assert_eq!(drained(&mut set), want);
     }
 

@@ -470,3 +470,63 @@ fn paper_length_dispatch_matches_naive_scan() {
         }
     }
 }
+
+/// Lockstep where handovers churn hardest: the `chaos-replay` benchmark
+/// world (Table II scale, RV breakdowns, lossy uplink, transient outages,
+/// random-waypoint targets at 0.5 m/s, which re-anchor and rebuild the
+/// clusters on nearly every tick) for ten days, against a naive-dispatch
+/// twin and a naive-repair twin, snapshots compared every simulated day
+/// and at the end. Release only, like the paper-length lockstep.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn chaos_waypoint_world_matches_naive_twins() {
+    let mut cfg = SimConfig::paper_defaults();
+    cfg.duration_days = 10.0;
+    cfg.duration_s = cfg.duration_days * 86_400.0;
+    cfg.initial_soc = (0.3, 1.0);
+    cfg.target_mobility = TargetMobility::RandomWaypoint { speed_mps: 0.5 };
+    cfg.faults = wrsn_sim::FaultConfig {
+        rv_breakdowns_per_day: 2.0,
+        rv_repair_s: (1_800.0, 7_200.0),
+        uplink_loss: 0.2,
+        transients_per_day: 1.0,
+        transient_outage_s: (300.0, 1_800.0),
+        ..wrsn_sim::FaultConfig::none()
+    };
+    let ticks_per_day = (86_400.0 / cfg.tick_s).round() as u64;
+    let seed = 1;
+    let mut fast = World::new(&cfg, seed);
+    let mut twins = [
+        ("dispatch", naive_twin(&cfg, seed, true, false, false)),
+        ("repair", naive_twin(&cfg, seed, false, false, true)),
+    ];
+    let mut ticks = 0u64;
+    while !fast.finished() {
+        fast.step();
+        ticks += 1;
+        let day_end = ticks.is_multiple_of(ticks_per_day);
+        let snap = day_end.then(|| fast.save_snapshot());
+        for (oracle, twin) in &mut twins {
+            twin.step();
+            if let Some(snap) = &snap {
+                assert!(
+                    *snap == twin.save_snapshot(),
+                    "chaos waypoint world diverged from the naive {oracle} twin on day {}",
+                    ticks / ticks_per_day
+                );
+            }
+        }
+    }
+    let snap = fast.save_snapshot();
+    for (oracle, twin) in &twins {
+        assert!(twin.finished());
+        assert!(
+            snap == twin.save_snapshot(),
+            "chaos waypoint world diverged from the naive {oracle} twin at the end of the run"
+        );
+    }
+    let out = fast.outcome();
+    assert!(out.rv_breakdowns > 0, "no RV breakdown was exercised");
+    assert!(out.transient_faults > 0, "no outage was exercised");
+    assert!(out.uplink_drops > 0, "no uplink backoff was exercised");
+}
