@@ -27,9 +27,18 @@ impl CoverageMap {
             sensing_range.is_finite() && sensing_range > 0.0,
             "sensing range must be positive, got {sensing_range}"
         );
-        let grid = GridIndex::build(sensors, sensing_range.max(1e-6));
+        Self::build_on(
+            &Self::grid_for(sensors, sensing_range),
+            targets,
+            sensing_range,
+        )
+    }
+
+    /// [`CoverageMap::build`] over the sensors' existing
+    /// [`CoverageMap::grid_for`] index, for a caller that keeps the index.
+    pub fn build_on(grid: &GridIndex, targets: &[Point2], sensing_range: f64) -> Self {
         let mut candidates = Vec::with_capacity(targets.len());
-        let mut detects: Vec<Vec<TargetId>> = vec![Vec::new(); sensors.len()];
+        let mut detects: Vec<Vec<TargetId>> = vec![Vec::new(); grid.len()];
         for (j, &t) in targets.iter().enumerate() {
             let mut p: Vec<SensorId> = Vec::new();
             grid.within_into(t, sensing_range, &mut p);

@@ -7,8 +7,10 @@
 //! [`BenchmarkGroup::bench_with_input`] / `sample_size` / `finish`,
 //! [`BenchmarkId`], [`Bencher::iter`] and [`black_box`].
 //!
-//! Measurement is deliberately simple: warm up briefly, then time
-//! batches of iterations and report the median per-iteration wall time.
+//! Measurement is deliberately simple: warm up for at least 20 ms in
+//! several batches, size a sample (about 2 ms) from the warm-up's mean
+//! iteration time, then time batches of that many iterations and report
+//! the median per-iteration wall time.
 //! There is no statistical regression analysis, HTML report, or plotting.
 //! When the bench binary runs in *test* mode (`--test`, as `cargo test
 //! --benches` passes) each benchmark executes exactly one iteration, so
@@ -191,19 +193,7 @@ impl Bencher {
             black_box(f());
             return;
         }
-        // Calibrate: how many iterations fit in ~2 ms?
-        let mut iters_per_sample = 1u64;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters_per_sample {
-                black_box(f());
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= Duration::from_millis(2) || iters_per_sample >= 1 << 20 {
-                break;
-            }
-            iters_per_sample *= 2;
-        }
+        let iters_per_sample = calibrate(&mut f);
         // Sample.
         let mut samples: Vec<Duration> = (0..self.sample_size)
             .map(|_| {
@@ -225,6 +215,42 @@ impl Bencher {
             None => println!("{name:<48} (no measurement — Bencher::iter never called)"),
         }
     }
+}
+
+/// Time one sample aims for.
+const SAMPLE_TIME: Duration = Duration::from_millis(2);
+/// Warm-up floor, in time and in batches: the iteration count comes from
+/// the mean over the whole warm-up, so one slow early iteration (a cold
+/// cache, a costlier tick) cannot fix it on its own.
+const WARM_UP_TIME: Duration = Duration::from_millis(20);
+const WARM_UP_BATCHES: u32 = 4;
+/// Cap on iterations per batch and per sample.
+const MAX_ITERS: u64 = 1 << 20;
+
+/// Warms `f` up in doubling batches (a batch stops growing once it takes
+/// [`SAMPLE_TIME`]) for at least [`WARM_UP_BATCHES`] batches and
+/// [`WARM_UP_TIME`], then returns how many iterations fill one sample at
+/// the warm-up's mean iteration time.
+fn calibrate<O>(f: &mut impl FnMut() -> O) -> u64 {
+    let (mut batch, mut batches, mut iters, mut spent) = (1u64, 0u32, 0u64, Duration::ZERO);
+    while batches < WARM_UP_BATCHES || spent < WARM_UP_TIME {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let took = start.elapsed();
+        spent += took;
+        iters += batch;
+        batches += 1;
+        if took < SAMPLE_TIME && batch < MAX_ITERS {
+            batch *= 2;
+        }
+    }
+    let mean_ns = (spent.as_nanos() / u128::from(iters)).max(1);
+    SAMPLE_TIME
+        .as_nanos()
+        .div_ceil(mean_ns)
+        .min(u128::from(MAX_ITERS)) as u64
 }
 
 /// Declares a benchmark group function, mirroring criterion's macro.
@@ -275,6 +301,19 @@ mod tests {
         };
         b.iter(|| black_box(2u64).wrapping_mul(3));
         assert!(b.median.is_some());
+    }
+
+    #[test]
+    fn one_slow_first_iteration_does_not_fix_the_count() {
+        // The first call costs a whole sample, every later one ~1 µs: a
+        // count taken from the first batch alone would be 1.
+        let mut first = true;
+        let iters = calibrate(&mut || {
+            let spin = if std::mem::take(&mut first) { 3_000 } else { 1 };
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(spin) {}
+        });
+        assert!(iters > 100, "{iters} iterations per sample");
     }
 
     #[test]

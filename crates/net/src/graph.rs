@@ -33,27 +33,39 @@ impl CommGraph {
         let n = positions.len();
         let grid = GridIndex::build(positions, comm_range.max(1e-6));
 
-        let mut adjacency: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for (i, &p) in positions.iter().enumerate() {
-            grid.for_each_within(p, comm_range, |j| {
-                if j != i {
-                    adjacency[i].push((j as u32, p.distance(positions[j])));
-                }
-            });
-        }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let total: usize = adjacency.iter().map(Vec::len).sum();
-        let mut neighbors = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        for mut adj in adjacency {
-            adj.sort_unstable_by_key(|&(j, _)| j);
-            for (j, w) in adj {
-                neighbors.push(j);
-                weights.push(w);
+        // One distance per neighbouring pair, straight into CSR: count the
+        // degrees, then place each edge and sort every (short) row.
+        let mut edges: Vec<(u32, u32, f64, bool)> = Vec::new();
+        let mut offsets = vec![0u32; n + 1];
+        grid.for_each_pair_within(comm_range, |i, j, d2, mutual| {
+            offsets[i + 1] += 1;
+            if mutual {
+                offsets[j + 1] += 1;
             }
-            offsets.push(neighbors.len() as u32);
+            edges.push((i as u32, j as u32, d2.sqrt(), mutual));
+        });
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let total = offsets[n] as usize;
+        let mut neighbors = vec![0u32; total];
+        let mut weights = vec![0.0f64; total];
+        let mut cursor = offsets.clone();
+        let mut place = |from: u32, to: u32, w: f64| {
+            let k = &mut cursor[from as usize];
+            neighbors[*k as usize] = to;
+            weights[*k as usize] = w;
+            *k += 1;
+        };
+        for &(i, j, w, mutual) in &edges {
+            place(i, j, w);
+            if mutual {
+                place(j, i, w);
+            }
+        }
+        for row in offsets.windows(2) {
+            let (s, e) = (row[0] as usize, row[1] as usize);
+            sort_row(&mut neighbors[s..e], &mut weights[s..e]);
         }
 
         Self {
@@ -143,15 +155,110 @@ impl CommGraph {
     }
 }
 
+/// Insertion sort of one adjacency row by neighbour index, carrying the
+/// weights along (rows hold a handful of entries).
+fn sort_row(neighbors: &mut [u32], weights: &mut [f64]) {
+    for k in 1..neighbors.len() {
+        let (j, w) = (neighbors[k], weights[k]);
+        let mut m = k;
+        while m > 0 && neighbors[m - 1] > j {
+            neighbors[m] = neighbors[m - 1];
+            weights[m] = weights[m - 1];
+            m -= 1;
+        }
+        neighbors[m] = j;
+        weights[m] = w;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     fn chain(n: usize, spacing: f64) -> Vec<Point2> {
         (0..n)
             .map(|i| Point2::new(i as f64 * spacing, 0.0))
             .collect()
+    }
+
+    /// The per-point build `CommGraph::build` replaced: one grid query
+    /// and one adjacency `Vec` per node. The reference for its bits.
+    fn build_per_point(positions: &[Point2], comm_range: f64) -> CommGraph {
+        let n = positions.len();
+        let grid = GridIndex::build(positions, comm_range.max(1e-6));
+        let mut adjacency: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for (i, &p) in positions.iter().enumerate() {
+            grid.for_each_within(p, comm_range, |j| {
+                if j != i {
+                    adjacency[i].push((j as u32, p.distance(positions[j])));
+                }
+            });
+        }
+        let mut offsets = vec![0u32];
+        let (mut neighbors, mut weights) = (Vec::new(), Vec::new());
+        for mut adj in adjacency {
+            adj.sort_unstable_by_key(|&(j, _)| j);
+            for (j, w) in adj {
+                neighbors.push(j);
+                weights.push(w);
+            }
+            offsets.push(neighbors.len() as u32);
+        }
+        CommGraph {
+            offsets,
+            neighbors,
+            weights,
+            positions: positions.to_vec(),
+            comm_range,
+        }
+    }
+
+    /// `build` equals the per-point reference bit for bit.
+    fn same_as_per_point(pts: &[Point2], range: f64) -> Result<(), TestCaseError> {
+        let (fast, reference) = (CommGraph::build(pts, range), build_per_point(pts, range));
+        prop_assert_eq!(&fast.offsets, &reference.offsets);
+        prop_assert_eq!(&fast.neighbors, &reference.neighbors);
+        let bits = |g: &CommGraph| g.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fast), bits(&reference));
+        Ok(())
+    }
+
+    /// A `cols × rows` lattice spaced `s`, from `origin`: every axis
+    /// neighbour sits at exactly the spacing, on a cell boundary when the
+    /// spacing is the range.
+    fn lattice(origin: (f64, f64), s: f64, cols: usize, rows: usize) -> Vec<Point2> {
+        (0..cols * rows)
+            .map(|k| {
+                Point2::new(
+                    origin.0 + (k % cols) as f64 * s,
+                    origin.1 + (k / cols) as f64 * s,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_per_point_on_edge_cases() {
+        let single = [Point2::new(3.0, 4.0)];
+        same_as_per_point(&single, 12.0).unwrap();
+        same_as_per_point(&[], 12.0).unwrap();
+        // Duplicates: distance 0 links every copy to every other.
+        let dup = vec![Point2::new(5.0, 5.0); 7];
+        same_as_per_point(&dup, 12.0).unwrap();
+        assert_eq!(CommGraph::build(&dup, 12.0).degree(0), 6);
+        // A range below the 1e-6 cell clamp.
+        let tiny = lattice((1.0, 1.0), 3e-7, 6, 6);
+        same_as_per_point(&tiny, 3e-7).unwrap();
+        same_as_per_point(&tiny, 5e-7).unwrap();
+        // The paper's deployment: 500 sensors plus the base on 200 m.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut paper = vec![Point2::new(100.0, 100.0)];
+        paper.extend(
+            (0..500).map(|_| Point2::new(rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0))),
+        );
+        same_as_per_point(&paper, 12.0).unwrap();
     }
 
     #[test]
@@ -204,6 +311,30 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_build_matches_per_point(
+            pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..120),
+            dups in proptest::collection::vec(0usize..120, 0..6),
+            range in 0.5f64..40.0,
+        ) {
+            let mut pts: Vec<Point2> = pts.into_iter().map(|(x, y)| Point2::new(x, y)).collect();
+            for d in dups {
+                pts.push(pts[d % pts.len()]);
+            }
+            same_as_per_point(&pts, range)?;
+        }
+
+        #[test]
+        fn prop_lattice_at_exactly_the_range_matches_per_point(
+            origin in (-50.0f64..50.0, -50.0f64..50.0),
+            spacing in 0.01f64..20.0,
+            cols in 1usize..12,
+            rows in 1usize..12,
+        ) {
+            let pts = lattice(origin, spacing, cols, rows);
+            same_as_per_point(&pts, spacing)?;
+        }
+
         #[test]
         fn prop_graph_is_symmetric(
             pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..80),

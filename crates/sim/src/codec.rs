@@ -302,8 +302,14 @@ impl<T: Codec> Codec for Vec<T> {
         e.seq(self.iter());
     }
     fn get(d: &mut Dec) -> Result<Self> {
+        // `collect` over `Result`s cannot presize; `len` bounds `n` by the
+        // bytes left, so reserving it up front is safe.
         let n = d.len()?;
-        (0..n).map(|_| T::get(d)).collect()
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(d)?);
+        }
+        Ok(v)
     }
 }
 

@@ -15,10 +15,13 @@ use wrsn_geom::{Field, GridIndex, Point2};
 /// built once; the coverage map and the covering-sensor set `A` are then
 /// patched per *moved target* instead of recomputed over every sensor.
 ///
-/// `None` until the first wholesale rebuild constructs it — world
-/// construction always runs wholesale, and snapshots do not persist this
-/// (the first post-resume rebuild is wholesale again, which is
-/// byte-identical: both paths produce the same world state).
+/// `None` until the first wholesale rebuild constructs it (world
+/// construction always runs wholesale) and in naive-repair mode.
+/// Snapshots do not persist it: it is a pure function of the sensor
+/// positions and the targets' anchors, which equal `synced` after every
+/// rebuild, so snapshot decode rebuilds it from the restored anchors
+/// ([`RepairState::new`]) and the first rebuild after a resume is
+/// incremental, like every live one.
 pub(crate) struct RepairState {
     /// Grid over the fixed sensor positions (cell = sensing range,
     /// matching [`CoverageMap::build`]'s internal index).
@@ -34,6 +37,22 @@ pub(crate) struct RepairState {
     query: Vec<SensorId>,
     /// Scratch: the members of the clusters a repair replaces.
     old_members: Vec<SensorId>,
+}
+
+impl RepairState {
+    /// The repair baseline for targets at `synced`: `grid` indexes the
+    /// sensors ([`CoverageMap::grid_for`]) and `cov` is the coverage map
+    /// built on it for `synced`.
+    pub(crate) fn new(grid: GridIndex, cov: CoverageMap, synced: Vec<Point2>) -> Self {
+        Self {
+            grid,
+            covering: cov.covering_sensors(),
+            synced,
+            cov,
+            query: Vec::new(),
+            old_members: Vec::new(),
+        }
+    }
 }
 
 /// Advances target positions by one tick and rebuilds clustering when the
@@ -100,11 +119,8 @@ pub(crate) fn rebuild_clusters(state: &mut WorldState) {
 /// assignment scan. Also (re)constructs the [`RepairState`] the
 /// incremental path patches from then on.
 pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
-    let coverage = CoverageMap::build(
-        &state.sensor_pos,
-        &state.target_pos,
-        state.cfg.sensing_range,
-    );
+    let grid = CoverageMap::grid_for(&state.sensor_pos, state.cfg.sensing_range);
+    let coverage = CoverageMap::build_on(&grid, &state.target_pos, state.cfg.sensing_range);
     state.clusters = wrsn_core::balanced_clusters(&coverage);
     state.assignment = state.clusters.sensor_assignment(state.cfg.num_sensors);
     refresh_request_groups(state);
@@ -114,14 +130,7 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
     state.repair = if state.naive_repair {
         None
     } else {
-        Some(RepairState {
-            grid: CoverageMap::grid_for(&state.sensor_pos, state.cfg.sensing_range),
-            covering: coverage.covering_sensors(),
-            synced: state.target_pos.clone(),
-            cov: coverage,
-            query: Vec::new(),
-            old_members: Vec::new(),
-        })
+        Some(RepairState::new(grid, coverage, state.target_pos.clone()))
     };
     // The cluster structure changed: the routing refresh and the coverage
     // cache fall back to their wholesale recomputes — a full routing
@@ -376,6 +385,46 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::ClustersRebuilt { .. }))
             .count();
         assert!(rebuilds > 0, "teleports must rebuild clustering");
+    }
+
+    /// What the incremental repair reads of its baseline: every target's
+    /// candidate set, the covering set `A` and the synced positions.
+    fn repair_baseline(w: &World) -> (Vec<Vec<SensorId>>, Vec<SensorId>, Vec<wrsn_geom::Point2>) {
+        let rs = w.state().repair.as_ref().expect("repair state present");
+        let candidates = (0..rs.cov.num_targets())
+            .map(|j| rs.cov.candidates(wrsn_core::TargetId(j as u32)).to_vec())
+            .collect();
+        (candidates, rs.covering.clone(), rs.synced.clone())
+    }
+
+    #[test]
+    fn resumed_repair_state_equals_the_live_one() {
+        let mut waypoint = tiny_cfg(1.0);
+        waypoint.target_mobility = TargetMobility::RandomWaypoint { speed_mps: 0.5 };
+        let mut teleport = tiny_cfg(1.0);
+        teleport.target_mobility = TargetMobility::RandomTeleport;
+        teleport.target_period_s = 1_200.0;
+        for cfg in [waypoint, teleport] {
+            let mut live = World::new(&cfg, 5);
+            let mut checked = 0;
+            for tick in 1..=400 {
+                live.step();
+                if tick % 37 != 0 {
+                    continue;
+                }
+                let resumed = World::resume(&live.save_snapshot()).expect("resume");
+                assert_eq!(
+                    repair_baseline(&resumed),
+                    repair_baseline(&live),
+                    "{:?} at tick {tick}",
+                    cfg.target_mobility
+                );
+                checked += 1;
+            }
+            assert!(checked > 0);
+            let moved = repair_baseline(&live).2 != World::new(&cfg, 5).targets();
+            assert!(moved, "{:?}: the baseline never moved", cfg.target_mobility);
+        }
     }
 
     #[test]

@@ -158,28 +158,44 @@ fn step<R: Record>(bytes: &[u8]) -> Step<R> {
 /// other-version header); everything after it degrades into
 /// [`Decoded::tail`].
 pub fn decode<R: Record>(bytes: &[u8]) -> Result<Decoded<R>, SnapshotError> {
+    let (mut records, mut ends) = (Vec::new(), Vec::new());
+    let tail = decode_each(bytes, |rec, _, end| {
+        records.push(rec);
+        ends.push(end);
+        Ok(())
+    })?;
+    Ok(Decoded {
+        records,
+        ends,
+        tail,
+    })
+}
+
+/// [`decode`] without the record vector: hands each record of the valid
+/// prefix to `take(record, start, end)` with its frame's byte span, in
+/// stream order, and returns how the bytes ended. A rule of the caller's
+/// own ends the prefix the same way damage does: `take` returning
+/// `Err(why)` stops the walk there with [`Tail::Corrupt`]`(why)`.
+pub(crate) fn decode_each<R: Record>(
+    bytes: &[u8],
+    mut take: impl FnMut(R, u64, u64) -> Result<(), String>,
+) -> Result<Tail, SnapshotError> {
     check_header(bytes, R::MAGIC, R::VERSION)?;
-    let mut records = Vec::new();
-    let mut ends = Vec::new();
     let mut pos = HEADER_LEN;
-    let tail = loop {
+    Ok(loop {
         if pos == bytes.len() {
             break Tail::Clean;
         }
         match step(&bytes[pos..]) {
             Step::Need => break Tail::Torn,
             Step::Complete(rec, used) => {
+                if let Err(why) = take(rec, pos as u64, (pos + used) as u64) {
+                    break Tail::Corrupt(why);
+                }
                 pos += used;
-                records.push(rec);
-                ends.push(pos as u64);
             }
             Step::Corrupt(why) => break Tail::Corrupt(format!("frame at offset {pos}: {why}")),
         }
-    };
-    Ok(Decoded {
-        records,
-        ends,
-        tail,
     })
 }
 

@@ -29,9 +29,11 @@
 //! stored `seed` — the only seeded policy, Partition, keeps nothing but
 //! its seed), the incremental coverage cache (rebuilt from ground
 //! truth; its reads are always recount-exact, so a fresh cache continues
-//! identically to a dirty one), and the event-incremental routing tree
-//! (a pure function of the restored enabled/generator sets — only its
-//! maintained loads and the one pending-refresh bit are stored).
+//! identically to a dirty one), the cluster-repair baseline (a pure
+//! function of the sensor positions and the restored target anchors),
+//! and the event-incremental routing tree (a pure function of the
+//! restored enabled/generator sets — only its maintained loads and the
+//! one pending-refresh bit are stored).
 //!
 //! Decoding validates everything later code indexes or asserts on:
 //! sensor and target positions inside the field, sensor/cluster/group ids
@@ -49,6 +51,7 @@
 //! `VERSION` is rejected, never reinterpreted.
 
 use crate::codec::{codec_enum, codec_struct, ensure, fnv1a, Codec, Dec, Enc, Result};
+use crate::engine::mobility::RepairState;
 use crate::engine::{self, RoutingDirty, SensorSoA, WorldState};
 use crate::frame;
 use crate::{
@@ -57,7 +60,8 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use wrsn_core::{
-    Cluster, ClusterId, ClusterSet, ErpController, RoundRobinRota, SchedulerKind, SensorId,
+    Cluster, ClusterId, ClusterSet, CoverageMap, ErpController, RoundRobinRota, SchedulerKind,
+    SensorId,
 };
 use wrsn_energy::{
     Battery, ChargeModel, DetectorModel, RadioModel, RvEnergyModel, SensorEnergyProfile,
@@ -362,7 +366,8 @@ fn sized<T>(v: Vec<T>, n: usize, what: &str) -> Result<Vec<T>> {
 }
 
 /// Decodes a snapshot back into a world state, rebuilding derived state
-/// (geometry, comm graph, ERP controller, scheduler, coverage cache).
+/// (geometry, comm graph, cluster-repair baseline, ERP controller,
+/// scheduler, coverage cache).
 pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
     frame::check_header(bytes, MAGIC, VERSION)?;
     let mut d = Dec::new(&bytes[frame::HEADER_LEN..]);
@@ -491,6 +496,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
     node_pos.push(base);
     node_pos.extend_from_slice(&sensor_pos);
     let graph = CommGraph::build(&node_pos, cfg.comm_range);
+    // The cluster-repair baseline is a pure function of the sensors and
+    // the anchors, which equal the targets it last synced to (DESIGN.md
+    // §4f), so the first rebuild after a resume is incremental too.
+    let repair_grid = CoverageMap::grid_for(&sensor_pos, cfg.sensing_range);
+    let repair_cov = CoverageMap::build_on(&repair_grid, &target_anchor, cfg.sensing_range);
+    let repair = RepairState::new(repair_grid, repair_cov, target_anchor.clone());
     let erp = ErpController::new(cfg.activity.effective_k());
     let scheduler = cfg.scheduler.build(seed);
 
@@ -572,12 +583,11 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         // crossing bookkeeping restarts with every sensor in its next-scan
         // set (the first post-resume scan examines every sensor, exactly
         // like the pending full routing refresh above), and cluster
-        // repair falls back to one
-        // wholesale rebuild to re-establish its baseline (byte-identical
-        // to incremental by contract, DESIGN.md §4f/§4j). The drain-rate
-        // column is rebuilt from the restored flags and loads below.
+        // repair resumes from the baseline re-derived above (DESIGN.md
+        // §4f/§4j). The drain-rate column is rebuilt from the restored
+        // flags and loads below.
         crossings: engine::CrossingState::new_all_pending(n),
-        repair: None,
+        repair: Some(repair),
         naive_dispatch: false,
         naive_drain: false,
         naive_repair: false,

@@ -99,20 +99,40 @@ impl Record for LogRecord {
 }
 
 /// Decodes a whole log file's bytes into its longest valid prefix
-/// ([`frame::decode`]), then applies the log's meta rule: the prefix ends
-/// at the first frame that breaks it, with a corrupt tail.
+/// ([`frame::decode`]) under the log's meta rule: the prefix ends at the
+/// first frame that breaks it, with a corrupt tail.
 pub fn decode(bytes: &[u8]) -> Result<Decoded<LogRecord>, SnapshotError> {
-    let mut log = frame::decode::<LogRecord>(bytes)?;
-    let is_meta = |rec: &LogRecord| matches!(rec, LogRecord::Meta { .. });
-    if let Some(i) = (0..log.records.len()).find(|&i| (i == 0) != is_meta(&log.records[i])) {
-        log.tail = Tail::Corrupt(match i {
-            0 => "first frame is not a meta record".into(),
-            _ => format!("duplicate meta frame at offset {}", log.ends[i - 1]),
-        });
-        log.records.truncate(i);
-        log.ends.truncate(i);
-    }
-    Ok(log)
+    let (mut records, mut ends) = (Vec::new(), Vec::new());
+    let tail = decode_each(bytes, |rec, end| {
+        records.push(rec);
+        ends.push(end);
+    })?;
+    Ok(Decoded {
+        records,
+        ends,
+        tail,
+    })
+}
+
+/// [`decode`] without the record vector: hands each record of the valid
+/// prefix, meta rule applied, to `take(record, end)` (`end` is the byte
+/// offset just past its frame) and returns how the log ended.
+pub(crate) fn decode_each(
+    bytes: &[u8],
+    mut take: impl FnMut(LogRecord, u64),
+) -> Result<Tail, SnapshotError> {
+    let mut first = true;
+    frame::decode_each(bytes, |rec: LogRecord, start, end| {
+        if first != matches!(rec, LogRecord::Meta { .. }) {
+            return Err(match first {
+                true => "first frame is not a meta record".into(),
+                false => format!("duplicate meta frame at offset {start}"),
+            });
+        }
+        first = false;
+        take(rec, end);
+        Ok(())
+    })
 }
 
 /// Append-only log writer: buffers frames per flush group (one tick) and

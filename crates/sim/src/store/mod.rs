@@ -32,6 +32,7 @@ pub use recorder::{snap_file_name, RecordOptions, RunRecorder};
 use crate::frame::Tail;
 use crate::snapshot::SnapshotError;
 use crate::World;
+use recorder::read_snap;
 use std::path::{Path, PathBuf};
 
 /// Store-layer failures.
@@ -163,59 +164,44 @@ pub struct StoredRun {
 
 impl StoredRun {
     /// Opens `dir`'s event log, tolerating a torn or corrupt tail (the
-    /// valid prefix is what you get; check [`StoredRun::tail`]).
+    /// valid prefix is what you get; check [`StoredRun::tail`]). Frames
+    /// decode straight into the run's columns.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let bytes = std::fs::read(dir.join(LOG_FILE))?;
-        let decoded = log::decode(&bytes)?;
-        let (label, seed, config_hash, tick_s, snap_every, trace_cap) =
-            match decoded.records.first() {
-                Some(LogRecord::Meta {
-                    config_hash,
-                    seed,
-                    tick_s,
-                    snap_every,
-                    trace_cap,
-                    label,
-                }) => (
-                    label.clone(),
-                    *seed,
-                    *config_hash,
-                    *tick_s,
-                    *snap_every,
-                    *trace_cap,
-                ),
-                _ => return Err(StoreError::Corrupt("log has no meta record".into())),
-            };
-        let mut events = Vec::new();
-        let mut samples = Vec::new();
-        let mut snaps = Vec::new();
-        let mut end_tick = None;
-        for rec in &decoded.records[1..] {
-            match rec {
-                LogRecord::Event { tick, event } => events.push((*tick, *event)),
-                LogRecord::Sample {
-                    tick,
-                    t,
-                    coverage,
-                    nonfunctional,
-                    alive,
-                } => samples.push(StoredSample {
-                    tick: *tick,
-                    t: *t,
-                    coverage: *coverage,
-                    nonfunctional: *nonfunctional,
-                    alive: *alive,
-                }),
-                LogRecord::Snap { tick, bytes, hash } => snaps.push(SnapMarker {
-                    tick: *tick,
-                    bytes: *bytes,
-                    hash: *hash,
-                }),
-                LogRecord::End { tick } => end_tick = Some(*tick),
-                LogRecord::Meta { .. } => unreachable!("decode rejects interior meta frames"),
-            }
-        }
+        let mut meta = None;
+        let (mut events, mut samples, mut snaps, mut end_tick) =
+            (Vec::new(), Vec::new(), Vec::new(), None);
+        let tail = log::decode_each(&bytes, |rec, _| match rec {
+            LogRecord::Meta {
+                config_hash,
+                seed,
+                tick_s,
+                snap_every,
+                trace_cap,
+                label,
+            } => meta = Some((label, seed, config_hash, tick_s, snap_every, trace_cap)),
+            LogRecord::Event { tick, event } => events.push((tick, event)),
+            LogRecord::Sample {
+                tick,
+                t,
+                coverage,
+                nonfunctional,
+                alive,
+            } => samples.push(StoredSample {
+                tick,
+                t,
+                coverage,
+                nonfunctional,
+                alive,
+            }),
+            LogRecord::Snap { tick, bytes, hash } => snaps.push(SnapMarker { tick, bytes, hash }),
+            LogRecord::End { tick } => end_tick = Some(tick),
+        })?;
+        // The meta rule admits a meta record only as the first frame.
+        let Some((label, seed, config_hash, tick_s, snap_every, trace_cap)) = meta else {
+            return Err(StoreError::Corrupt("log has no meta record".into()));
+        };
         Ok(Self {
             dir,
             label,
@@ -228,7 +214,7 @@ impl StoredRun {
             samples,
             snaps,
             end_tick,
-            tail: decoded.tail,
+            tail,
         })
     }
 
@@ -321,17 +307,16 @@ impl StoredRun {
         if tick > last {
             return Err(StoreError::OutOfRange { tick, last });
         }
-        let mut base = None;
-        for m in self.snaps.iter().rev() {
-            if m.tick <= tick && recorder::verify_snap(&self.dir, m.tick, m.bytes, m.hash) {
-                base = Some(m.tick);
-                break;
-            }
-        }
-        let base = base.ok_or_else(|| {
-            StoreError::Corrupt("no verifiable snapshot at or before the requested tick".into())
-        })?;
-        self.replay_from(base, tick)
+        let (base, blob) = self
+            .snaps
+            .iter()
+            .rev()
+            .filter(|m| m.tick <= tick)
+            .find_map(|m| Some((m.tick, read_snap(&self.dir, m.tick, m.bytes, m.hash)?)))
+            .ok_or_else(|| {
+                StoreError::Corrupt("no verifiable snapshot at or before the requested tick".into())
+            })?;
+        replay(&blob, base, tick)
     }
 
     /// Like [`StoredRun::materialize`] but always replays from the tick-0
@@ -347,21 +332,20 @@ impl StoredRun {
             .iter()
             .find(|m| m.tick == 0)
             .ok_or_else(|| StoreError::Corrupt("no tick-0 snapshot link".into()))?;
-        if !recorder::verify_snap(&self.dir, 0, zero.bytes, zero.hash) {
-            return Err(StoreError::Corrupt(
-                "tick-0 snapshot link fails verification".into(),
-            ));
-        }
-        self.replay_from(0, tick)
+        let blob = read_snap(&self.dir, 0, zero.bytes, zero.hash)
+            .ok_or_else(|| StoreError::Corrupt("tick-0 snapshot link fails verification".into()))?;
+        replay(&blob, 0, tick)
     }
+}
 
-    fn replay_from(&self, base: u64, tick: u64) -> Result<World, StoreError> {
-        let mut world = World::resume_from(self.dir.join(snap_file_name(base)))?;
-        for _ in base..tick {
-            world.step();
-        }
-        Ok(world)
+/// Resumes the verified link `blob` (captured at tick `base`) and
+/// re-steps it to `tick`.
+fn replay(blob: &[u8], base: u64, tick: u64) -> Result<World, StoreError> {
+    let mut world = World::resume(blob)?;
+    for _ in base..tick {
+        world.step();
     }
+    Ok(world)
 }
 
 /// A collection of stored runs under one root, with cross-run queries.
@@ -436,4 +420,137 @@ fn find_run_dirs(dir: &Path, depth: usize, out: &mut Vec<PathBuf>) -> Result<(),
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{frame, FaultConfig, SimConfig, TargetMobility};
+
+    /// The decode-then-split open `StoredRun::open` replaced: the whole
+    /// log into a record vector first, then the vector into columns.
+    fn open_reference(dir: &Path) -> Result<StoredRun, StoreError> {
+        let bytes = std::fs::read(dir.join(LOG_FILE))?;
+        let decoded = log::decode(&bytes)?;
+        let Some(LogRecord::Meta {
+            config_hash,
+            seed,
+            tick_s,
+            snap_every,
+            trace_cap,
+            label,
+        }) = decoded.records.first().cloned()
+        else {
+            return Err(StoreError::Corrupt("log has no meta record".into()));
+        };
+        let (mut events, mut samples, mut snaps, mut end_tick) =
+            (Vec::new(), Vec::new(), Vec::new(), None);
+        for rec in &decoded.records[1..] {
+            match *rec {
+                LogRecord::Event { tick, event } => events.push((tick, event)),
+                LogRecord::Sample {
+                    tick,
+                    t,
+                    coverage,
+                    nonfunctional,
+                    alive,
+                } => samples.push(StoredSample {
+                    tick,
+                    t,
+                    coverage,
+                    nonfunctional,
+                    alive,
+                }),
+                LogRecord::Snap { tick, bytes, hash } => {
+                    snaps.push(SnapMarker { tick, bytes, hash })
+                }
+                LogRecord::End { tick } => end_tick = Some(tick),
+                LogRecord::Meta { .. } => unreachable!("decode rejects interior meta frames"),
+            }
+        }
+        Ok(StoredRun {
+            dir: dir.to_path_buf(),
+            label,
+            seed,
+            config_hash,
+            tick_s,
+            snap_every,
+            trace_cap,
+            events,
+            samples,
+            snaps,
+            end_tick,
+            tail: decoded.tail,
+        })
+    }
+
+    /// Every field of an open, or the error's text.
+    fn summary(run: Result<StoredRun, StoreError>) -> String {
+        match run {
+            Ok(r) => format!(
+                "{} {} {} {} {} {} {:?} {:?} {:?} {:?} {:?}",
+                r.label,
+                r.seed,
+                r.config_hash,
+                r.tick_s.to_bits(),
+                r.snap_every,
+                r.trace_cap,
+                r.events,
+                r.samples,
+                r.snaps,
+                r.end_tick,
+                r.tail
+            ),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    #[test]
+    fn open_matches_decode_then_split_on_damaged_logs() {
+        let dir = std::env::temp_dir().join(format!("wrsn-store-open-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = SimConfig::small(0.1);
+        cfg.num_sensors = 30;
+        cfg.num_targets = 3;
+        cfg.field_side = 50.0;
+        cfg.initial_soc = (0.3, 1.0);
+        cfg.target_mobility = TargetMobility::RandomWaypoint { speed_mps: 0.5 };
+        cfg.faults = FaultConfig {
+            uplink_loss: 0.3,
+            transients_per_day: 6.0,
+            ..FaultConfig::none()
+        };
+        let opts = RecordOptions {
+            snap_every: 40,
+            trace_cap: 64,
+            label: "open".into(),
+        };
+        RunRecorder::create(&dir, cfg, 3, opts)
+            .and_then(|mut rec| rec.run())
+            .expect("record");
+        let clean = std::fs::read(dir.join(LOG_FILE)).expect("log");
+        let decoded = log::decode(&clean).expect("decode");
+        assert!(decoded.records.len() > 20, "a log worth damaging");
+        let ends: Vec<usize> = decoded.ends.iter().map(|&e| e as usize).collect();
+        let mid = ends[ends.len() / 2];
+
+        let mut flipped = clean.clone();
+        flipped[mid + 6] ^= 0x10; // inside the next frame's payload
+        let missing_meta = [&clean[..frame::HEADER_LEN], &clean[ends[0]..]].concat();
+        let duplicate_meta = [&clean[..mid], &clean[frame::HEADER_LEN..]].concat();
+        let cases: [(&str, Vec<u8>); 6] = [
+            ("clean", clean.clone()),
+            ("torn", clean[..mid + 5].to_vec()),
+            ("torn at the header", clean[..frame::HEADER_LEN].to_vec()),
+            ("checksum-corrupt", flipped),
+            ("missing meta", missing_meta),
+            ("duplicate meta", duplicate_meta),
+        ];
+        for (what, bytes) in cases {
+            std::fs::write(dir.join(LOG_FILE), &bytes).expect("write");
+            let (fast, reference) = (StoredRun::open(&dir), open_reference(&dir));
+            assert_eq!(summary(fast), summary(reference), "{what}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

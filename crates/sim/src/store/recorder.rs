@@ -128,19 +128,21 @@ impl RunRecorder {
             }
         };
         // Walk snap markers newest-first until one's file verifies.
-        let mut chosen = None;
-        for (i, rec) in decoded.records.iter().enumerate().rev() {
-            if let LogRecord::Snap { tick, bytes, hash } = rec {
-                if verify_snap(&dir, *tick, *bytes, *hash) {
-                    chosen = Some((i, *tick));
-                    break;
+        let (idx, tick, blob) = decoded
+            .records
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, rec)| match *rec {
+                LogRecord::Snap { tick, bytes, hash } => {
+                    Some((i, tick, read_snap(&dir, tick, bytes, hash)?))
                 }
-            }
-        }
-        let (idx, tick) = chosen.ok_or_else(|| {
-            StoreError::Corrupt("no verifiable snapshot-chain link to resume from".into())
-        })?;
-        let world = World::resume_from(dir.join(snap_file_name(tick)))?;
+                _ => None,
+            })
+            .ok_or_else(|| {
+                StoreError::Corrupt("no verifiable snapshot-chain link to resume from".into())
+            })?;
+        let world = World::resume(&blob)?;
         if world.trace().cap() as u64 != trace_cap {
             return Err(StoreError::Corrupt(format!(
                 "snapshot trace cap {} disagrees with the log meta's {trace_cap}",
@@ -289,11 +291,9 @@ impl RunRecorder {
     }
 }
 
-/// Whether the snapshot file for `tick` exists and matches its marker's
-/// length + FNV-1a hash.
-pub(super) fn verify_snap(dir: &Path, tick: u64, bytes: u64, hash: u64) -> bool {
-    match std::fs::read(dir.join(snap_file_name(tick))) {
-        Ok(blob) => blob.len() as u64 == bytes && fnv1a(&blob) == hash,
-        Err(_) => false,
-    }
+/// The snapshot file for `tick`, read once: its bytes when it exists and
+/// matches its marker's length + FNV-1a hash.
+pub(super) fn read_snap(dir: &Path, tick: u64, bytes: u64, hash: u64) -> Option<Vec<u8>> {
+    let blob = std::fs::read(dir.join(snap_file_name(tick))).ok()?;
+    (blob.len() as u64 == bytes && fnv1a(&blob) == hash).then_some(blob)
 }

@@ -150,9 +150,15 @@ impl TraceEvent {
 
 /// Bounded, optionally-enabled event log. Disabled traces cost one branch
 /// per event site; enabled traces drop the oldest events beyond `cap`.
+///
+/// Eviction is amortized O(1): an evicted event stays in `events` below
+/// `head` until `cap` of them have piled up, then one compaction drops
+/// them all, so the buffer never holds more than `2 · cap` events.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
+    /// The retained events are `events[head..]`, oldest first.
     events: Vec<TraceEvent>,
+    head: usize,
     enabled: bool,
     cap: usize,
     dropped: u64,
@@ -167,10 +173,9 @@ impl Trace {
     /// An enabled trace that retains at most `cap` events (oldest dropped).
     pub fn enabled(cap: usize) -> Self {
         Self {
-            events: Vec::new(),
             enabled: true,
             cap: cap.max(1),
-            dropped: 0,
+            ..Self::default()
         }
     }
 
@@ -184,16 +189,20 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        if self.events.len() >= self.cap {
-            self.events.remove(0);
+        if self.events.len() - self.head >= self.cap {
+            self.head += 1;
             self.dropped += 1;
+            if self.head >= self.cap {
+                self.events.drain(..self.head);
+                self.head = 0;
+            }
         }
         self.events.push(event);
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        &self.events[self.head..]
     }
 
     /// How many events were evicted by the cap.
@@ -205,7 +214,7 @@ impl Trace {
     /// the cap. The run store's recorder uses this as a monotone cursor to
     /// drain exactly the events each tick appended.
     pub fn total_recorded(&self) -> u64 {
-        self.dropped + self.events.len() as u64
+        self.dropped + self.events().len() as u64
     }
 
     /// The retention cap (0 for a disabled trace).
@@ -232,6 +241,7 @@ impl Trace {
         }
         Self {
             events,
+            head: 0,
             enabled,
             cap,
             dropped,
@@ -241,7 +251,7 @@ impl Trace {
     /// Renders the retained events as CSV (with header).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_s,kind,subject,detail1,detail2\n");
-        for e in &self.events {
+        for e in self.events() {
             out.push_str(&e.to_csv_row());
             out.push('\n');
         }
@@ -276,6 +286,30 @@ mod tests {
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.events()[0].time(), 2.0);
+    }
+
+    #[test]
+    fn capped_trace_keeps_the_last_cap_events() {
+        let event = |i: u32| TraceEvent::SensorDepleted {
+            t: i as f64,
+            sensor: SensorId(i),
+        };
+        for cap in [1, 2, 3, 7, 64] {
+            let (mut capped, mut full) = (Trace::enabled(cap), Trace::enabled(usize::MAX));
+            for n in 0..5 * cap as u32 + 3 {
+                capped.push(event(n));
+                full.push(event(n));
+                let all = full.events();
+                let kept = all.len().min(cap);
+                assert_eq!(
+                    capped.events(),
+                    &all[all.len() - kept..],
+                    "cap {cap}, n {n}"
+                );
+                assert_eq!(capped.dropped(), (all.len() - kept) as u64);
+                assert_eq!(capped.total_recorded(), full.total_recorded());
+            }
+        }
     }
 
     #[test]

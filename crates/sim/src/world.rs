@@ -107,6 +107,12 @@ impl World {
         }
     }
 
+    /// The engine state, for unit tests that audit derived state.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &WorldState {
+        &self.state
+    }
+
     /// Current simulation time (s).
     pub fn time(&self) -> f64 {
         self.state.t

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wrsn_core::SchedulerKind;
 use wrsn_sim::store::{RecordOptions, RunRecorder, StoredRun, LOG_FILE};
-use wrsn_sim::{FaultConfig, SimConfig, World};
+use wrsn_sim::{FaultConfig, SimConfig, TargetMobility, World};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -61,7 +61,25 @@ prop_compose! {
     }
 }
 
+fn arb_mobility() -> impl Strategy<Value = TargetMobility> {
+    (0usize..3, 0.1f64..1.0).prop_map(|(kind, speed_mps)| match kind {
+        0 => TargetMobility::Static,
+        1 => TargetMobility::RandomTeleport,
+        _ => TargetMobility::RandomWaypoint { speed_mps },
+    })
+}
+
+/// A cap of a handful of events half the time, 512 (no eviction in a
+/// run this short) otherwise.
+fn arb_trace_cap() -> impl Strategy<Value = usize> {
+    (proptest::bool::ANY, 4usize..32).prop_map(|(small, cap)| if small { cap } else { 512 })
+}
+
 prop_compose! {
+    /// A recorded config and the recorder's trace cap. Every target
+    /// mobility model is drawn (teleports at least hourly-ish, so the
+    /// short run rebuilds its clusters), and caps from a handful of
+    /// events, which evict all run long, to one that never does.
     fn arb_config()(
         sensors in 20usize..50,
         targets in 1usize..4,
@@ -69,7 +87,10 @@ prop_compose! {
         field in 40.0f64..80.0,
         scheduler in arb_scheduler(),
         faults in arb_faults(),
-    ) -> SimConfig {
+        mobility in arb_mobility(),
+        target_period_s in 1_200.0f64..7_200.0,
+        trace_cap in arb_trace_cap(),
+    ) -> (SimConfig, usize) {
         let mut cfg = SimConfig::small(0.25); // 360 ticks at the 60 s tick
         cfg.num_sensors = sensors;
         cfg.num_targets = targets;
@@ -79,7 +100,9 @@ prop_compose! {
         cfg.initial_soc = (0.3, 1.0);
         cfg.min_batch_demand_j = 10e3;
         cfg.faults = faults;
-        cfg
+        cfg.target_mobility = mobility;
+        cfg.target_period_s = target_period_s;
+        (cfg, trace_cap)
     }
 }
 
@@ -99,13 +122,14 @@ proptest! {
 
     #[test]
     fn materialized_tick_is_bitwise_identical_to_live_run(
-        cfg in arb_config(),
+        case in arb_config(),
         seed in 0u64..1_000,
         snap_every in 40u64..200,
         frac in 0.0f64..1.0,
     ) {
+        let (cfg, trace_cap) = case;
         let dir = scratch("mat");
-        let opts = RecordOptions { snap_every, trace_cap: 512, label: "prop".into() };
+        let opts = RecordOptions { snap_every, trace_cap, label: "prop".into() };
         let mut rec = RunRecorder::create(&dir, cfg.clone(), seed, opts).expect("create");
         rec.run().expect("record to completion");
         let end = rec.tick();
@@ -117,7 +141,7 @@ proptest! {
 
         // The headline contract: materialize(T) == live run at T, byte
         // for byte — via the nearest link and via the tick-0 link alike.
-        let live = live_twin(&cfg, seed, 512, tick).save_snapshot();
+        let live = live_twin(&cfg, seed, trace_cap, tick).save_snapshot();
         let near = run.materialize(tick).expect("materialize").save_snapshot();
         prop_assert_eq!(&near, &live, "nearest-snapshot materialization diverges at tick {}", tick);
         let zero = run.materialize_from_zero(tick).expect("from zero").save_snapshot();
@@ -130,18 +154,19 @@ proptest! {
 
     #[test]
     fn materialization_is_invariant_to_snapshot_spacing(
-        cfg in arb_config(),
+        case in arb_config(),
         seed in 0u64..1_000,
         spacing_a in 20u64..80,
         spacing_b in 150u64..500,
         frac in 0.0f64..1.0,
     ) {
+        let (cfg, trace_cap) = case;
         // Two recordings of the same run with very different snapshot
         // chains must materialize every tick identically — the chain is a
         // replay accelerator, never part of the answer.
         let (dir_a, dir_b) = (scratch("spa"), scratch("spb"));
         for (dir, snap_every) in [(&dir_a, spacing_a), (&dir_b, spacing_b)] {
-            let opts = RecordOptions { snap_every, trace_cap: 512, label: String::new() };
+            let opts = RecordOptions { snap_every, trace_cap, label: String::new() };
             let mut rec = RunRecorder::create(dir, cfg.clone(), seed, opts).expect("create");
             rec.run().expect("record");
         }
@@ -164,15 +189,16 @@ proptest! {
 
     #[test]
     fn resume_then_record_reproduces_an_uninterrupted_log(
-        cfg in arb_config(),
+        case in arb_config(),
         seed in 0u64..1_000,
         snap_every in 30u64..120,
         cut_frac in 0.2f64..0.9,
         torn_bytes in 0usize..40,
     ) {
+        let (cfg, trace_cap) = case;
         // Reference: one uninterrupted recording.
         let dir_ref = scratch("ref");
-        let opts = RecordOptions { snap_every, trace_cap: 512, label: "res".into() };
+        let opts = RecordOptions { snap_every, trace_cap, label: "res".into() };
         let mut rec = RunRecorder::create(&dir_ref, cfg.clone(), seed, opts.clone()).expect("create");
         rec.run().expect("record");
         let end = rec.tick();
@@ -206,7 +232,7 @@ proptest! {
         );
         // And the resulting store materializes correctly.
         let run = StoredRun::open(&dir).expect("open");
-        let live = live_twin(&cfg, seed, 512, cut).save_snapshot();
+        let live = live_twin(&cfg, seed, trace_cap, cut).save_snapshot();
         prop_assert_eq!(run.materialize(cut).expect("materialize").save_snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir_ref).ok();
