@@ -38,13 +38,8 @@ impl RoutingTree {
         let n = graph.len();
         let mut hops = vec![None; n];
         hops[sink] = Some(0);
-        // Nodes sorted by distance: parents resolve before children.
-        let mut order: Vec<usize> = (0..n).filter(|&v| sp.reachable(v)).collect();
-        order.sort_by(|&a, &b| sp.dist[a].total_cmp(&sp.dist[b]));
-        for &v in &order {
-            if v == sink {
-                continue;
-            }
+        // Settle order: parents resolve before children.
+        for &v in &sp.settled {
             if let Some(p) = sp.parent[v] {
                 hops[v] = hops[p].map(|h| h + 1);
             }
@@ -250,18 +245,9 @@ impl DynamicRoutingTree {
                 self.children[p as usize].push(v as u32);
             }
         }
-        // Subtree counts bottom-up: children (strictly larger dist — the
-        // canonical tree has no zero-weight edges) settle before parents.
-        let mut order: Vec<u32> = (0..n as u32)
-            .filter(|&v| self.dist[v as usize].is_finite())
-            .collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.dist[b as usize]
-                .total_cmp(&self.dist[a as usize])
-                .then_with(|| b.cmp(&a))
-        });
-        for &v in &order {
-            let v = v as usize;
+        // Subtree counts bottom-up: reversed settle order folds every
+        // child before its parent.
+        for &v in sp.settled.iter().rev() {
             self.sc[v] += self.gen[v] as u32;
             let p = self.parent[v];
             if p != NONE {
@@ -490,9 +476,7 @@ impl DynamicRoutingTree {
         let en = &self.enabled;
         let sp = shortest_paths_enabled(graph, self.sink, |v| en[v]);
         let mut sc_ref = vec![0u32; n];
-        let mut order: Vec<usize> = (0..n).filter(|&v| sp.dist[v].is_finite()).collect();
-        order.sort_unstable_by(|&a, &b| sp.dist[b].total_cmp(&sp.dist[a]).then_with(|| b.cmp(&a)));
-        for &v in &order {
+        for &v in sp.settled.iter().rev() {
             sc_ref[v] += self.gen[v] as u32;
             if let Some(p) = sp.parent[v] {
                 sc_ref[p] += sc_ref[v];

@@ -16,6 +16,10 @@ pub struct ShortestPaths {
     pub parent: Vec<Option<usize>>,
     /// The source node.
     pub source: usize,
+    /// Every reachable node once, each after its parent (the source
+    /// first): Dijkstra's settle order. Folding in this order resolves
+    /// parents before children; folding it reversed, children first.
+    pub settled: Vec<usize>,
 }
 
 impl ShortestPaths {
@@ -111,6 +115,7 @@ pub fn shortest_paths_enabled<F: Fn(usize) -> bool>(
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![None; n];
     let mut heap = BinaryHeap::new();
+    let mut settled = Vec::with_capacity(n);
     dist[source] = 0.0;
     heap.push(HeapEntry {
         dist: 0.0,
@@ -122,6 +127,10 @@ pub fn shortest_paths_enabled<F: Fn(usize) -> bool>(
         if d > dist[u] {
             continue; // stale entry
         }
+        // Pushes strictly lower a node's distance, so only its last
+        // entry is live: each node settles once, and after its parent,
+        // which settled when it relaxed the node.
+        settled.push(u);
         for (v, w) in graph.neighbors(u) {
             if !enabled(v) {
                 continue;
@@ -141,6 +150,7 @@ pub fn shortest_paths_enabled<F: Fn(usize) -> bool>(
         dist,
         parent,
         source,
+        settled,
     }
 }
 
@@ -173,10 +183,18 @@ pub fn bellman_ford(graph: &CommGraph, source: usize) -> ShortestPaths {
             break;
         }
     }
+    // Breadth-first down the parent tree: each node after its parent.
+    let mut settled = vec![source];
+    let mut next = 0;
+    while let Some(&u) = settled.get(next) {
+        settled.extend((0..n).filter(|&v| parent[v] == Some(u)));
+        next += 1;
+    }
     ShortestPaths {
         dist,
         parent,
         source,
+        settled,
     }
 }
 
@@ -228,7 +246,47 @@ mod tests {
         assert_eq!(sp.path_to(4).unwrap(), vec![4]);
     }
 
+    /// `settled` lists every reachable node exactly once, each after its
+    /// parent.
+    fn assert_parent_first(sp: &ShortestPaths) -> Result<(), TestCaseError> {
+        let mut pos = vec![None; sp.dist.len()];
+        for (i, &v) in sp.settled.iter().enumerate() {
+            prop_assert!(pos[v].is_none(), "node {} settled twice", v);
+            pos[v] = Some(i);
+        }
+        for v in 0..sp.dist.len() {
+            prop_assert_eq!(pos[v].is_some(), sp.reachable(v), "node {}", v);
+            if let (Some(p), Some(i)) = (sp.parent[v], pos[v]) {
+                prop_assert!(
+                    pos[p] < Some(i),
+                    "node {} settled before its parent {}",
+                    v,
+                    p
+                );
+            }
+        }
+        prop_assert_eq!(sp.settled[0], sp.source);
+        Ok(())
+    }
+
     proptest! {
+        #[test]
+        fn prop_settle_order_is_parent_first(
+            pts in proptest::collection::vec((0.0f64..60.0, 0.0f64..60.0), 1..50),
+            range in 5.0f64..30.0,
+            src_sel in 0usize..50,
+            disabled in proptest::collection::vec(proptest::bool::weighted(0.2), 50),
+        ) {
+            // Duplicate points give zero-weight edges: ties in distance
+            // that a sort by distance would not order parent-first.
+            let mut pts: Vec<Point2> = pts.into_iter().map(|(x, y)| Point2::new(x, y)).collect();
+            pts.extend(pts.clone().into_iter().step_by(3));
+            let g = CommGraph::build(&pts, range);
+            let src = src_sel % g.len();
+            assert_parent_first(&shortest_paths_enabled(&g, src, |v| !disabled[v % 50]))?;
+            assert_parent_first(&bellman_ford(&g, src))?;
+        }
+
         #[test]
         fn prop_dijkstra_matches_bellman_ford(
             pts in proptest::collection::vec((0.0f64..60.0, 0.0f64..60.0), 1..50),

@@ -51,10 +51,6 @@ pub(crate) fn advance_slots(state: &mut WorldState) {
             rota.advance(|s| !sensors.is_depleted(s.index()) && !sensors.suspended(s.index()));
         }
         state.routing_dirty.note_slots();
-        // Conservative part of the coverage-cache contract: any phase
-        // that touches rota state dirties its clusters (coverage itself
-        // is cursor-independent — see engine::coverage's module docs).
-        super::coverage::note_slots_advanced(state);
     }
 }
 

@@ -56,7 +56,7 @@ pub(crate) fn inject_failures(state: &mut WorldState, dt: f64) {
             state.sensors.suspend_until[s] = f64::NAN;
             state.board.clear(id);
             state.note_liveness_changed(s);
-            super::coverage::note_failed(state, id);
+            state.alive -= 1;
             state.trace.push(crate::TraceEvent::SensorFailed {
                 t: state.t,
                 sensor: id,
@@ -209,7 +209,7 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
         state.sensors.set_was_depleted(s, true);
         state.deaths += 1;
         state.note_liveness_changed(s);
-        super::coverage::note_depleted(state, SensorId(s32));
+        state.alive -= 1;
         state.trace.push(crate::TraceEvent::SensorDepleted {
             t: state.t,
             sensor: SensorId(s32),
@@ -308,7 +308,7 @@ pub(crate) fn drain_sensors_naive(state: &mut WorldState, dt: f64) {
             state.sensors.set_was_depleted(s, true);
             state.deaths += 1;
             state.note_liveness_changed(s);
-            super::coverage::note_depleted(state, SensorId(s as u32));
+            state.alive -= 1;
             state.trace.push(crate::TraceEvent::SensorDepleted {
                 t: state.t,
                 sensor: SensorId(s as u32),

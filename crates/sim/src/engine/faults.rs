@@ -44,7 +44,6 @@ fn resume_sensors(state: &mut WorldState) {
             // change seeds the dispatch re-check that re-derives the
             // crossing prediction withdrawn during the outage.
             state.note_liveness_changed(s);
-            super::coverage::note_suspension_changed(state, SensorId(s as u32));
             state.trace.push(TraceEvent::SensorResumed {
                 t: state.t,
                 sensor: SensorId(s as u32),
@@ -76,7 +75,6 @@ fn suspend_sensors(state: &mut WorldState, dt: f64) {
             state.sensors.suspend_until[s] = state.t + outage.max(dt);
             state.transient_faults += 1;
             state.note_liveness_changed(s);
-            super::coverage::note_suspension_changed(state, SensorId(s as u32));
             state.trace.push(TraceEvent::SensorSuspended {
                 t: state.t,
                 sensor: SensorId(s as u32),

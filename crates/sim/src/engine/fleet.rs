@@ -121,11 +121,11 @@ pub(crate) fn step_rv(state: &mut WorldState, i: usize, dt: f64) {
                 let got = state.rvs[i].battery.draw(src);
                 state.rv_drawn_j += got;
                 state.rv_shortfall_j += src - got;
-                // Coverage cache: revival is the *battery* transition out
-                // of depletion (a sensor deployed dead has no
-                // `was_depleted` entry yet still rejoins the alive set).
+                // Revival is the *battery* transition out of depletion (a
+                // sensor deployed dead has no `was_depleted` entry yet
+                // still rejoins the alive set).
                 if was_dead && !state.sensors.is_depleted(si) {
-                    super::coverage::note_revived(state, s);
+                    state.alive += 1;
                 }
                 if state.sensors.was_depleted(si) && !state.sensors.is_depleted(si) {
                     state.sensors.set_was_depleted(si, false);

@@ -3,8 +3,7 @@
 //! [`check`] audits the cross-subsystem invariants no single phase can
 //! guarantee alone: energy conservation on both the sensor and the fleet
 //! side, request-board ↔ route ↔ phase agreement, the fault ledgers, and
-//! the incremental coverage cache against its naive differential oracle
-//! ([`super::coverage::verify`]).
+//! the exact alive counter against a full recount.
 //! [`crate::World::step`] runs it after every tick in debug builds (so
 //! every unit/property test sweeps it across every configuration it
 //! touches), the chaos property tests assert it explicitly, and
@@ -276,11 +275,14 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         ));
     }
 
-    // --- Coverage cache vs. naive oracle --------------------------------
-    // Every debug tick re-derives coverage and alive counts from ground
-    // truth and demands exact agreement with the incremental cache — the
-    // differential-oracle half of the coverage-cache contract.
-    super::coverage::verify(state)?;
+    // --- Alive counter vs. full recount ---------------------------------
+    let alive = state.sensors.count_alive();
+    if state.alive != alive {
+        return Err(format!(
+            "alive counter {} != {alive} non-depleted batteries",
+            state.alive
+        ));
+    }
 
     // --- Routing tree vs. naive oracle ----------------------------------
     // The incremental tree/loads half of the contract (DESIGN.md §4f).

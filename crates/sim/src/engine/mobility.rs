@@ -132,12 +132,11 @@ pub(crate) fn rebuild_clusters_wholesale(state: &mut WorldState) {
     } else {
         Some(RepairState::new(grid, coverage, state.target_pos.clone()))
     };
-    // The cluster structure changed: the routing refresh and the coverage
-    // cache fall back to their wholesale recomputes — a full routing
-    // refresh supersedes any queued node/cluster events. (The incremental
-    // path below keeps even this moment event-wise.)
+    // The cluster structure changed: the routing refresh falls back to
+    // its wholesale recompute, which supersedes any queued node/cluster
+    // events. (The incremental path below keeps even this moment
+    // event-wise.)
     state.routing_dirty.note_full();
-    super::coverage::rebuild(state);
 }
 
 /// Installs what follows a new clustering: fresh rotas (cursor reset,
@@ -308,7 +307,6 @@ fn repair_clusters(state: &mut WorldState) {
     for ci in 0..state.clusters.len() {
         state.routing_dirty.note_cluster(ci);
     }
-    super::coverage::clusters_rebuilt(state);
 }
 
 #[cfg(test)]

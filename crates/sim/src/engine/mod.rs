@@ -18,12 +18,9 @@
 //! [`World::step`](crate::World::step) runs after every tick in debug
 //! builds and the chaos property tests assert explicitly.
 //!
-//! [`coverage`] is not a phase either: it is the incremental
-//! coverage/cluster cache the phases feed through event hooks (the
-//! invalidation contract in DESIGN.md §4c), making the sample-tick
-//! coverage/alive accounting O(dirty clusters) instead of
-//! O(sensors × targets). The naive recompute stays in the build as the
-//! differential oracle [`invariants`] checks every debug tick.
+//! [`coverage`] is not a phase either: it holds the coverage and alive
+//! accounting the sample phase reads (coverage from the rotas, alive
+//! from an exact counter; DESIGN.md §4c).
 //!
 //! The split is deliberate: every subsystem reads and writes only through
 //! `WorldState`, so policies can be swapped and subsystems tested in
@@ -131,6 +128,11 @@ impl SensorSoA {
     #[inline]
     pub(crate) fn is_depleted(&self, s: usize) -> bool {
         self.level[s] <= 0.0
+    }
+
+    /// Sensors with non-depleted batteries, by a full O(n) recount.
+    pub(crate) fn count_alive(&self) -> usize {
+        (0..self.len()).filter(|&s| !self.is_depleted(s)).count()
     }
 
     /// Mirrors [`Battery::soc`].
@@ -835,11 +837,10 @@ pub(crate) struct WorldState {
     /// tells the dispatcher to replan without waiting for batch hysteresis.
     pub(crate) replan_urgent: bool,
 
-    /// Incremental coverage/cluster cache: per-cluster live-member
-    /// counts behind a dirty-set, plus the exact alive counter. Rebuilt
-    /// by [`coverage::rebuild`] whenever clustering changes; updated
-    /// event-wise by the `coverage::note_*` hooks otherwise.
-    pub(crate) coverage: coverage::CoverageCache,
+    /// Sensors with non-depleted batteries, exact at all times: counted
+    /// at construction and on decode, then moved by one at the four
+    /// battery transitions (see [`coverage`]).
+    pub(crate) alive: usize,
 
     /// Scratch buffer reused by [`dispatch::manage_requests`] for the
     /// dirty request-group ids it collects each tick (avoids a per-tick
@@ -930,6 +931,7 @@ impl WorldState {
         let initial_sensor_j: f64 = batteries.iter().map(|b| b.level()).sum();
         let initial_fleet_j = cfg.num_rvs as f64 * cfg.rv_model.battery_capacity_j;
         let routing = DynamicRoutingTree::new(cfg.num_sensors + 1, 0, cfg.data_rate_pps);
+        let sensors = SensorSoA::from_batteries(&batteries);
         let mut state = Self {
             seed,
             scheduler,
@@ -937,7 +939,8 @@ impl WorldState {
             t: 0.0,
             base,
             sensor_pos,
-            sensors: SensorSoA::from_batteries(&batteries),
+            alive: sensors.count_alive(),
+            sensors,
             target_waypoint: target_pos.clone(),
             target_anchor: target_pos.clone(),
             target_pos,
@@ -970,7 +973,6 @@ impl WorldState {
             rv_breakdowns: 0,
             uplink_drops: 0,
             replan_urgent: false,
-            coverage: coverage::CoverageCache::default(),
             group_scratch: Vec::new(),
             crossings: CrossingState::new_all_pending(cfg.num_sensors),
             repair: None,
@@ -992,11 +994,11 @@ impl WorldState {
 
     /// Sensors with non-depleted batteries. Suspended sensors count as
     /// alive — their hardware and battery are intact, they are just
-    /// temporarily off duty. O(1): served by the event-maintained counter
-    /// in [`coverage::CoverageCache`] ([`coverage::naive_alive_count`] is
-    /// the brute-force oracle the invariant checker compares against).
+    /// temporarily off duty. O(1): the exact [`WorldState::alive`]
+    /// counter ([`SensorSoA::count_alive`] is the full recount the
+    /// invariant checker compares it with).
     pub(crate) fn alive_count(&self) -> usize {
-        coverage::alive(self)
+        self.alive
     }
 
     /// Whether sensor `s` can perform duty right now: battery not
@@ -1024,10 +1026,8 @@ impl WorldState {
     /// Fig. 6(b)'s coverage ratio. Targets with no sensor in range are a
     /// property of the random deployment, not of scheduling, and are
     /// excluded the way the paper's 0 %-missing baselines imply. 1.0 when
-    /// no coverable target is present.
-    /// O(dirty clusters) per call: served by the incremental cache
-    /// ([`coverage::naive_coverage_ratio`] is the brute-force recompute
-    /// kept as the differential oracle).
+    /// no coverable target is present. O(clusters): one rota probe per
+    /// cluster ([`coverage::ratio`]).
     pub(crate) fn coverage_ratio(&self) -> f64 {
         coverage::ratio(self)
     }

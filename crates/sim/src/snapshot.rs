@@ -27,13 +27,11 @@
 //! the field/base geometry, the communication graph (deterministic from
 //! sensor positions), the ERP controller, the scheduler (rebuilt from the
 //! stored `seed` — the only seeded policy, Partition, keeps nothing but
-//! its seed), the incremental coverage cache (rebuilt from ground
-//! truth; its reads are always recount-exact, so a fresh cache continues
-//! identically to a dirty one), the cluster-repair baseline (a pure
-//! function of the sensor positions and the restored target anchors),
-//! and the event-incremental routing tree (a pure function of the
-//! restored enabled/generator sets — only its maintained loads and the
-//! one pending-refresh bit are stored).
+//! its seed), the alive counter (recounted from the battery levels), the
+//! cluster-repair baseline (a pure function of the sensor positions and
+//! the restored target anchors), and the event-incremental routing tree
+//! (a pure function of the restored enabled/generator sets — only its
+//! maintained loads and the one pending-refresh bit are stored).
 //!
 //! Decoding validates everything later code indexes or asserts on:
 //! sensor and target positions inside the field, sensor/cluster/group ids
@@ -367,7 +365,7 @@ fn sized<T>(v: Vec<T>, n: usize, what: &str) -> Result<Vec<T>> {
 
 /// Decodes a snapshot back into a world state, rebuilding derived state
 /// (geometry, comm graph, cluster-repair baseline, ERP controller,
-/// scheduler, coverage cache).
+/// scheduler, alive counter).
 pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
     frame::check_header(bytes, MAGIC, VERSION)?;
     let mut d = Dec::new(&bytes[frame::HEADER_LEN..]);
@@ -489,8 +487,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
 
     // Re-derive everything that is a pure function of config + stored
     // state: the base, the comm graph over [base, sensors…], the ERP
-    // controller, the scheduler (from the stored seed), the coverage
-    // cache (recounted from ground truth).
+    // controller, the scheduler (from the stored seed), the alive counter
+    // (recounted from the battery levels).
     let base = field.center();
     let mut node_pos = Vec::with_capacity(n + 1);
     node_pos.push(base);
@@ -544,6 +542,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         t,
         base,
         sensor_pos,
+        alive: sensors.count_alive(),
         sensors,
         target_pos,
         target_next_move,
@@ -578,7 +577,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         rv_breakdowns,
         uplink_drops,
         replan_urgent,
-        coverage: engine::coverage::CoverageCache::default(),
         // Derived dispatch/repair accelerators are not serialized: the
         // crossing bookkeeping restarts with every sensor in its next-scan
         // set (the first post-resume scan examines every sensor, exactly
@@ -598,7 +596,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         rv_drawn_j,
         cfg,
     };
-    engine::coverage::rebuild(&mut state);
     engine::energy::rebuild_draws(&mut state);
     // Snapshots from builds without request-group compaction may hold
     // more groups than a refresh leaves behind.

@@ -65,9 +65,12 @@ pub struct StepTimings {
     pub dispatch_ns: u64,
     /// Phase 8 — RV fleet execution.
     pub fleet_ns: u64,
-    /// Phase 9 — coverage flush + metrics sampling.
+    /// Phase 9 — metrics sampling (coverage ratio, alive count).
     pub sample_ns: u64,
 }
+
+/// Picks the [`StepTimings`] bucket a pipeline phase's time goes to.
+type Bucket = fn(&mut StepTimings) -> &mut u64;
 
 impl StepTimings {
     /// Sum over all phases (ns).
@@ -151,31 +154,20 @@ impl World {
     }
 
     /// Fraction of coverable targets currently monitored by a live sensor
-    /// — Fig. 6(b)'s coverage ratio. Served by the incremental coverage
-    /// cache in O(dirty clusters); see [`World::oracle_coverage_ratio`]
-    /// for the brute-force recompute it is tested against.
+    /// — Fig. 6(b)'s coverage ratio. O(clusters): one round-robin rota
+    /// probe per cluster, which fails over to any on-duty member.
     pub fn coverage_ratio(&self) -> f64 {
         self.state.coverage_ratio()
     }
 
-    /// Brute-force recompute of [`World::coverage_ratio`] that rescans
-    /// every cluster member — the differential oracle for the incremental
-    /// coverage cache. The two must agree **exactly** on every tick; the
-    /// debug invariant checker and `tests/chaos_properties.rs` enforce it.
-    /// Exposed for the differential test layer and benchmarks.
-    pub fn oracle_coverage_ratio(&self) -> f64 {
-        engine::coverage::naive_coverage_ratio(&self.state)
-    }
-
-    /// Brute-force recompute of [`World::alive_count`] (rescans every
-    /// battery) — the oracle for the cached alive counter.
+    /// Full recount of [`World::alive_count`] (rescans every battery) —
+    /// the oracle for the exact alive counter.
     pub fn oracle_alive_count(&self) -> usize {
-        engine::coverage::naive_alive_count(&self.state)
+        self.state.sensors.count_alive()
     }
 
-    /// `(covered, total)` cluster counts from the coverage cache — the
-    /// integer form of [`World::coverage_ratio`], for diagnostics and the
-    /// ASCII renderer.
+    /// `(covered, total)` cluster counts — the integer form of
+    /// [`World::coverage_ratio`], for diagnostics and the ASCII renderer.
     pub fn covered_clusters(&self) -> (usize, usize) {
         engine::coverage::covered_clusters(&self.state)
     }
@@ -268,15 +260,24 @@ impl World {
     /// the order is part of the determinism contract — subsystems draw
     /// from the shared RNG in pipeline order.
     pub fn step(&mut self) {
+        self.run_phases(|_| {});
+    }
+
+    /// The phase pipeline of [`World::step`] and [`World::step_timed`]:
+    /// calls `lap` with each phase's [`StepTimings`] bucket right after
+    /// the phase ran (a no-op for `step`, a stopwatch for `step_timed`).
+    fn run_phases(&mut self, mut lap: impl FnMut(Bucket)) {
         let state = &mut self.state;
         let dt = state.cfg.tick_s;
 
         // 1. Mobility: target motion, rebuilding clustering when coverage
         //    may have changed.
         engine::mobility::step_targets(state, dt);
+        lap(|t| &mut t.mobility_ns);
 
         // 2. Activity: round-robin slot handover…
         engine::activity::advance_slots(state);
+        lap(|t| &mut t.activity_ns);
 
         // 3. Chaos engine: transient-outage resume/suspend and RV
         //    repair/breakdown (draws no RNG when all fault rates are 0).
@@ -285,6 +286,7 @@ impl World {
         // 4. Energy: failure injection (Poisson per-sensor hardware
         //    faults; returns immediately — touching no RNG — at rate 0).
         engine::energy::inject_failures(state, dt);
+        lap(|t| &mut t.faults_ns);
 
         // 5. …activity/routing/relay-load refresh where phases 1–4 left
         //    them stale: replays the dirty queues event-incrementally, or
@@ -292,9 +294,11 @@ impl World {
         if state.routing_dirty.any() {
             engine::activity::refresh_routing(state);
         }
+        lap(|t| &mut t.routing_ns);
 
         // 6. …then sensor battery drain under the refreshed loads.
         engine::energy::drain_sensors(state, dt);
+        lap(|t| &mut t.drain_ns);
 
         // 7. Dispatch: request-board upkeep (threshold checks + ERC
         //    gating, lossy-uplink retransmits), then batched recharge
@@ -303,19 +307,19 @@ impl World {
         if state.t >= state.next_plan_ok && engine::dispatch::should_plan(state) {
             engine::dispatch::plan_routes(state);
         }
+        lap(|t| &mut t.dispatch_ns);
 
         // 8. Fleet: RV execution (movement / charging / self-charge /
         //    broken), exact in sub-tick time.
         for i in 0..state.rvs.len() {
             engine::fleet::step_rv(state, i, dt);
         }
+        lap(|t| &mut t.fleet_ns);
 
-        // 9. Metrics sampling. Settle the coverage cache's dirty set
-        //    first (O(dirty clusters)); the alive/coverage reads below
-        //    are then O(1) instead of O(sensors × targets).
+        // 9. Metrics sampling: the alive counter is exact, the coverage
+        //    ratio one rota probe per cluster.
         if state.t >= state.next_sample {
             state.next_sample = state.t + state.cfg.sample_every_s;
-            engine::coverage::flush(state);
             let alive = state.alive_count();
             let nonfunctional = 1.0 - alive as f64 / state.cfg.num_sensors.max(1) as f64;
             let coverage = state.coverage_ratio();
@@ -325,6 +329,7 @@ impl World {
         }
 
         state.t += dt;
+        lap(|t| &mut t.sample_ns);
 
         // In debug builds, audit the whole-state invariants every tick —
         // every test run doubles as a consistency sweep.
@@ -456,72 +461,18 @@ impl World {
 
     /// [`World::step`] with a wall-clock stopwatch around each phase.
     ///
-    /// Behaviourally identical to `step` (same calls, same order — a
-    /// property `world::tests::step_timed_matches_step` pins bitwise);
-    /// kept as a separate pipeline so the hot `step` path carries no
-    /// timing overhead. Used by the criterion bench for the per-phase
-    /// breakdown in `results/BENCH_tick.json`.
+    /// The same pipeline as `step` (one function, a property
+    /// `world::tests::step_timed_matches_step` pins bitwise), with each
+    /// phase's lap added to its bucket. Used by the criterion bench for
+    /// the per-phase breakdown in `results/BENCH_tick.json`.
     pub fn step_timed(&mut self) -> StepTimings {
-        use std::time::Instant;
         let mut timings = StepTimings::default();
-        let mut clock = Instant::now();
-        let mut lap = |acc: &mut u64| {
-            let now = Instant::now();
-            *acc += (now - clock).as_nanos() as u64;
+        let mut clock = std::time::Instant::now();
+        self.run_phases(|bucket| {
+            let now = std::time::Instant::now();
+            *bucket(&mut timings) += (now - clock).as_nanos() as u64;
             clock = now;
-        };
-
-        let state = &mut self.state;
-        let dt = state.cfg.tick_s;
-
-        engine::mobility::step_targets(state, dt);
-        lap(&mut timings.mobility_ns);
-
-        engine::activity::advance_slots(state);
-        lap(&mut timings.activity_ns);
-
-        engine::faults::step(state, dt);
-        engine::energy::inject_failures(state, dt);
-        lap(&mut timings.faults_ns);
-
-        if state.routing_dirty.any() {
-            engine::activity::refresh_routing(state);
-        }
-        lap(&mut timings.routing_ns);
-
-        engine::energy::drain_sensors(state, dt);
-        lap(&mut timings.drain_ns);
-
-        engine::dispatch::manage_requests(state);
-        if state.t >= state.next_plan_ok && engine::dispatch::should_plan(state) {
-            engine::dispatch::plan_routes(state);
-        }
-        lap(&mut timings.dispatch_ns);
-
-        for i in 0..state.rvs.len() {
-            engine::fleet::step_rv(state, i, dt);
-        }
-        lap(&mut timings.fleet_ns);
-
-        if state.t >= state.next_sample {
-            state.next_sample = state.t + state.cfg.sample_every_s;
-            engine::coverage::flush(state);
-            let alive = state.alive_count();
-            let nonfunctional = 1.0 - alive as f64 / state.cfg.num_sensors.max(1) as f64;
-            let coverage = state.coverage_ratio();
-            state
-                .metrics
-                .sample(state.t, coverage, nonfunctional, alive);
-        }
-
-        state.t += dt;
-        lap(&mut timings.sample_ns);
-
-        #[cfg(debug_assertions)]
-        if let Err(violation) = engine::invariants::check(state) {
-            panic!("invariant violated at t = {} s: {violation}", state.t);
-        }
-
+        });
         timings
     }
 }

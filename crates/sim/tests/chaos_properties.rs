@@ -6,10 +6,10 @@
 //! these cases sweeps energy conservation and board/route/phase
 //! consistency across thousands of fault interleavings.
 //!
-//! This suite is also the **differential-oracle layer** for the
-//! incremental coverage cache: the `coverage_cache_*` properties step
-//! worlds tick by tick and demand exact equality between the cached
-//! `coverage_ratio`/`alive_count` and their brute-force recomputes under
+//! It also checks the sample-phase accounting: the `alive_count_*` and
+//! `coverage_*` properties step worlds tick by tick and demand that the
+//! exact alive counter equals a full recount, that `coverage_ratio` is the
+//! `covered_clusters` fraction, and that reads never perturb a run, under
 //! random fault schedules and teleporting targets. Unlike the per-tick
 //! debug audit, these assertions also run when the suite is compiled
 //! `--release` (CI runs both profiles).
@@ -164,24 +164,22 @@ proptest! {
     }
 
     #[test]
-    fn coverage_cache_equals_oracle_every_tick(cfg in arb_config(), seed in 0u64..1_000) {
-        // The headline differential property: on every single tick of a
-        // run under a random fault schedule, the incremental coverage
-        // cache must agree EXACTLY (f64 `==`, integer `==`) with the
-        // brute-force recompute over all sensors × clusters. Target
-        // teleports are forced to happen mid-run so cluster rebuilds are
-        // exercised, not just event-wise updates.
+    fn alive_count_equals_oracle_every_tick(cfg in arb_config(), seed in 0u64..1_000) {
+        // On every single tick of a run under a random fault schedule,
+        // the exact alive counter must equal the recount over all
+        // batteries, and the coverage ratio must be the covered-cluster
+        // fraction. Target teleports are forced to happen mid-run so
+        // cluster rebuilds are exercised, not just battery transitions.
         let mut cfg = cfg;
         cfg.target_period_s = 7_200.0; // several teleports per simulated day
         let mut w = World::new(&cfg, seed);
         loop {
             prop_assert_eq!(
-                w.coverage_ratio(),
-                w.oracle_coverage_ratio(),
-                "cache != oracle at t = {} s",
+                w.alive_count(),
+                w.oracle_alive_count(),
+                "alive counter != recount at t = {} s",
                 w.time()
             );
-            prop_assert_eq!(w.alive_count(), w.oracle_alive_count());
             let (covered, total) = w.covered_clusters();
             if total == 0 {
                 prop_assert_eq!(w.coverage_ratio(), 1.0);
@@ -197,9 +195,8 @@ proptest! {
 
     #[test]
     fn coverage_cache_is_read_only(cfg in arb_config(), seed in 0u64..1_000) {
-        // Interleaving cache reads between ticks (as render/watch loops
-        // do) must not change the run: reads are non-mutating even while
-        // the dirty-set is populated.
+        // Interleaving coverage/alive reads between ticks (as render/watch
+        // loops do) must not change the run: reads are non-mutating.
         let plain = World::new(&cfg, seed).run();
         let mut probed = World::new(&cfg, seed);
         let mut ticks = 0u64;

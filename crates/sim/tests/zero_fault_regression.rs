@@ -9,13 +9,11 @@
 //! a zero-fault run, which breaks seed reproducibility for every
 //! existing experiment. Compare with `==`, not a tolerance.
 //!
-//! The incremental coverage cache rides on the same contract: it draws
-//! **no** RNG and must reproduce the pre-cache sampled reports (coverage
-//! %, nonfunctional %, alive counts) bit for bit. The pins below predate
-//! the cache, so their continued exactness *is* the cache-on ≡ cache-off
-//! regression; [`assert_pinned`] additionally cross-checks the cached
-//! coverage/alive values against their brute-force oracles at the end of
-//! every pinned run.
+//! The sample-phase accounting rides on the same contract: it draws
+//! **no** RNG and must reproduce the pinned sampled reports (coverage %,
+//! nonfunctional %, alive counts) bit for bit; [`assert_pinned`]
+//! additionally cross-checks the exact alive counter against a full
+//! recount at the end of every pinned run.
 
 use wrsn_sim::{ActivityConfig, FaultConfig, SimConfig, World};
 
@@ -53,11 +51,9 @@ fn assert_pinned(cfg: &SimConfig, seed: u64, pin: &Pin) {
     assert_eq!(out.rv_breakdowns, 0);
     assert_eq!(out.transient_faults, 0);
     assert_eq!(out.uplink_drops, 0);
-    // The incremental coverage cache serves `final_alive` and the sampled
-    // coverage series above; its end-of-run state must also agree exactly
-    // with the brute-force oracles (the differential contract, release
-    // builds included).
-    assert_eq!(w.coverage_ratio(), w.oracle_coverage_ratio());
+    // The exact alive counter serves `final_alive` and the sampled
+    // nonfunctional series above; it must also agree with a full recount
+    // (release builds included).
     assert_eq!(w.alive_count(), w.oracle_alive_count());
     assert_eq!(w.alive_count(), pin.alive);
 }
@@ -129,11 +125,10 @@ fn legacy_activation_run_matches_pre_chaos_baseline() {
 
 #[test]
 fn teleport_heavy_run_matches_coverage_cache_introduction_baseline() {
-    // Captured when the incremental coverage cache landed, from a run
-    // whose 6-hourly target teleports force ~16 cluster rebuilds (the
-    // cache's wholesale-rebuild path) on top of the event-wise updates.
-    // Guards the cache era the way the pins above guard the chaos era:
-    // any future cache change that perturbs RNG order or the sampled
+    // Captured when an incremental coverage cache landed (since replaced
+    // by a per-read rota probe), from a run whose 6-hourly target
+    // teleports force ~16 cluster rebuilds. Any change to the
+    // sample-phase accounting that perturbs RNG order or the sampled
     // coverage series shows up as exact-literal drift here.
     let mut cfg = tiny(4.0);
     cfg.target_period_s = 6.0 * 3_600.0;
@@ -219,8 +214,7 @@ fn large_scale_run_matches_pre_soa_baseline() {
         0x01260074fce9ce14,
         "snapshot bytes drifted: some state byte differs from the pre-SoA engine"
     );
-    // Cache/oracle cross-checks hold at scale too.
-    assert_eq!(w.coverage_ratio(), w.oracle_coverage_ratio());
+    // The alive counter matches its recount at scale too.
     assert_eq!(w.alive_count(), w.oracle_alive_count());
 }
 
