@@ -17,7 +17,7 @@
 
 use wrsn_bench::{run_sweep, ExpOptions, GridPoint};
 use wrsn_core::SchedulerKind;
-use wrsn_metrics::{write_csv, Table};
+use wrsn_metrics::Table;
 
 fn main() {
     let opts = ExpOptions::from_args();
@@ -66,9 +66,5 @@ fn main() {
             3,
         );
     }
-    print!("{}", table.render());
-
-    let path = opts.out_dir.join("extensions.csv");
-    write_csv(&table, &path).expect("write CSV");
-    eprintln!("wrote {}", path.display());
+    opts.emit(&table, "extensions.csv");
 }

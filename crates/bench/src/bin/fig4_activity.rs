@@ -16,7 +16,7 @@
 
 use wrsn_bench::{run_sweep, ExpOptions, GridPoint};
 use wrsn_core::SchedulerKind;
-use wrsn_metrics::{write_csv, Table};
+use wrsn_metrics::Table;
 use wrsn_sim::ActivityConfig;
 
 fn main() {
@@ -89,10 +89,6 @@ fn main() {
             3,
         );
     }
-    print!("{}", table.render());
+    opts.emit(&table, "fig4_activity.csv");
     println!("\npaper shape: 'With ERC - With RR' lowest in every column; management saves ≈16 %.");
-
-    let path = opts.out_dir.join("fig4_activity.csv");
-    write_csv(&table, &path).expect("write CSV");
-    eprintln!("wrote {}", path.display());
 }

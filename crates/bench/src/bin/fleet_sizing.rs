@@ -14,7 +14,7 @@
 
 use wrsn_bench::{run_jobs, ExpOptions};
 use wrsn_core::SchedulerKind;
-use wrsn_metrics::{write_csv, Table};
+use wrsn_metrics::Table;
 use wrsn_sim::batch::JobSpec;
 
 fn main() {
@@ -69,11 +69,7 @@ fn main() {
             3,
         );
     }
-    print!("{}", table.render());
+    opts.emit(&table, "fleet_sizing.csv");
     println!("\nexpected shape: zero RVs lose the dense-duty sensors within weeks (the paper's");
     println!("motivation); returns diminish once fleet delivery capacity exceeds network drain.");
-
-    let path = opts.out_dir.join("fleet_sizing.csv");
-    write_csv(&table, &path).expect("write CSV");
-    eprintln!("wrote {}", path.display());
 }

@@ -19,7 +19,7 @@
 use wrsn_bench::{run_sweep, ExpOptions, GridPoint};
 use wrsn_core::SchedulerKind;
 use wrsn_geom::Deployment;
-use wrsn_metrics::{write_csv, Table};
+use wrsn_metrics::Table;
 use wrsn_sim::TargetMobility;
 
 fn main() {
@@ -104,9 +104,5 @@ fn main() {
             2,
         );
     }
-    print!("{}", table.render());
-
-    let path = opts.out_dir.join("robustness.csv");
-    write_csv(&table, &path).expect("write CSV");
-    eprintln!("wrote {}", path.display());
+    opts.emit(&table, "robustness.csv");
 }

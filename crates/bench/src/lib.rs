@@ -1,12 +1,12 @@
 //! Shared experiment harness for the figure-regeneration binaries.
 //!
-//! Every `fig*` binary in `src/bin/` sweeps a parameter grid of 120-day
-//! simulations at the paper's Table II scale, prints the figure's series as
-//! an aligned table, and writes CSV under `results/`. Runs in a sweep are
-//! independent, so they fan out over worker threads via the deterministic
-//! [`wrsn_sim::batch`] driver (std-only: `std::thread::scope` + a shared
-//! claim counter — results come back in job order regardless of thread
-//! interleaving).
+//! Every figure binary in `src/bin/` sweeps a parameter grid of 120-day
+//! simulations at the paper's Table II scale, then hands each of its
+//! tables to [`ExpOptions::emit`], which prints it aligned and writes it
+//! as CSV under `results/`. Runs in a sweep are independent, so they fan
+//! out over worker threads via the deterministic [`wrsn_sim::batch`]
+//! driver (std-only: `std::thread::scope` + a shared claim counter —
+//! results come back in job order regardless of thread interleaving).
 //!
 //! Flags (parsed by [`ExpOptions::from_args`]): the four listed on
 //! [`ExpOptions`], plus every sweep flag of [`SweepOptions`] (journal and
@@ -14,7 +14,7 @@
 //! store), with the same meaning as in `wrsn sweep`.
 
 use std::path::PathBuf;
-use wrsn_metrics::{EvalReport, Summary};
+use wrsn_metrics::{EvalReport, Summary, Table};
 use wrsn_sim::batch::{JobPanic, JobSpec};
 use wrsn_sim::shard::WORKER_ENV;
 use wrsn_sim::sweep::{flag_usage, Args, SweepOptions, SWEEP_FLAGS};
@@ -70,10 +70,7 @@ impl ExpOptions {
         if let Some(tok) = &args.command {
             return Err(format!("unexpected argument `{tok}`"));
         }
-        let known = |name: &str| FLAGS.iter().chain(&SWEEP_FLAGS).any(|(f, _)| *f == name);
-        if let Some(name) = args.names().find(|name| !known(name)) {
-            return Err(format!("unknown flag --{name}"));
-        }
+        args.check(&[&FLAGS, &SWEEP_FLAGS])?;
         let quick = args.switch("quick")?;
         Ok(Self {
             days: args.num("days", if quick { 12.0 } else { 120.0 })?,
@@ -94,6 +91,20 @@ impl ExpOptions {
                 self.seeds, self.days
             );
         }
+    }
+
+    /// Prints `table` to stdout and writes it as CSV to `file` under the
+    /// output dir, creating the dir. Every figure CSV is written here.
+    ///
+    /// # Panics
+    /// Panics when the CSV cannot be written.
+    pub fn emit(&self, table: &Table, file: &str) {
+        print!("{}", table.render());
+        let path = self.out_dir.join(file);
+        std::fs::create_dir_all(&self.out_dir)
+            .and_then(|()| std::fs::write(&path, table.to_csv()))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!("wrote {}", path.display());
     }
 
     /// The base configuration for this experiment scale.

@@ -4,34 +4,118 @@ use wrsn_core::{balanced_clusters, CoverageMap, SchedulerKind};
 use wrsn_geom::{min_sensors_for_coverage, Field};
 use wrsn_metrics::Table;
 use wrsn_net::{CommGraph, RoutingTree};
-use wrsn_sim::sweep::{Args, SweepOptions};
+use wrsn_sim::sweep::{flag_usage, Args, SweepOptions, SWEEP_FLAGS};
 use wrsn_sim::{SimConfig, World};
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
+/// A flag list shaped like [`SWEEP_FLAGS`]: each flag's name without its
+/// leading `--`, and the placeholder its value is shown as (empty for a
+/// switch).
+type Flags = &'static [(&'static str, &'static str)];
+
+/// The deployment's size.
+const DEPLOY: Flags = &[("sensors", "N"), ("targets", "N"), ("field", "M")];
+/// The rest of the simulation config [`config_from`] reads.
+const CONFIG: Flags = &[
+    ("days", "N"),
+    ("rvs", "N"),
+    ("scheduler", "NAME"),
+    ("erp", "K"),
+    ("no-rr", ""),
+    ("failures", "RATE"),
+];
+/// The chaos engine's fault flags, described in [`usage`].
+const FAULT: Flags = &[
+    ("fault-rv-breakdowns", "R"),
+    ("fault-rv-repair-s", "LO:HI"),
+    ("fault-uplink-loss", "P"),
+    ("fault-transients", "R"),
+    ("fault-transient-s", "LO:HI"),
+];
+
+// Each subcommand's own flags, beside the shared lists above.
+const RUN: Flags = &[
+    ("seed", "S"),
+    ("trace", "FILE"),
+    ("record", "DIR"),
+    ("snap-every", "N"),
+];
+const WATCH: Flags = &[
+    ("seed", "S"),
+    ("frames", "N"),
+    ("width", "COLS"),
+    ("fps", "N"),
+];
+const SWEEP: Flags = &[("seed", "S"), ("points", "N"), ("csv", "FILE")];
+const AGENT: Flags = &[("listen", "HOST:PORT"), ("work-dir", "DIR")];
+const REPLAY: Flags = &[
+    ("run", "DIR"),
+    ("tick", "N"),
+    ("out", "FILE"),
+    ("from-zero", ""),
+    ("verify", ""),
+    ("info", ""),
+];
+const QUERY: Flags = &[
+    ("store", "DIR"),
+    ("list", ""),
+    ("coverage-below", "X"),
+    ("alive-below", "N"),
+    ("event", "KIND"),
+    ("within", "NEEDLE:ANCHOR:K"),
+    ("limit", "N"),
+];
+const INSPECT: Flags = &[("seed", "S"), ("sensing-range", "M"), ("comm-range", "M")];
+const ANALYZE: Flags = &[("rvs", "N"), ("no-rr", ""), ("utilization", "F")];
+
+/// A subcommand: its name, every flag it takes (`main` rejects any other
+/// before dispatch) and its entry point.
+pub type Command = (
+    &'static str,
+    &'static [Flags],
+    fn(&Args) -> Result<(), String>,
+);
+
+/// Every subcommand, in usage order.
+pub const COMMANDS: [Command; 9] = [
+    ("run", &[DEPLOY, CONFIG, FAULT, RUN], run),
+    ("watch", &[DEPLOY, CONFIG, FAULT, WATCH], watch),
+    (
+        "sweep",
+        &[DEPLOY, CONFIG, FAULT, SWEEP, &SWEEP_FLAGS],
+        sweep,
+    ),
+    ("agent", &[AGENT], agent),
+    ("replay", &[REPLAY], replay),
+    ("query", &[QUERY], query),
+    ("inspect", &[DEPLOY, INSPECT], inspect),
+    ("analyze", &[DEPLOY, ANALYZE], analyze),
+    ("schedulers", &[], schedulers),
+];
+
+/// `wrsn NAME --flag VALUE …`, indented and wrapped at 78 columns.
+pub fn synopsis((name, flags, _): &Command) -> String {
+    let mut lines = vec![format!("  wrsn {name:<8}")];
+    for flag in flags.iter().copied().flatten() {
+        let word = flag_usage(&[*flag]);
+        let line = lines.last_mut().expect("starts with the name");
+        if line.len() + 1 + word.len() > 78 {
+            lines.push(format!("{:15} {word}", ""));
+        } else {
+            *line += &format!(" {word}");
+        }
+    }
+    lines.join("\n")
+}
+
+/// Top-level usage text: one synopsis per subcommand, from [`COMMANDS`].
+pub fn usage() -> String {
+    let synopses: Vec<String> = COMMANDS.iter().map(synopsis).collect();
+    format!(
+        "\
 wrsn — joint wireless charging and sensor activity management (ICPP'15)
 
 USAGE:
-  wrsn run      [--days N] [--sensors N] [--targets N] [--rvs N] [--field M]
-                [--scheduler NAME] [--erp K] [--no-rr] [--seed S]
-                [--failures RATE] [--trace FILE] [fault flags]
-                [--record DIR] [--snap-every N]
-  wrsn watch    [same flags as run] [--frames N] [--width COLS] [--fps N]
-  wrsn sweep    [--scheduler NAME] [--days N] [--seed S] [--points N]
-                [--journal DIR] [--resume] [--timeout-s S] [--retries N]
-                [--shards N] [--shard-inflight N] [--shard-retries N]
-                [--lease-timeout-s S] [--chaos-workers P]
-                [--agents HOST:PORT,..] [--chaos-net P]
-                [--store DIR] [--store-snap-every N]
-                [--csv FILE] [fault flags]
-  wrsn agent    --listen HOST:PORT [--work-dir DIR]
-  wrsn replay   --run DIR [--tick N] [--out FILE] [--from-zero] [--verify]
-                [--info]
-  wrsn query    --store DIR [--list] [--coverage-below X] [--alive-below N]
-                [--event KIND] [--within NEEDLE:ANCHOR:K] [--limit N]
-  wrsn inspect  [--sensors N] [--targets N] [--field M] [--seed S]
-  wrsn analyze  [--sensors N] [--targets N] [--rvs N] [--utilization F]
-  wrsn schedulers
+{}
 
 Fault flags (chaos engine; every rate defaults to 0 = off):
   --fault-rv-breakdowns R   RV breakdowns per vehicle per day
@@ -42,7 +126,10 @@ Fault flags (chaos engine; every rate defaults to 0 = off):
 
 Defaults follow the paper's Table II (500 sensors, 15 targets, 3 RVs,
 200 m field, 120 days). `--scheduler` names: greedy, insertion,
-partition, combined, savings, deadline.";
+partition, combined, savings, deadline.",
+        synopses.join("\n")
+    )
+}
 
 fn scheduler_by_name(name: &str) -> Result<SchedulerKind, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -316,12 +403,13 @@ pub fn sweep(args: &Args) -> Result<(), String> {
 
 /// `wrsn inspect` — deployment diagnostics without running a simulation.
 pub fn inspect(args: &Args) -> Result<(), String> {
-    let n: usize = args.num("sensors", 500usize)?;
-    let m: usize = args.num("targets", 15usize)?;
-    let side: f64 = args.num("field", 200.0)?;
+    let cfg = SimConfig::paper_defaults();
+    let n: usize = args.num("sensors", cfg.num_sensors)?;
+    let m: usize = args.num("targets", cfg.num_targets)?;
+    let side: f64 = args.num("field", cfg.field_side)?;
     let seed: u64 = args.num("seed", 0)?;
-    let sensing: f64 = args.num("sensing-range", 8.0)?;
-    let comm: f64 = args.num("comm-range", 12.0)?;
+    let sensing: f64 = args.num("sensing-range", cfg.sensing_range)?;
+    let comm: f64 = args.num("comm-range", cfg.comm_range)?;
 
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -341,7 +429,7 @@ pub fn inspect(args: &Args) -> Result<(), String> {
     let graph = CommGraph::build(&nodes, comm);
     let tree = RoutingTree::toward(&graph, 0);
     // Every sensor generating the paper's λ: where does traffic pile up?
-    let mut gen = vec![15.0 / 60.0; nodes.len()];
+    let mut gen = vec![cfg.data_rate_pps; nodes.len()];
     gen[0] = 0.0;
     let stats = wrsn_net::network_stats(&tree, &gen);
     println!(
@@ -587,17 +675,11 @@ pub fn query(args: &Args) -> Result<(), String> {
             .ok_or_else(|| format!("unknown event kind `{name}` (names as in the trace CSV)"))
     };
     let mut preds = Vec::new();
-    if let Some(v) = args.opt("coverage-below") {
-        let th: f64 = v
-            .parse()
-            .map_err(|_| format!("--coverage-below: cannot parse `{v}`"))?;
-        preds.push(Predicate::CoverageBelow(th));
+    if args.opt("coverage-below").is_some() {
+        preds.push(Predicate::CoverageBelow(args.num("coverage-below", 0.0)?));
     }
-    if let Some(v) = args.opt("alive-below") {
-        let th: f64 = v
-            .parse()
-            .map_err(|_| format!("--alive-below: cannot parse `{v}`"))?;
-        preds.push(Predicate::AliveBelow(th));
+    if args.opt("alive-below").is_some() {
+        preds.push(Predicate::AliveBelow(args.num("alive-below", 0.0)?));
     }
     if let Some(v) = args.opt("event") {
         preds.push(Predicate::Event(parse_kind(v)?));
@@ -657,7 +739,7 @@ pub fn agent(args: &Args) -> Result<(), String> {
 }
 
 /// `wrsn schedulers` — list the available scheduling policies.
-pub fn schedulers() -> Result<(), String> {
+pub fn schedulers(_: &Args) -> Result<(), String> {
     println!("available schedulers (--scheduler NAME):");
     println!("  greedy      Algorithm 2: max-profit single-site dispatch (paper baseline)");
     println!("  insertion   Algorithm 3: profit-insertion route for one RV");
@@ -674,6 +756,27 @@ mod tests {
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn each_subcommand_names_each_flag_once() {
+        for (name, flags, _) in &COMMANDS {
+            let mut names: Vec<&str> = flags.concat().iter().map(|f| f.0).collect();
+            let count = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), count, "wrsn {name} repeats a flag");
+        }
+    }
+
+    #[test]
+    fn usage_has_one_synopsis_per_subcommand_within_78_columns() {
+        let usage = usage();
+        for (name, ..) in &COMMANDS {
+            let start = format!("  wrsn {name}");
+            assert!(usage.lines().any(|l| l.starts_with(&start)), "{start}");
+        }
+        assert!(usage.lines().all(|l| l.chars().count() <= 78), "{usage}");
     }
 
     #[test]

@@ -22,6 +22,6 @@ mod series;
 mod summary;
 
 pub use eval::{EvalMetrics, EvalReport};
-pub use report::{write_csv, Table};
+pub use report::Table;
 pub use series::TimeSeries;
 pub use summary::Summary;

@@ -1,8 +1,6 @@
 //! Aligned-table and CSV rendering for the figure-regeneration binaries.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// A simple column-aligned text table (the `fig*` binaries print the
 /// paper's series as rows).
@@ -82,14 +80,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Writes `table` as CSV to `path`, creating parent directories.
-pub fn write_csv(table: &Table, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, table.to_csv())
 }
 
 #[cfg(test)]

@@ -109,9 +109,24 @@ impl Args {
         Ok(out)
     }
 
-    /// The names of every flag given, in sorted order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
+    /// Checks every flag given against the flag lists in `known`, shaped
+    /// like [`SWEEP_FLAGS`]. Flags are checked in name order.
+    ///
+    /// # Errors
+    /// Returns `unknown flag --NAME` for a flag in none of the lists (one
+    /// another front end or subcommand takes, say), and `--NAME takes no
+    /// value` for a value given to a switch (an empty placeholder).
+    pub fn check(&self, known: &[&[(&str, &str)]]) -> Result<(), String> {
+        for (name, value) in &self.flags {
+            match known.iter().copied().flatten().find(|(f, _)| f == name) {
+                None => return Err(format!("unknown flag --{name}")),
+                Some((_, "")) => {
+                    Flag(name, Some(value)).switch()?;
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 
     /// String flag with a default.
@@ -311,9 +326,20 @@ mod tests {
         assert_eq!(a.get("scheduler", "greedy"), "combined");
         assert!(a.switch("quick").unwrap());
         assert!(!a.switch("verbose").unwrap());
+    }
+
+    #[test]
+    fn check_rejects_unknown_flags_and_valued_switches() {
+        let known: [&[(&str, &str)]; 2] = [&[("days", "N"), ("quick", "")], &SWEEP_FLAGS];
+        assert_eq!(args("run --days 2 --quick --resume").check(&known), Ok(()));
+        let err = |flags| args(flags).check(&known).unwrap_err();
+        assert_eq!(err("run --day 2"), "unknown flag --day");
+        assert_eq!(err("run --csv out.csv"), "unknown flag --csv");
+        assert_eq!(err("run --quick 3"), "--quick takes no value, got `3`");
+        assert_eq!(err("--resume yes"), "--resume takes no value, got `yes`");
         assert_eq!(
-            a.names().collect::<Vec<_>>(),
-            ["days", "quick", "scheduler"]
+            args("run --days 2").check(&[]),
+            Err("unknown flag --days".into())
         );
     }
 
