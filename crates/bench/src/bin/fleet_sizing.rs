@@ -3,7 +3,7 @@
 //! fleet — including the **no-recharging baseline** (m = 0) that motivates
 //! WRSNs in the first place. Sweeps the RV count under the Combined-Scheme
 //! at the paper's operating point and reports the §V metrics plus each
-//! fleet's charging utilization.
+//! fleet's charging utilization, each the mean over `--seeds N` seeds.
 //!
 //! ```sh
 //! cargo run --release -p wrsn-bench --bin fleet_sizing [-- --quick]
@@ -12,28 +12,27 @@
 //! Supports the shared sweep flags (`--journal`, `--resume`, `--shards`,
 //! `--chaos-workers`, …) like the figure binaries.
 
-use wrsn_bench::{run_jobs, ExpOptions};
+use wrsn_bench::{run_sweep, ExpOptions, GridPoint};
 use wrsn_core::SchedulerKind;
 use wrsn_metrics::Table;
-use wrsn_sim::batch::JobSpec;
 
 fn main() {
     let opts = ExpOptions::from_args();
     let fleet_sizes = [0usize, 1, 2, 3, 4, 6];
-    let jobs: Vec<JobSpec> = fleet_sizes
+    let grid: Vec<GridPoint> = fleet_sizes
         .iter()
         .map(|&m| {
             let mut cfg = opts.base_config();
             cfg.scheduler = SchedulerKind::Combined;
             cfg.num_rvs = m;
-            JobSpec {
+            GridPoint {
                 label: format!("fleet/m={m}"),
                 config: cfg,
-                seed: 0,
             }
         })
         .collect();
-    let outcomes = run_jobs(&jobs, &opts);
+    opts.announce("fleet_sizing", grid.len());
+    let results = run_sweep(grid, &opts);
 
     let mut table = Table::new(
         "Fleet sizing — Combined-Scheme, Table II workload",
@@ -47,24 +46,21 @@ fn main() {
             "util %",
         ],
     );
-    for (&m, outcome) in fleet_sizes.iter().zip(&outcomes) {
-        let out = match outcome {
-            Ok(out) => out,
-            Err(panic) => {
-                eprintln!("m={m} failed: {}", panic.message);
-                continue;
-            }
-        };
-        let cost = out.report.recharging_cost_m_per_sensor;
+    for (&m, r) in fleet_sizes.iter().zip(&results) {
+        // Every seed failed: `run_sweep` has reported each one.
+        if r.failed_seeds.len() as u64 == opts.seeds {
+            continue;
+        }
+        let cost = r.report.recharging_cost_m_per_sensor;
         table.row_f64(
             &format!("{m} RVs"),
             &[
-                out.report.travel_energy_mj,
-                out.report.recharged_mj,
-                out.report.coverage_ratio_pct,
-                out.report.nonfunctional_pct,
+                r.report.travel_energy_mj,
+                r.report.recharged_mj,
+                r.report.coverage_ratio_pct,
+                r.report.nonfunctional_pct,
                 if cost.is_finite() { cost } else { -1.0 },
-                out.rv_charging_utilization * 100.0,
+                r.rv_charging_utilization * 100.0,
             ],
             3,
         );

@@ -14,7 +14,7 @@
 //! store), with the same meaning as in `wrsn sweep`.
 
 use std::path::PathBuf;
-use wrsn_metrics::{EvalReport, Summary, Table};
+use wrsn_metrics::{EvalReport, Table};
 use wrsn_sim::batch::{JobPanic, JobSpec};
 use wrsn_sim::shard::WORKER_ENV;
 use wrsn_sim::sweep::{flag_usage, Args, SweepOptions, SWEEP_FLAGS};
@@ -29,8 +29,8 @@ pub struct ExpOptions {
     /// Simulated days per run (`--days N`; default 120, or 12 with
     /// `--quick`).
     pub days: f64,
-    /// Seeds averaged per grid point (`--seeds N`; default 1, the paper's
-    /// single-run style).
+    /// Seeds averaged per grid point (`--seeds N`, at least 1; default 1,
+    /// the paper's single-run style).
     pub seeds: u64,
     /// Quarter-scale network (`--quick`), for smoke runs and CI.
     pub quick: bool,
@@ -72,9 +72,13 @@ impl ExpOptions {
         }
         args.check(&[&FLAGS, &SWEEP_FLAGS])?;
         let quick = args.switch("quick")?;
+        let seeds = args.num("seeds", 1)?;
+        if seeds == 0 {
+            return Err("--seeds must be at least 1".into());
+        }
         Ok(Self {
             days: args.num("days", if quick { 12.0 } else { 120.0 })?,
-            seeds: args.num("seeds", 1)?,
+            seeds,
             quick,
             out_dir: PathBuf::from(args.get("out", "results")),
             sweep: SweepOptions::from_flags(|name| args.opt(name))?,
@@ -138,9 +142,9 @@ pub struct GridResult {
     pub label: String,
     /// Mean of each metric over the seeds that completed.
     pub report: EvalReport,
-    /// Standard deviation of the travel-energy metric (0 for one seed) —
-    /// a cheap stability indicator for the sweep tables.
-    pub travel_std_mj: f64,
+    /// Mean RV charging utilization over the seeds that completed
+    /// ([`SimOutcome::rv_charging_utilization`]).
+    pub rv_charging_utilization: f64,
     /// Seeds whose run panicked (empty on a clean sweep). The mean above
     /// covers the surviving seeds only; a point where *every* seed failed
     /// reports a zeroed mean.
@@ -171,11 +175,11 @@ pub fn run_sweep(grid: Vec<GridPoint>, opts: &ExpOptions) -> Vec<GridResult> {
     grid.into_iter()
         .zip(outcomes.chunks(opts.seeds.max(1) as usize))
         .map(|(point, chunk)| {
-            let mut rs: Vec<EvalReport> = Vec::new();
+            let mut done: Vec<&SimOutcome> = Vec::new();
             let mut failed_seeds = Vec::new();
             for (seed, outcome) in chunk.iter().enumerate() {
                 match outcome {
-                    Ok(o) => rs.push(o.report),
+                    Ok(o) => done.push(o),
                     Err(e) => {
                         failed_seeds.push(seed as u64);
                         eprintln!(
@@ -185,13 +189,10 @@ pub fn run_sweep(grid: Vec<GridPoint>, opts: &ExpOptions) -> Vec<GridResult> {
                     }
                 }
             }
-            let mean = mean_report(&rs);
-            let travel: Vec<f64> = rs.iter().map(|r| r.travel_energy_mj).collect();
-            let travel_std_mj = Summary::of(&travel).map(|s| s.std_dev).unwrap_or(0.0);
             GridResult {
                 label: point.label,
-                report: mean,
-                travel_std_mj,
+                report: mean_report(&done),
+                rv_charging_utilization: mean(&done, |o| o.rv_charging_utilization),
                 failed_seeds,
             }
         })
@@ -222,9 +223,13 @@ pub fn run_jobs(jobs: &[JobSpec], opts: &ExpOptions) -> Vec<Result<SimOutcome, J
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn mean_report(rs: &[EvalReport]) -> EvalReport {
-    let n = rs.len().max(1) as f64;
-    let avg = |f: fn(&EvalReport) -> f64| rs.iter().map(f).sum::<f64>() / n;
+/// Mean of `f` over `outcomes`, 0 when there are none.
+fn mean(outcomes: &[&SimOutcome], f: impl Fn(&SimOutcome) -> f64) -> f64 {
+    outcomes.iter().map(|&o| f(o)).sum::<f64>() / outcomes.len().max(1) as f64
+}
+
+fn mean_report(outcomes: &[&SimOutcome]) -> EvalReport {
+    let avg = |f: fn(&EvalReport) -> f64| mean(outcomes, |o| f(&o.report));
     EvalReport {
         travel_distance_m: avg(|r| r.travel_distance_m),
         travel_energy_mj: avg(|r| r.travel_energy_mj),
@@ -234,7 +239,7 @@ fn mean_report(rs: &[EvalReport]) -> EvalReport {
         missing_rate_pct: avg(|r| r.missing_rate_pct),
         nonfunctional_pct: avg(|r| r.nonfunctional_pct),
         recharging_cost_m_per_sensor: avg(|r| r.recharging_cost_m_per_sensor),
-        recharge_visits: (rs.iter().map(|r| r.recharge_visits).sum::<u64>() as f64 / n) as u64,
+        recharge_visits: mean(outcomes, |o| o.report.recharge_visits as f64) as u64,
     }
 }
 
@@ -249,6 +254,7 @@ mod tests {
     use std::time::Duration;
     use wrsn_core::SchedulerKind;
     use wrsn_sim::batch::SupervisorOptions;
+    use wrsn_sim::World;
 
     fn two_seeds() -> ExpOptions {
         ExpOptions {
@@ -275,6 +281,34 @@ mod tests {
         assert_eq!(results[1].label, "b");
         assert!(results[0].report.coverage_ratio_pct >= 0.0);
         assert!(results.iter().all(|r| r.failed_seeds.is_empty()));
+    }
+
+    #[test]
+    fn sweep_means_every_column_over_the_seeds() {
+        let mut cfg = SimConfig::small(1.0);
+        cfg.num_sensors = 40;
+        cfg.num_targets = 2;
+        cfg.initial_soc = (0.2, 0.4); // the RVs charge within the day
+        let grid = vec![GridPoint {
+            label: "a".into(),
+            config: cfg.clone(),
+        }];
+        let result = &run_sweep(grid, &two_seeds())[0];
+        let runs: Vec<SimOutcome> = (0..2).map(|s| World::new(&cfg, s).run()).collect();
+        let mean = |f: fn(&SimOutcome) -> f64| (f(&runs[0]) + f(&runs[1])) / 2.0;
+        assert!(result.rv_charging_utilization > 0.0);
+        assert_eq!(
+            result.rv_charging_utilization,
+            mean(|o| o.rv_charging_utilization)
+        );
+        assert_eq!(
+            result.report.travel_energy_mj,
+            mean(|o| o.report.travel_energy_mj)
+        );
+        assert_eq!(
+            result.report.coverage_ratio_pct,
+            mean(|o| o.report.coverage_ratio_pct)
+        );
     }
 
     #[test]
@@ -373,7 +407,7 @@ mod tests {
         let second = run_sweep(mk(), &opts); // every run replayed from the journal
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.report, b.report);
-            assert_eq!(a.travel_std_mj, b.travel_std_mj);
+            assert_eq!(a.rv_charging_utilization, b.rv_charging_utilization);
             assert!(a.failed_seeds.is_empty() && b.failed_seeds.is_empty());
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -407,6 +441,11 @@ mod tests {
             "--quick takes no value, got `extra`"
         );
         assert!(parse("--seeds two").unwrap_err().starts_with("--seeds: "));
+        // Zero seeds would run nothing and average over no runs.
+        assert_eq!(
+            parse("--seeds 0").unwrap_err(),
+            "--seeds must be at least 1"
+        );
     }
 
     #[test]

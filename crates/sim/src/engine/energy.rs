@@ -13,8 +13,9 @@
 //! [`refresh_draws`] recomputes just the changed entries at the start of
 //! the drain phase (the routing tree reports only loads that moved net),
 //! seeds a dispatch re-check for each entry that rose, and
-//! [`drain_sensors`] is then a min/subtract/sum pass over levels and that
-//! column (DESIGN.md §4j).
+//! [`drain_sensors`] is then a min/subtract pass over levels and that
+//! column, with the energy drawn added to the total by a whole-ulp count
+//! that a repeating tick reuses ([`add_drawn`], DESIGN.md §4j).
 //! [`drain_sensors_naive`] derives every draw from scratch and stays in
 //! the build as the differential oracle.
 
@@ -159,18 +160,20 @@ fn recompute_stale_draws(state: &mut WorldState) {
 
 /// Integrates one tick of battery drain for every live sensor.
 ///
-/// After [`refresh_draws`], the fast path is one pass over two columns,
-/// levels and [`SensorSoA::tick_draw_j`]: per lane `d = min(draw, level)`,
-/// `level -= d`, `total += d`, with the total summed in sensor order.
-/// Depleted lanes are masked to a zero demand (`level -= 0.0` and
-/// `total += 0.0` are bitwise no-ops for the non-negative levels the
+/// After [`refresh_draws`], the fast path is one pass over the columns:
+/// per lane `d = min(draw, level)`, `level -= d`, and `d` is kept in
+/// [`SensorSoA::drawn`]. Depleted lanes are masked to a zero demand
+/// (`level -= 0.0` is a bitwise no-op for the non-negative levels the
 /// battery maintains, so masking matches the naive loop's `continue`
 /// byte for byte), and suspended lanes hold a zero draw. With
 /// self-discharge on, the level-dependent term is added on top in the
-/// naive loop's expression order. Depletion transitions are queued and
-/// replayed after the sweep in the same ascending order the naive loop
-/// fires them (transition side effects never feed back into other
-/// sensors' draws within the tick, so deferral is invisible).
+/// naive loop's expression order. What the lanes gave up is then added
+/// to the total with the bits of the naive loop's in-order sum
+/// ([`add_drawn`]).
+/// Depletion transitions are queued and replayed after the sweep in the
+/// same ascending order the naive loop fires them (transition side
+/// effects never feed back into other sensors' draws within the tick, so
+/// deferral is invisible).
 ///
 /// [`drain_sensors_naive`] keeps the historical per-sensor loop, which
 /// derives each draw from the activity class and relay load itself, as
@@ -187,18 +190,24 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
         level,
         tick_draw_j,
         flags,
+        drawn,
+        drawn_ulps,
         ..
     } = &mut state.sensors;
     let mut transitions = Vec::new();
-    drain_lanes(
+    let changed = drain_lanes(
         level,
         tick_draw_j,
         flags,
         state.cfg.self_discharge_per_day,
         dt,
-        &mut state.total_drained_j,
+        drawn,
         &mut transitions,
     );
+    if changed {
+        drawn_ulps.valid = false;
+    }
+    add_drawn(&mut state.total_drained_j, drawn, drawn_ulps);
     // Replay depletion transitions in the naive loop's (ascending) order,
     // with its test that the depletion is not already recorded.
     for &s32 in &transitions {
@@ -217,14 +226,19 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
     }
 }
 
-/// The column kernel: drains every lane of `levels` by its `draws`
-/// entry, adds what was drawn to `total` in lane order, and queues the
-/// lanes that reached zero this tick, ascending. It is kept out of line
-/// and fills a caller's queue so that its loop compiles to a dozen
-/// instructions per lane with the running total in a register. Inlined
-/// into [`drain_sensors`], or owning its queue, the loop kept the total
-/// and each lane's draw on the stack, a store and a reload per lane, and
-/// the traced paper run spent twice as long in it.
+/// The lane kernel: drains every lane of `levels` by its `draws` entry,
+/// stores what each lane gave up in `drawn`, and queues the lanes that
+/// reached zero this tick, ascending. Returns whether any `drawn` entry
+/// changed (NaN entries always do).
+///
+/// A lane reached zero this tick exactly when it ends at `level ≤ 0`
+/// having given up `d > 0`: a lane that starts depleted gives up
+/// nothing, and `old − d ≤ 0` with `0 < d ≤ old` means `d = old`. The
+/// pass only notes whether any lane did, so the queue is filled by a
+/// second scan on the rare ticks with a depletion and the loop carries
+/// no dependency from one lane to the next. It is kept out of line like
+/// the in-order kernel before it, which inlined kept its running state on
+/// the stack (DESIGN.md §4j).
 #[inline(never)]
 fn drain_lanes(
     levels: &mut [f64],
@@ -232,17 +246,22 @@ fn drain_lanes(
     flags: &[u8],
     sd: f64,
     dt: f64,
-    total: &mut f64,
+    drawn: &mut [f64],
     transitions: &mut Vec<u32>,
-) {
-    let mut sum = *total;
-    for (s, (level, &draw)) in levels.iter_mut().zip(draws).enumerate() {
+) -> bool {
+    let (mut changed, mut depleted) = (false, false);
+    let lanes = levels
+        .iter_mut()
+        .zip(draws)
+        .zip(flags)
+        .zip(drawn.iter_mut());
+    for (((level, &draw), &fl), last) in lanes {
         let old = *level;
         // A suspended lane's draw is already 0; its level-dependent
         // self-discharge term is masked here.
         let demand = if old <= 0.0 {
             0.0
-        } else if sd > 0.0 && flags[s] & F_SUSPENDED == 0 {
+        } else if sd > 0.0 && fl & F_SUSPENDED == 0 {
             draw + old * sd * dt / 86_400.0
         } else {
             draw
@@ -255,12 +274,150 @@ fn drain_lanes(
         // fix-up.
         let delivered = if demand < old { demand } else { old };
         *level = old - delivered;
-        sum += delivered;
-        if old > 0.0 && *level <= 0.0 {
-            transitions.push(s as u32);
+        changed |= *last != delivered;
+        *last = delivered;
+        depleted |= (*level <= 0.0) & (delivered > 0.0);
+    }
+    if depleted {
+        let lanes = levels.iter().zip(drawn.iter()).enumerate();
+        transitions.extend(
+            lanes
+                .filter(|&(_, (&level, &d))| level <= 0.0 && d > 0.0)
+                .map(|(s, _)| s as u32),
+        );
+    }
+    changed
+}
+
+/// `1.5 · 2^52`. For `0 ≤ q < 2^51`, `(q + RNE_SHIFT) − RNE_SHIFT` is `q`
+/// rounded to the nearest integer, ties to even: the sum lands in
+/// `[2^52, 2^53)`, where the ulp is 1, and `RNE_SHIFT` is even.
+const RNE_SHIFT: f64 = 6_755_399_441_055_744.0;
+
+/// The whole-ulp count of [`SensorSoA::drawn`] in one binade of the
+/// running total: `Σ rne(d / u)` over the column, `u` the binade's ulp,
+/// or `None` when the column declines there ([`count_ulps`]). It is a
+/// function of the column's contents and the binade alone, and the drain
+/// phase clears `valid` whenever a lane changes, so a valid count always
+/// belongs to the current column.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct UlpCount {
+    pub(crate) valid: bool,
+    /// The binade: the biased exponent of the totals it applies to.
+    pub(crate) exp: u64,
+    pub(crate) ulps: Option<f64>,
+}
+
+/// A binade `[2^e, 2^(e+1))` of the running total, where every float is
+/// a whole number of ulps `u = 2^(e−52)`.
+pub(crate) struct Binade {
+    /// The biased exponent `e + 1023`.
+    pub(crate) exp: u64,
+    pub(crate) ulp: f64,
+    /// `1/u`, exact: a power of two.
+    pub(crate) inv_ulp: f64,
+    /// `2^(e+1)`, infinite in the top binade.
+    pub(crate) top: f64,
+}
+
+impl Binade {
+    /// The binade of a positive normal `s`, or `None` for a zero,
+    /// negative, subnormal, infinite or NaN `s`, and for `s < 2^−970`,
+    /// where `1/u` overflows.
+    pub(crate) fn of(s: f64) -> Option<Self> {
+        let exp = s.to_bits() >> 52; // a set sign bit lands above 2046
+        (53..=2046).contains(&exp).then(|| Self::at(exp))
+    }
+
+    /// The binade with biased exponent `exp`, in `53..=2046`.
+    pub(crate) fn at(exp: u64) -> Self {
+        Self {
+            exp,
+            ulp: f64::from_bits((exp - 52) << 52),
+            inv_ulp: f64::from_bits((2098 - exp) << 52),
+            top: f64::from_bits((exp + 1) << 52),
         }
     }
-    *total = sum;
+}
+
+/// `Σ rne(d / u)` over `drawn`, for the ulp `u` of `binade`, or `None`
+/// if a lane is on an exact half-ulp or has its sign bit set, or the
+/// count is not finite (a NaN or infinite lane).
+///
+/// Each lane is rounded to whole ulps as `r = (d + RNE_SHIFT·u) −
+/// RNE_SHIFT·u`, which is [`RNE_SHIFT`]'s rounding scaled by the power
+/// of two `u`. Beyond `2^51` ulps the rounding can miss by an ulp, but
+/// then `|d − r| ≥ u/2`, which the half-ulp test declines; a lane it
+/// passes is counted exactly. Every term is a whole number of ulps and
+/// non-negative, so the partial sums are exact until one reaches
+/// `2^53` ulps, and a count that large leaves any binade anyway (the sums
+/// are monotone, so it still reads `≥ 2^53`). Four accumulators, two
+/// SSE2 registers, and no branch; eight spilled registers on baseline
+/// x86-64 and ran slower.
+pub(crate) fn count_ulps(drawn: &[f64], binade: &Binade) -> Option<f64> {
+    const W: usize = 4;
+    let shift = RNE_SHIFT * binade.ulp;
+    let mut acc = [0.0f64; W];
+    let mut off = [0.0f64; W];
+    let mut sign = [0u64; W];
+    let mut lane = |k: usize, d: f64| {
+        let r = (d + shift) - shift;
+        acc[k] += r;
+        sign[k] |= d.to_bits();
+        // `max` as a select: `maxpd`, without `f64::max`'s NaN fix-up
+        // (a NaN lane is caught by the count instead).
+        let o = (d - r).abs();
+        off[k] = if off[k] > o { off[k] } else { o };
+    };
+    let mut chunks = drawn.chunks_exact(W);
+    for chunk in &mut chunks {
+        for (k, &d) in chunk.iter().enumerate() {
+            lane(k, d);
+        }
+    }
+    for (k, &d) in chunks.remainder().iter().enumerate() {
+        lane(k, d);
+    }
+    let m = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let sign = sign.iter().fold(0, |a, &b| a | b) >> 63;
+    let half = off.iter().any(|&o| o >= 0.5 * binade.ulp);
+    let ulps = m * binade.inv_ulp; // exact: a power-of-two scaling
+    (sign == 0 && !half && ulps.is_finite()).then_some(ulps)
+}
+
+/// Adds `drawn` to `total` with the bits of the in-order loop
+/// `for d in drawn { total += d }`, without its chain of dependent adds
+/// where the ulp argument holds (DESIGN.md §4j). With the total `s` in
+/// the binade of ulp `u` and no lane on a half-ulp, `fl(s + d) =
+/// s + u·rne(d/u)` while the sum stays below the binade's top; partial
+/// sums only grow, so if `s + u·M < top` for the count `M`, every
+/// partial sum stays in the binade and the in-order result is exactly
+/// `s + u·M`. `count` is reused while it is valid for the same binade,
+/// recounted otherwise; a declined column, a total outside [`Binade::of`]
+/// and a sum that would leave the binade fall back to the in-order loop.
+pub(crate) fn add_drawn(total: &mut f64, drawn: &[f64], count: &mut UlpCount) {
+    let s = *total;
+    *total = ulp_sum(s, drawn, count).unwrap_or_else(|| add_in_order(s, drawn));
+    debug_assert_eq!(total.to_bits(), add_in_order(s, drawn).to_bits());
+}
+
+/// `s + Σ drawn` as `s + u·M`, or `None` where [`add_drawn`] falls back.
+fn ulp_sum(s: f64, drawn: &[f64], count: &mut UlpCount) -> Option<f64> {
+    let b = Binade::of(s)?;
+    if !(count.valid && count.exp == b.exp) {
+        *count = UlpCount {
+            valid: true,
+            exp: b.exp,
+            ulps: count_ulps(drawn, &b),
+        };
+    }
+    // `m · ulp` is exact; below `top`, so is the add.
+    count.ulps.map(|m| s + m * b.ulp).filter(|&r| r < b.top)
+}
+
+/// The in-order sum `s + drawn[0] + drawn[1] + …`.
+fn add_in_order(s: f64, drawn: &[f64]) -> f64 {
+    drawn.iter().fold(s, |sum, &d| sum + d)
 }
 
 /// The historical per-sensor drain loop, retained as the differential
@@ -319,7 +476,9 @@ pub(crate) fn drain_sensors_naive(state: &mut WorldState, dt: f64) {
 
 #[cfg(test)]
 mod tests {
+    use super::{add_drawn, add_in_order, ulp_sum, Binade, UlpCount};
     use crate::{SimConfig, World};
+    use proptest::prelude::*;
     use wrsn_core::SensorId;
 
     fn tiny_cfg(days: f64) -> SimConfig {
@@ -389,5 +548,151 @@ mod tests {
         state.cfg.permanent_failures_per_day = 0.05;
         super::inject_failures(&mut state, cfg.tick_s);
         assert_ne!(state.rng.state(), before);
+    }
+
+    /// A running total of one of five kinds: a random normal; one to
+    /// three ulps below a power of two; zero, a subnormal or a normal
+    /// below `2^−970`; one in the top binade; a power of two.
+    fn arb_total() -> impl Strategy<Value = f64> {
+        (0u8..6, 1u64..1 << 52, 900u64..1200, 1u64..4).prop_map(|(kind, mant, exp, j)| match kind {
+            0 | 1 => f64::from_bits(exp << 52 | mant),
+            2 => f64::from_bits((exp << 52) - j),
+            3 => [
+                0.0,
+                f64::from_bits(mant),
+                f64::from_bits((mant % 53) << 52 | mant),
+            ][j as usize - 1],
+            4 => f64::from_bits(2046 << 52 | mant),
+            _ => f64::from_bits(exp << 52),
+        })
+    }
+
+    /// One lane, in ulps of the total's binade: the raw draws of
+    /// [`lane_ulps`].
+    fn arb_lane() -> impl Strategy<Value = (u32, u64, u64, f64)> {
+        (0u32..100, 0u64..4, 0u64..1000, 0.0f64..1.0)
+    }
+
+    /// Builds a lane from [`arb_lane`]'s draws; `clean` leaves out ties,
+    /// `−0.0`, lanes of 2^50 ulps and more, and invalid ones. Lanes of a few ulps next to a total a
+    /// few ulps below its binade's top cross that top by one ulp or so.
+    fn lane_ulps((kind, small, k, f): (u32, u64, u64, f64), clean: bool) -> f64 {
+        let kind = if clean { kind % 80 } else { kind };
+        match kind {
+            0..=29 => small as f64 + f,
+            30..=59 => k as f64 + f,
+            60..=69 => k as f64,
+            70..=79 => f * 0.49,
+            80..=84 => small as f64 + 0.5,
+            85..=89 => [0.0, -0.0][small as usize % 2],
+            90..=94 => (1u64 << 50) as f64 * (1.0 + 3.0 * f),
+            95 => f64::NAN,
+            96 => f64::INFINITY,
+            97 => -(k as f64 + f) - 1.0,
+            _ => small as f64 + f,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The ulp count reproduces the in-order sum bit for bit, and
+        /// declines exactly where its argument does not hold: a total it
+        /// cannot count in; a lane with its sign bit set, not finite or
+        /// on a half-ulp; or a sum that reaches the binade's top.
+        #[test]
+        fn ulp_count_sum_is_the_in_order_sum_or_declines(
+            s0 in arb_total(),
+            raw in proptest::collection::vec(arb_lane(), 0..24),
+            clean in proptest::bool::weighted(0.5),
+        ) {
+            let b = Binade::of(s0);
+            let u = b.as_ref().map_or(f64::EPSILON, |b| b.ulp);
+            let drawn: Vec<f64> = raw.iter().map(|&l| lane_ulps(l, clean) * u).collect();
+            let in_order = add_in_order(s0, &drawn);
+            // Lanes of 2^51 ulps and more may decline: their rounding is
+            // only checked, not exact.
+            let (must_decline, may_decline) = b.map_or((true, true), |b| {
+                let q = |d: f64| d * b.inv_ulp;
+                let must = in_order >= b.top
+                    || drawn.iter().any(|&d| {
+                        d.is_sign_negative() || !q(d).is_finite() || q(d).fract() == 0.5
+                    });
+                (must, must || drawn.iter().any(|&d| q(d) >= (1u64 << 51) as f64))
+            });
+            match ulp_sum(s0, &drawn, &mut UlpCount::default()) {
+                Some(sum) => {
+                    prop_assert_eq!(sum.to_bits(), in_order.to_bits(), "{} + {:?}", s0, drawn);
+                    prop_assert!(!must_decline, "counted {} + {:?}", s0, drawn);
+                }
+                None => prop_assert!(may_decline, "declined {} + {:?}", s0, drawn),
+            }
+        }
+
+        /// `j` ulps below a binade's top, `j + 1` lanes of 1 to 1.5 ulps
+        /// count to one ulp past it, where the in-order loop goes on in
+        /// the next binade's double-width ulps: the count must decline.
+        #[test]
+        fn a_sum_one_ulp_past_the_binade_top_declines(
+            exp in 53u64..2046,
+            j in 1usize..4,
+            fracs in proptest::collection::vec(0.0f64..0.5, 4),
+        ) {
+            let b = Binade::at(exp);
+            let s0 = b.top - j as f64 * b.ulp;
+            let drawn: Vec<f64> = fracs[..=j].iter().map(|f| (1.0 + f) * b.ulp).collect();
+            let in_order = add_in_order(s0, &drawn);
+            prop_assert!(in_order >= b.top);
+            let fast = ulp_sum(s0, &drawn, &mut UlpCount::default());
+            prop_assert!(fast.is_none(), "{} + {:?}: {:?}, not {}", s0, drawn, fast, in_order);
+        }
+
+        /// Over a run of ticks that mostly repeat the drawn vector (the
+        /// count reused) and sometimes change one lane (the count
+        /// cleared, as the drain phase does), every tick's total is the
+        /// in-order sum's, across binade crossings.
+        #[test]
+        fn reused_ulp_count_tracks_the_in_order_total(
+            s0 in arb_total(),
+            raw in proptest::collection::vec(arb_lane(), 1..24),
+            edits in proptest::collection::vec((0usize..24, arb_lane(), 0u8..4), 60),
+        ) {
+            let u = Binade::of(s0).map_or(f64::EPSILON, |b| b.ulp);
+            let mut drawn: Vec<f64> = raw.iter().map(|&l| lane_ulps(l, true) * u).collect();
+            let (mut total, mut want, mut count) = (s0, s0, UlpCount::default());
+            for (lane, l, roll) in edits {
+                if roll == 0 {
+                    let n = drawn.len();
+                    drawn[lane % n] = lane_ulps(l, false) * u;
+                    count.valid = false;
+                }
+                add_drawn(&mut total, &drawn, &mut count);
+                want = add_in_order(want, &drawn);
+                prop_assert_eq!(total.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_declined_column_keeps_its_verdict_until_the_binade_changes() {
+        let u = f64::EPSILON;
+        let s0 = 1.0 + u;
+        // Both half-ulp lanes are ties, and the in-order loop rounds the
+        // first up to the even 1 + 2u and the second down to it again:
+        // 1 + 5u in all, where a count of 0 + 0 + 3 ulps gives 1 + 4u.
+        let drawn = [0.5 * u, 0.5 * u, 3.0 * u];
+        let mut count = UlpCount::default();
+        let mut total = s0;
+        add_drawn(&mut total, &drawn, &mut count);
+        assert_eq!(total, 1.0 + 5.0 * u);
+        assert!(count.valid && count.exp == 1023 && count.ulps.is_none());
+        // A whole-ulp column is counted and its count kept.
+        let drawn = [u, 2.0 * u, 0.25 * u];
+        count.valid = false;
+        add_drawn(&mut total, &drawn, &mut count);
+        assert_eq!(count.ulps, Some(3.0));
+        let before = total;
+        add_drawn(&mut total, &drawn, &mut count);
+        assert_eq!(total, before + 3.0 * u);
     }
 }

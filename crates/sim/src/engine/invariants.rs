@@ -184,6 +184,22 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         }
     }
 
+    // --- Drain-sum ulp count (DESIGN.md §4j) ----------------------------
+    // A valid count belongs to the drawn column as it stands: a recount
+    // at its binade must agree, a decline included.
+    let count = state.sensors.drawn_ulps;
+    if count.valid {
+        let binade = super::energy::Binade::at(count.exp);
+        let fresh = super::energy::count_ulps(&state.sensors.drawn, &binade);
+        if fresh.map(f64::to_bits) != count.ulps.map(f64::to_bits) {
+            return Err(format!(
+                "drain-sum ulp count {:?} at biased exponent {} disagrees with a \
+                 recount {fresh:?} of the drawn column",
+                count.ulps, count.exp
+            ));
+        }
+    }
+
     // --- Dispatch scan coverage (DESIGN.md §4j) -------------------------
     // The event-driven request scan must never let an *acting* sensor
     // escape examination: every below-threshold live sensor is in the
@@ -462,6 +478,19 @@ mod tests {
             .expect("a fresh world has at least one active sensor");
         state.sensors.set_active(s, false);
         assert!(check(&state).is_err());
+    }
+
+    #[test]
+    fn stale_drain_sum_ulp_count_is_caught() {
+        let mut state = tiny_state();
+        let sensors = &mut state.sensors;
+        sensors.drawn.fill(0.25);
+        crate::engine::energy::add_drawn(&mut 1.0, &sensors.drawn, &mut sensors.drawn_ulps);
+        assert!(sensors.drawn_ulps.valid && sensors.drawn_ulps.ulps.is_some());
+        check(&state).unwrap();
+        // A lane that changed without clearing the count.
+        state.sensors.drawn[4] = 0.5;
+        assert!(check(&state).unwrap_err().contains("drain-sum ulp count"));
     }
 
     #[test]

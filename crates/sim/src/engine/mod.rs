@@ -101,6 +101,14 @@ pub(crate) struct SensorSoA {
     /// changed since their [`tick_draw_j`](Self::tick_draw_j) entry was
     /// last computed. The setters below are those bits' only writers.
     draw_stale: ScanSet,
+    /// What each sensor gave up in the last fast drain pass (J): the
+    /// summands of that tick's [`WorldState::total_drained_j`] increment.
+    /// Derived state, never serialized: NaN until the first pass after
+    /// construction or decode, so that pass recounts (DESIGN.md §4j).
+    pub(crate) drawn: Vec<f64>,
+    /// The whole-ulp count of [`drawn`](Self::drawn) in one binade of the
+    /// running total, reused while the column repeats.
+    pub(crate) drawn_ulps: energy::UlpCount,
 }
 
 impl SensorSoA {
@@ -115,6 +123,8 @@ impl SensorSoA {
             suspended_count: 0,
             tick_draw_j: vec![0.0; batteries.len()],
             draw_stale: ScanSet::new(batteries.len()),
+            drawn: vec![f64::NAN; batteries.len()],
+            drawn_ulps: energy::UlpCount::default(),
         }
     }
 
