@@ -44,11 +44,14 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
     let mut dirty_groups = std::mem::take(&mut state.crossings.dirty_groups);
     let mut any_dirty = false;
     let mut flipped = false;
+    let mut levels = [0.0; 64];
     set.drain(|batch| {
         let mut below = 0u64;
         for (i, &s32) in batch.iter().enumerate() {
             let s = s32 as usize;
-            let soc = state.sensors.soc(s);
+            // Each level is read once: a lazy read walks its lane.
+            levels[i] = state.sensors.read_level(s);
+            let soc = levels[i] / state.sensors.capacity[s];
             flipped |= state.crossings.rescan(s, soc < thr);
             if soc < thr && !state.sensors.failed(s) {
                 below |= 1 << i;
@@ -61,7 +64,7 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
         for (i, &s32) in batch.iter().enumerate() {
             let s = s32 as usize;
             if below >> i & 1 == 0 {
-                predict_crossing(state, s, now);
+                predict_crossing(state, s, now, levels[i]);
                 continue;
             }
             if state.sensors.suspended(s) {
@@ -128,15 +131,21 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
             for &gid in gids {
                 let (start, len) = state.groups[gid as usize];
                 let members = &state.group_arena[start as usize..(start + len) as usize];
+                // Every sensor's `below` bit is its current threshold side
+                // here: the scan above has just set it for the sensors
+                // whose side can have moved since the last tick (a due
+                // crossing prediction or a seed), and the invariant audit
+                // holds every other sensor's to it. So the recount reads
+                // bits, not lazy levels.
                 let below = members
                     .iter()
-                    .filter(|m| state.sensors.soc(m.index()) < thr)
+                    .filter(|m| state.crossings.below_at_scan(m.index()))
                     .count();
                 if state.erp.should_release(below, members.len()) {
                     for m in 0..len as usize {
                         let member = state.group_arena[start as usize + m];
                         state.crossings.unpark(member.index());
-                        if state.sensors.soc(member.index()) < thr
+                        if state.crossings.below_at_scan(member.index())
                             && !state.sensors.failed(member.index())
                             && !state.sensors.suspended(member.index())
                         {
@@ -159,8 +168,9 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
 }
 
 /// (Re)computes sensor `s`'s predicted threshold-crossing tick from its
-/// *current* drain rate and schedules it in [`super::CrossingState`].
-/// Called for every examined sensor that is not live and below threshold.
+/// *current* drain rate and its current `level` (as the scan read it),
+/// and schedules it in [`super::CrossingState`]. Called for every
+/// examined sensor that is not live and below threshold.
 ///
 /// Safety of the estimate (DESIGN.md §4j): the power term is constant
 /// until a seeded event changes the activity class or relay load, and the
@@ -170,7 +180,7 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
 /// re-examined at or before its true crossing. Early firings simply
 /// re-predict. Rate *increases* are all seeded into the next-scan set by
 /// their source events, whose re-prediction overwrites this one in `sched`.
-fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
+fn predict_crossing(state: &mut WorldState, s: usize, now: u64, level: f64) {
     if state.sensors.failed(s) || state.sensors.suspended(s) {
         // Failed sensors never act again; suspended ones do not drain.
         // Resume seeds a re-check, which re-predicts.
@@ -183,7 +193,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     let mut per_tick = state.sensors.tick_draw_j[s];
     let sd = state.cfg.self_discharge_per_day;
     if sd > 0.0 {
-        per_tick += state.sensors.level[s] * sd * dt / 86_400.0;
+        per_tick += level * sd * dt / 86_400.0;
     }
     if per_tick <= 0.0 {
         // Not draining at all: only a seeded rate raise can change that.
@@ -192,7 +202,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64) {
     }
     let thr = state.cfg.recharge_threshold_frac;
     // Non-negative: the sensor was just examined at/above threshold.
-    let margin = state.sensors.level[s] - thr * state.sensors.capacity[s];
+    let margin = level - thr * state.sensors.capacity[s];
     let ticks = margin / per_tick;
     // Two ticks of slack, floor at one (`as i64` saturates on huge/inf).
     let k = ((ticks as i64) - 2).max(1) as u64;
@@ -320,12 +330,20 @@ pub(crate) fn should_plan(state: &mut WorldState) -> bool {
     let mut critical = false;
     for id in state.board.unassigned() {
         let s = id.index();
-        demand += state.sensors.deficit(s);
+        let level = state.sensors.read_level(s);
+        demand += state.sensors.capacity[s] - level;
+        if state.dispatching && demand > 0.0 {
+            // Mid-wave only whether any demand is left matters (the
+            // deficits are never negative): the rest of the sum, the age
+            // and the criticality are not read, and neither are the
+            // remaining levels.
+            break;
+        }
         let rel = state.board.released_time(id);
         if rel.is_finite() {
             oldest = oldest.min(rel);
         }
-        critical |= state.sensors.soc(s) < state.cfg.critical_soc;
+        critical |= level / state.sensors.capacity[s] < state.cfg.critical_soc;
     }
     if demand <= 0.0 {
         state.dispatching = false;
@@ -372,14 +390,15 @@ pub(crate) fn plan_routes(state: &mut WorldState) {
         .unassigned()
         .map(|id| {
             let s = id.index();
+            let level = state.sensors.read_level(s);
             RechargeRequest {
                 sensor: id,
                 position: state.sensor_pos[s],
-                demand: state.sensors.deficit(s),
+                demand: state.sensors.capacity[s] - level,
                 // The request group is the §IV-C aggregation unit: one
                 // RV visit serves all of a group's released requests.
                 cluster: state.group_of[s].map(ClusterId),
-                critical: state.sensors.soc(s) < state.cfg.critical_soc,
+                critical: level / state.sensors.capacity[s] < state.cfg.critical_soc,
             }
         })
         .collect();

@@ -34,12 +34,12 @@ fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
     let mut per_tick = sensors.tick_draw_j[s];
     let sd = state.cfg.self_discharge_per_day;
     if sd > 0.0 {
-        per_tick += sensors.level[s] * sd * state.cfg.tick_s / 86_400.0;
+        per_tick += sensors.level_at(s) * sd * state.cfg.tick_s / 86_400.0;
     }
     if per_tick <= 0.0 {
         return Ok(());
     }
-    let margin = sensors.level[s] - state.cfg.recharge_threshold_frac * sensors.capacity[s];
+    let margin = sensors.level_at(s) - state.cfg.recharge_threshold_frac * sensors.capacity[s];
     // The next scan runs after one more drain, so the scan `k` ticks
     // after it sees `margin - (k + 1) · per_tick`, first negative at
     // `k = floor(margin / per_tick)` (`as u64` saturates).
@@ -57,6 +57,45 @@ fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Audits the lazy battery levels: every level read equals the debug
+/// build's eager twin stepped with the per-lane rule, no live lane is
+/// past its depletion prediction (a lane whose level is at or below its
+/// draw depletes at the next pass, which must be due by then), the
+/// prediction chunk bounds hold, and a maintained drain-sum count equals
+/// a recount at its binade.
+fn verify_lazy_levels(state: &WorldState) -> Result<(), String> {
+    let sensors = &state.sensors;
+    #[cfg(debug_assertions)]
+    for (s, &want) in sensors.shadow.iter().enumerate() {
+        let level = sensors.level_at(s);
+        if level.to_bits() != want.to_bits() {
+            return Err(format!(
+                "sensor {s} lazy level {level} J (base {} J at pass {} of {}) differs \
+                 from the per-lane rule's {want} J",
+                sensors.lanes.get(s).base,
+                sensors.lanes.get(s).since,
+                sensors.pass
+            ));
+        }
+    }
+    if !sensors.lazy {
+        return Ok(());
+    }
+    sensors.depletions.verify()?;
+    for s in 0..sensors.len() {
+        let (level, due) = (sensors.level_at(s), sensors.depletions.due(s));
+        if level > 0.0 && sensors.tick_draw_j[s] >= level && due > sensors.pass + 1 {
+            return Err(format!(
+                "sensor {s} depletes at pass {} with a late depletion prediction: due at \
+                 pass {due}",
+                sensors.pass + 1
+            ));
+        }
+    }
+    sensors.sum.verify(&sensors.lanes, &sensors.tick_draw_j)?;
+    Ok(())
+}
+
 /// Verifies every engine invariant; returns a description of the first
 /// violation.
 pub(crate) fn check(state: &WorldState) -> Result<(), String> {
@@ -64,7 +103,7 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
 
     // --- Per-sensor state machine --------------------------------------
     for s in 0..n {
-        let level = state.sensors.level[s];
+        let level = state.sensors.level_at(s);
         let capacity = state.sensors.capacity[s];
         if !(level.is_finite() && (0.0..=capacity + 1e-9).contains(&level)) {
             return Err(format!(
@@ -184,21 +223,8 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
         }
     }
 
-    // --- Drain-sum ulp count (DESIGN.md §4j) ----------------------------
-    // A valid count belongs to the drawn column as it stands: a recount
-    // at its binade must agree, a decline included.
-    let count = state.sensors.drawn_ulps;
-    if count.valid {
-        let binade = super::energy::Binade::at(count.exp);
-        let fresh = super::energy::count_ulps(&state.sensors.drawn, &binade);
-        if fresh.map(f64::to_bits) != count.ulps.map(f64::to_bits) {
-            return Err(format!(
-                "drain-sum ulp count {:?} at biased exponent {} disagrees with a \
-                 recount {fresh:?} of the drawn column",
-                count.ulps, count.exp
-            ));
-        }
-    }
+    // --- Lazy battery levels (DESIGN.md §4j) ----------------------------
+    verify_lazy_levels(state)?;
 
     // --- Dispatch scan coverage (DESIGN.md §4j) -------------------------
     // The event-driven request scan must never let an *acting* sensor
@@ -307,7 +333,7 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
     // --- Energy conservation -------------------------------------------
     // Sensors: stored(t) = stored(0) − drained − lost-to-hw-failure
     //          + delivered-by-RVs.
-    let stored: f64 = state.sensors.level.iter().sum();
+    let stored: f64 = (0..n).map(|s| state.sensors.level_at(s)).sum();
     let expected = state.initial_sensor_j - state.total_drained_j - state.failure_lost_j
         + state.total_delivered_j;
     let scale = 1.0
@@ -480,17 +506,59 @@ mod tests {
         assert!(check(&state).is_err());
     }
 
+    /// `tiny_state` with lazy levels after `passes` drain phases.
+    fn drained_state(passes: usize) -> WorldState {
+        let mut state = tiny_state();
+        state.sensors.set_lazy(true);
+        let dt = state.cfg.tick_s;
+        for _ in 0..passes {
+            crate::engine::energy::drain_sensors(&mut state, dt);
+        }
+        state
+    }
+
     #[test]
     fn stale_drain_sum_ulp_count_is_caught() {
-        let mut state = tiny_state();
-        let sensors = &mut state.sensors;
-        sensors.drawn.fill(0.25);
-        crate::engine::energy::add_drawn(&mut 1.0, &sensors.drawn, &mut sensors.drawn_ulps);
-        assert!(sensors.drawn_ulps.valid && sensors.drawn_ulps.ulps.is_some());
+        let mut state = drained_state(3);
+        assert_ne!(state.sensors.sum.exp, 0, "three passes leave a count");
         check(&state).unwrap();
-        // A lane that changed without clearing the count.
-        state.sensors.drawn[4] = 0.5;
+        // A count that moved without a lane.
+        state.sensors.sum.ulps += 1;
         assert!(check(&state).unwrap_err().contains("drain-sum ulp count"));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn stale_lazy_lane_stamp_is_caught() {
+        let mut state = drained_state(5);
+        check(&state).unwrap();
+        // A lane stamped at the current pass without being materialized:
+        // its level reads as if the last five passes drew nothing.
+        let s = (0..state.cfg.num_sensors)
+            .find(|&s| state.sensors.tick_draw_j[s] > 0.0 && state.sensors.lanes.get(s).since == 0)
+            .expect("a drawing lane stamped at pass 0");
+        let mut lane = state.sensors.lanes.get(s);
+        lane.since = state.sensors.pass;
+        state.sensors.lanes.set(s, lane);
+        assert!(check(&state).unwrap_err().contains("lazy level"));
+    }
+
+    #[test]
+    fn late_depletion_prediction_is_caught() {
+        let mut state = drained_state(2);
+        let s = 4;
+        let d = state.sensors.tick_draw_j[s];
+        assert!(d > 0.0);
+        // Sensor 4 at half its draw depletes at the next pass, and its
+        // prediction says so…
+        state.total_drained_j += state.sensors.level_at(s) - 0.5 * d;
+        state.sensors.set_level(s, 0.5 * d);
+        check(&state).unwrap();
+        // …one moved past that pass is late.
+        state.sensors.depletions.schedule(s, u64::MAX);
+        assert!(check(&state)
+            .unwrap_err()
+            .contains("late depletion prediction"));
     }
 
     #[test]
@@ -536,8 +604,8 @@ mod tests {
             !state.crossings.scheduled(s),
             "fresh sensors are above threshold"
         );
-        state.sensors.level[s] =
-            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        state.sensors.set_level(s, low);
         assert!(check(&state)
             .unwrap_err()
             .contains("below the request threshold"));
@@ -566,8 +634,8 @@ mod tests {
         // released request so only the recorded threshold side is stale.
         let s = 4;
         assert!(!state.crossings.scheduled(s));
-        state.sensors.level[s] =
-            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        state.sensors.set_level(s, low);
         state.board.release(SensorId(s as u32), state.t);
         assert!(check(&state)
             .unwrap_err()
@@ -586,8 +654,8 @@ mod tests {
             .find(|&s| state.group_of[s].is_some_and(|g| state.groups[g as usize].1 >= 2))
             .expect("a fresh world has a multi-member request group");
         let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
-        state.total_drained_j += state.sensors.level[s] - low;
-        state.sensors.level[s] = low;
+        state.total_drained_j += state.sensors.level_at(s) - low;
+        state.sensors.set_level(s, low);
         state.crossings.note_check(s);
         crate::engine::dispatch::manage_requests(&mut state);
         assert!(state.crossings.parked(s) && !state.crossings.scheduled(s));

@@ -399,6 +399,13 @@ impl World {
         self.state.crossings.parked_count()
     }
 
+    /// Drain passes since sensor `s`'s lazy battery level was last
+    /// materialized (diagnostics, DESIGN.md §4j; always 0 where levels
+    /// are eager: naive drain, self-discharge).
+    pub fn lazy_lane_lag(&self, s: SensorId) -> u64 {
+        self.state.sensors.lag(s.index())
+    }
+
     /// Whether sensor `s` is currently suspended by a transient fault.
     pub fn is_suspended(&self, s: SensorId) -> bool {
         self.state.sensors.suspended(s.index())
@@ -440,11 +447,17 @@ impl World {
     }
 
     /// Switches the drain phase to the historical per-sensor loop instead
-    /// of the column kernel. Differential-oracle knob; byte-identical by
-    /// contract. Not serialized. The drain-rate column is refreshed in
-    /// both modes, so a switch needs no reset.
+    /// of the lazy battery levels. Differential-oracle knob; byte-identical
+    /// by contract. Not serialized. The drain-rate column is refreshed in
+    /// both modes; the naive loop steps every level itself, so switching
+    /// it on materializes every lane, and after it the levels stay eager
+    /// until the draw-change density turns them lazy again (DESIGN.md
+    /// §4j).
     pub fn set_naive_drain(&mut self, on: bool) {
         self.state.naive_drain = on;
+        if on {
+            self.state.sensors.set_lazy(false);
+        }
     }
 
     /// Switches cluster maintenance to wholesale rebuild-from-scratch

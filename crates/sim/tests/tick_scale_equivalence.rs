@@ -370,6 +370,46 @@ fn naive_drain_switched_off_mid_run_matches_naive_twin() {
     assert!(out.transient_faults > 0, "no outage was exercised");
 }
 
+/// The naive-drain switch where levels are lazy (no self-discharge):
+/// switching to the naive loop materializes every lane at its level,
+/// and switching back predicts every lane's depletion afresh and
+/// recounts the drain sum. Depletions, failures and outages fall on both
+/// sides of each switch; snapshots are compared every tick.
+#[test]
+fn naive_drain_switch_materializes_lazy_levels() {
+    let mut cfg = SimConfig::small(1.0);
+    cfg.num_sensors = 80;
+    cfg.num_targets = 4;
+    cfg.num_rvs = 1;
+    cfg.field_side = 50.0;
+    cfg.initial_soc = (0.005, 0.7);
+    cfg.permanent_failures_per_day = 0.2;
+    cfg.faults.transients_per_day = 6.0;
+    cfg.faults.transient_outage_s = (300.0, 2_400.0);
+    cfg.target_mobility = TargetMobility::RandomWaypoint { speed_mps: 0.5 };
+    cfg.min_batch_demand_j = 10e3;
+    let seed = 3;
+    let mut mixed = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, false, true, false);
+    let mut ticks = 0u64;
+    while !mixed.finished() {
+        if ticks == 100 || ticks == 400 {
+            mixed.set_naive_drain(ticks == 100);
+        }
+        mixed.step();
+        slow.step();
+        ticks += 1;
+        assert!(
+            mixed.save_snapshot() == slow.save_snapshot(),
+            "the switched world diverged from the naive-drain twin at tick {ticks}"
+        );
+    }
+    let out = mixed.outcome();
+    assert!(out.deaths > 0, "no sensor depleted");
+    assert!(out.permanent_failures > 0, "no permanent failure happened");
+    assert!(out.transient_faults > 0, "no outage was exercised");
+}
+
 /// Parking under the strictest quorum (DESIGN.md §4j): at K = 1 nearly
 /// every pending grouped request waits behind its group while sensors
 /// deplete, fail, go down and come back, lose uplinks and see their
@@ -475,8 +515,11 @@ fn paper_length_dispatch_matches_naive_scan() {
 /// world (Table II scale, RV breakdowns, lossy uplink, transient outages,
 /// random-waypoint targets at 0.5 m/s, which re-anchor and rebuild the
 /// clusters on nearly every tick) for ten days, against a naive-dispatch
-/// twin and a naive-repair twin, snapshots compared every simulated day
-/// and at the end. Release only, like the paper-length lockstep.
+/// twin, a naive-drain twin and a naive-repair twin, snapshots compared
+/// every simulated day and at the end. It is also where lazy battery
+/// levels rebase most: outages drop draws to 0 and back, RVs charge, and
+/// about 100 lanes change draw per tick. Release only, like the
+/// paper-length lockstep.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn chaos_waypoint_world_matches_naive_twins() {
@@ -498,6 +541,7 @@ fn chaos_waypoint_world_matches_naive_twins() {
     let mut fast = World::new(&cfg, seed);
     let mut twins = [
         ("dispatch", naive_twin(&cfg, seed, true, false, false)),
+        ("drain", naive_twin(&cfg, seed, false, true, false)),
         ("repair", naive_twin(&cfg, seed, false, false, true)),
     ];
     let mut ticks = 0u64;
@@ -529,4 +573,47 @@ fn chaos_waypoint_world_matches_naive_twins() {
     assert!(out.rv_breakdowns > 0, "no RV breakdown was exercised");
     assert!(out.transient_faults > 0, "no outage was exercised");
     assert!(out.uplink_drops > 0, "no uplink backoff was exercised");
+}
+
+/// Resume where lazy battery levels lag furthest behind their stamps
+/// (DESIGN.md §4j): on the Table II world a sensor that neither monitors
+/// a target nor relays keeps one draw for days, so after two days most
+/// lanes have not been materialized since construction. The fast world
+/// resumes from its own snapshot there (decode stamps every lane with
+/// the current pass) and must stay byte-identical to a naive-drain twin
+/// that runs uninterrupted, snapshots compared every simulated hour.
+#[test]
+fn lazy_levels_days_behind_their_stamp_survive_resume() {
+    let mut cfg = SimConfig::paper_defaults();
+    cfg.duration_days = 2.5;
+    cfg.duration_s = cfg.duration_days * 86_400.0;
+    let seed = 3;
+    let mut fast = World::new(&cfg, seed);
+    let mut slow = naive_twin(&cfg, seed, false, true, false);
+    let ticks_per_day = (86_400.0 / cfg.tick_s).round() as u64;
+    let mut ticks = 0u64;
+    while !fast.finished() {
+        fast.step();
+        slow.step();
+        ticks += 1;
+        if ticks == 2 * ticks_per_day {
+            let lagging = (0..cfg.num_sensors)
+                .filter(|&s| fast.lazy_lane_lag(SensorId(s as u32)) >= ticks_per_day)
+                .count();
+            assert!(
+                lagging >= cfg.num_sensors / 4,
+                "only {lagging} lanes lag a day or more behind their stamp"
+            );
+            fast = World::resume(&fast.save_snapshot()).expect("resume");
+            assert_eq!(fast.lazy_lane_lag(SensorId(0)), 0);
+        }
+        if ticks.is_multiple_of(60) {
+            assert!(
+                fast.save_snapshot() == slow.save_snapshot(),
+                "resumed lazy world diverged from the naive-drain twin at tick {ticks}"
+            );
+        }
+    }
+    assert!(slow.finished());
+    assert!(fast.save_snapshot() == slow.save_snapshot());
 }
