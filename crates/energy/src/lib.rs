@@ -39,6 +39,6 @@ pub mod units;
 
 pub use battery::{Battery, ChargeModel};
 pub use detector::DetectorModel;
-pub use profile::{SensorActivity, SensorEnergyProfile};
+pub use profile::{DetectorState, PowerTable, SensorActivity, SensorEnergyProfile};
 pub use radio::RadioModel;
 pub use rv::RvEnergyModel;

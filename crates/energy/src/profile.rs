@@ -39,6 +39,42 @@ pub enum SensorActivity {
     },
 }
 
+/// What the detector does within a [`SensorActivity`]: which of a
+/// [`PowerTable`]'s detector powers it draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DetectorState {
+    /// Asleep ([`SensorActivity::Idle`]).
+    Idle = 0,
+    /// Duty-cycled ([`SensorActivity::Watching`]).
+    Watching = 1,
+    /// Monitoring a target ([`SensorActivity::Sensing`]).
+    Sensing = 2,
+}
+
+/// A [`SensorEnergyProfile`]'s power model at one watch duty, with every
+/// term that does not depend on the packet rates evaluated
+/// ([`SensorEnergyProfile::table`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerTable {
+    /// The radio's idle power (W).
+    radio_idle: f64,
+    /// The detector's power (W), by [`DetectorState`].
+    detector: [f64; 3],
+    /// Energy (J) above idle per transmitted packet.
+    tx: f64,
+    /// Energy (J) above idle per received packet.
+    rx: f64,
+}
+
+impl PowerTable {
+    /// Average power draw (W) with the detector in `detector` and the
+    /// given packet rates.
+    #[inline]
+    pub fn power(&self, detector: DetectorState, tx_pps: f64, rx_pps: f64) -> f64 {
+        self.radio_idle + self.detector[detector as usize] + tx_pps * self.tx + rx_pps * self.rx
+    }
+}
+
 /// Combined energy profile of one sensor node.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SensorEnergyProfile {
@@ -60,28 +96,35 @@ impl SensorEnergyProfile {
         }
     }
 
-    /// Average power draw (W) in the given activity state.
+    /// Average power draw (W) in the given activity state, through the
+    /// activity's [`PowerTable`].
     pub fn power(&self, activity: SensorActivity) -> f64 {
-        let base = self.radio.idle_power();
-        let (detector, tx_pps, rx_pps) = match activity {
-            SensorActivity::Idle { tx_pps, rx_pps } => (self.detector.idle_power(), tx_pps, rx_pps),
+        let (duty, detector, tx_pps, rx_pps) = match activity {
+            SensorActivity::Idle { tx_pps, rx_pps } => (0.0, DetectorState::Idle, tx_pps, rx_pps),
             SensorActivity::Watching {
                 duty,
                 tx_pps,
                 rx_pps,
-            } => {
-                let duty = duty.clamp(0.0, 1.0);
-                let p =
-                    duty * self.detector.active_power() + (1.0 - duty) * self.detector.idle_power();
-                (p, tx_pps, rx_pps)
-            }
+            } => (duty, DetectorState::Watching, tx_pps, rx_pps),
             SensorActivity::Sensing { tx_pps, rx_pps } => {
-                (self.detector.active_power(), tx_pps, rx_pps)
+                (0.0, DetectorState::Sensing, tx_pps, rx_pps)
             }
         };
-        base + detector
-            + tx_pps * self.radio.tx_energy(self.packet_bytes)
-            + rx_pps * self.radio.rx_energy(self.packet_bytes)
+        self.table(duty).power(detector, tx_pps, rx_pps)
+    }
+
+    /// The terms of [`power`](Self::power) that do not depend on the
+    /// packet rates, for a watch duty of `duty` (clamped to `0..=1`):
+    /// evaluate them once to price many sensors.
+    pub fn table(&self, duty: f64) -> PowerTable {
+        let (idle, active) = (self.detector.idle_power(), self.detector.active_power());
+        let duty = duty.clamp(0.0, 1.0);
+        PowerTable {
+            radio_idle: self.radio.idle_power(),
+            detector: [idle, duty * active + (1.0 - duty) * idle, active],
+            tx: self.radio.tx_energy(self.packet_bytes),
+            rx: self.radio.rx_energy(self.packet_bytes),
+        }
     }
 
     /// Power (W) of a fully idle node (no relay traffic) — the network's
