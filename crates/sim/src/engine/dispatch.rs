@@ -184,7 +184,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64, level: f64) {
     if state.sensors.failed(s) || state.sensors.suspended(s) {
         // Failed sensors never act again; suspended ones do not drain.
         // Resume seeds a re-check, which re-predicts.
-        state.crossings.schedule(s, u64::MAX);
+        state.crossings.sched.schedule(s, u64::MAX);
         return;
     }
     let dt = state.cfg.tick_s;
@@ -197,7 +197,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64, level: f64) {
     }
     if per_tick <= 0.0 {
         // Not draining at all: only a seeded rate raise can change that.
-        state.crossings.schedule(s, u64::MAX);
+        state.crossings.sched.schedule(s, u64::MAX);
         return;
     }
     let thr = state.cfg.recharge_threshold_frac;
@@ -207,7 +207,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64, level: f64) {
     // Two ticks of slack, floor at one (`as i64` saturates on huge/inf).
     let k = ((ticks as i64) - 2).max(1) as u64;
     let due = now.saturating_add(k).min(u64::MAX - 1);
-    state.crossings.schedule(s, due);
+    state.crossings.sched.schedule(s, due);
 }
 
 /// The historical full-scan request management, retained verbatim as the

@@ -15,16 +15,16 @@
 //! rebasing each changed lane and seeding a dispatch re-check for each
 //! entry that rose. Battery levels are lazy (DESIGN.md §4j): a lane's
 //! level is a base plus the passes since its stamp at its unchanged draw,
-//! read through [`walk_from`]'s closed form, so [`drain_sensors`] touches only
-//! the lanes whose depletion may fall due ([`Depletions`]) and adds the
+//! read through [`walk_from`]'s closed form, so [`drain_sensors`] touches
+//! only the lanes whose depletion prediction falls due and adds the
 //! tick's draws to the total by a maintained whole-ulp count
 //! ([`UlpSum`]). Where most draws change every tick, and in worlds with
-//! self-discharge, whose demand depends on the level, levels are eager
-//! and a lane pass steps them all ([`drain_lanes`]).
-//! [`drain_sensors_naive`] derives every draw from scratch and stays in
-//! the build as the differential oracle.
+//! self-discharge, whose demand depends on the level, levels are eager:
+//! a lane pass steps them all and sums what they gave up in sensor order
+//! ([`drain_lanes`]). [`drain_sensors_naive`] derives every draw from
+//! scratch and stays in the build as the differential oracle.
 
-use super::{SensorSoA, WorldState, CHUNK, F_ACTIVE, F_DORMANT, F_SUSPENDED};
+use super::{SensorSoA, WorldState, F_ACTIVE, F_DORMANT, F_SUSPENDED};
 use crate::SimConfig;
 use rand::Rng;
 use wrsn_core::SensorId;
@@ -189,12 +189,11 @@ fn recompute_stale_draws(state: &mut WorldState) {
 /// the lanes whose depletion may fall on this pass and adds the tick's
 /// draws to the total in O(1) where the ulp count holds. Eager levels
 /// ([`SensorSoA::adapt`], self-discharge) run the lane pass
-/// ([`drain_lanes`]) instead, and recount the ulps of what it gave up.
-/// Either way what the lanes gave up is added to the total with the bits
-/// of the naive loop's in-order sum, and depletion transitions are
-/// replayed after the pass in the same ascending order the naive loop
-/// fires them (transition side effects never feed back into other
-/// sensors' draws within the tick, so deferral is invisible).
+/// ([`drain_lanes`]) instead, which sums in sensor order. Either way the
+/// total has the bits of the naive loop's in-order sum, and depletion
+/// transitions are replayed after the pass in the same ascending order
+/// the naive loop fires them (transition side effects never feed back
+/// into other sensors' draws within the tick, so deferral is invisible).
 ///
 /// [`drain_sensors_naive`] keeps the historical per-sensor loop, which
 /// derives each draw from the activity class and relay load itself, as
@@ -217,24 +216,18 @@ pub(crate) fn drain_sensors(state: &mut WorldState, dt: f64) {
             lanes,
             tick_draw_j,
             flags,
-            delivered,
             ..
         } = &mut state.sensors;
         let mut depleted = Vec::new();
-        delivered.resize(lanes.len(), 0.0);
         drain_lanes(
             &mut lanes.base,
             tick_draw_j,
             flags,
             state.cfg.self_discharge_per_day,
             dt,
-            delivered,
+            &mut state.total_drained_j,
             &mut depleted,
         );
-        let total = state.total_drained_j;
-        let in_order = || delivered.iter().fold(total, |sum, &d| sum + d);
-        state.total_drained_j = ulp_sum(total, delivered).unwrap_or_else(in_order);
-        debug_assert_eq!(state.total_drained_j.to_bits(), in_order().to_bits());
         replay_depletions(state, &depleted);
     }
     #[cfg(debug_assertions)]
@@ -275,15 +268,14 @@ fn drain_lazy(state: &mut WorldState) -> Vec<u32> {
     let sensors = &mut state.sensors;
     let pass = sensors.pass + 1;
     let mut due = Vec::new();
-    sensors.depletions.take_due(pass, &mut due);
+    sensors.depletions.take_due(pass, |s| due.push(s));
     // The depleting lanes with the level each gives up this pass.
     let mut last = Vec::new();
-    for &s32 in &due {
-        let s = s32 as usize;
+    for s in due {
         let level = sensors.level_at(s);
         sensors.restamp(s, level);
         if level > 0.0 && sensors.tick_draw_j[s] >= level {
-            last.push((s32, level));
+            last.push((s as u32, level));
         } else {
             sensors.predict_by(s, depletion_bound);
         }
@@ -322,17 +314,11 @@ fn drain_lazy(state: &mut WorldState) -> Vec<u32> {
 
 /// The eager lane kernel: drains every level of `levels` by its `draws`
 /// entry, plus the level-dependent term in worlds with self-discharge,
-/// stores what each lane gave up in `delivered`, and queues the lanes
-/// that reached zero this tick, ascending.
-///
-/// A lane reached zero this tick exactly when it ends at `level ≤ 0`
-/// having given up `d > 0`: a lane that starts depleted gives up
-/// nothing, and `old − d ≤ 0` with `0 < d ≤ old` means `d = old`. The
-/// pass only notes whether any lane did, so the queue is filled by a
-/// second scan on the rare ticks with a depletion and the loop carries
-/// no dependency from one lane to the next. It is kept out of line:
-/// inlined, the register allocator kept its running state on the stack
-/// (DESIGN.md §4j).
+/// adds what each lane gave up to `total` in lane order, and queues the
+/// lanes that reached zero this tick, ascending. It is kept out of line
+/// and fills a caller's queue so that its loop keeps the running total
+/// in a register: inlined, or owning its queue, the loop kept the total
+/// and each lane's draw on the stack, a store and a reload per lane.
 #[inline(never)]
 fn drain_lanes(
     levels: &mut [f64],
@@ -340,18 +326,17 @@ fn drain_lanes(
     flags: &[u8],
     sd: f64,
     dt: f64,
-    delivered: &mut [f64],
+    total: &mut f64,
     transitions: &mut Vec<u32>,
 ) {
-    let mut depleted = false;
-    let lanes = levels.iter_mut().zip(draws).zip(flags);
-    for (((level, &draw), &fl), given) in lanes.zip(delivered.iter_mut()) {
+    let mut sum = *total;
+    for (s, (level, &draw)) in levels.iter_mut().zip(draws).enumerate() {
         let old = *level;
         // A suspended lane's draw is already 0; its level-dependent
         // self-discharge term is masked here.
         let demand = if old <= 0.0 {
             0.0
-        } else if sd > 0.0 && fl & F_SUSPENDED == 0 {
+        } else if sd > 0.0 && flags[s] & F_SUSPENDED == 0 {
             draw + old * sd * dt / 86_400.0
         } else {
             draw
@@ -361,75 +346,14 @@ fn drain_lanes(
         // select: the two agree on every non-NaN level, and levels are
         // never NaN (decode rejects them, the invariant audit checks
         // them).
-        *given = if demand < old { demand } else { old };
-        *level = old - *given;
-        depleted |= (*level <= 0.0) & (*given > 0.0);
-    }
-    if depleted {
-        let lanes = levels.iter().zip(delivered.iter()).enumerate();
-        transitions.extend(
-            lanes
-                .filter(|&(_, (&level, &d))| level <= 0.0 && d > 0.0)
-                .map(|(s, _)| s as u32),
-        );
-    }
-}
-
-/// `s + Σ delivered` with the bits of the in-order loop `for d in
-/// delivered { s += d }`, as `s + u·M` for the whole-ulp count `M` of
-/// [`count_ulps`]: `None` where that count declines, for a total outside
-/// [`Binade::of`] and for a sum that would leave the binade.
-fn ulp_sum(s: f64, delivered: &[f64]) -> Option<f64> {
-    let b = Binade::of(s)?;
-    // `m · ulp` is exact; below `top`, so is the add.
-    count_ulps(delivered, &b)
-        .map(|m| s + m * b.ulp)
-        .filter(|&r| r < b.top)
-}
-
-/// `Σ rne(d / u)` over `drawn`, for the ulp `u` of `binade`, or `None`
-/// if a lane is on an exact half-ulp or has its sign bit set, or the
-/// count is not finite (a NaN or infinite lane).
-///
-/// Each lane is rounded to whole ulps as `r = (d + RNE_SHIFT·u) −
-/// RNE_SHIFT·u`, which is [`RNE_SHIFT`]'s rounding scaled by the power
-/// of two `u`. Beyond `2^51` ulps the rounding can miss by an ulp, but
-/// then `|d − r| ≥ u/2`, which the half-ulp test declines; a lane it
-/// passes is counted exactly. Every term is a whole number of ulps and
-/// non-negative, so the partial sums are exact until one reaches
-/// `2^53` ulps, and a count that large leaves any binade anyway (the sums
-/// are monotone, so it still reads `≥ 2^53`). Four accumulators, two
-/// SSE2 registers, and no branch; eight spilled registers on baseline
-/// x86-64 and ran slower.
-fn count_ulps(drawn: &[f64], binade: &Binade) -> Option<f64> {
-    const W: usize = 4;
-    let shift = RNE_SHIFT * binade.ulp;
-    let mut acc = [0.0f64; W];
-    let mut off = [0.0f64; W];
-    let mut sign = [0u64; W];
-    let mut lane = |k: usize, d: f64| {
-        let r = (d + shift) - shift;
-        acc[k] += r;
-        sign[k] |= d.to_bits();
-        // `max` as a select: `maxpd`, without `f64::max`'s NaN fix-up
-        // (a NaN lane is caught by the count instead).
-        let o = (d - r).abs();
-        off[k] = if off[k] > o { off[k] } else { o };
-    };
-    let mut chunks = drawn.chunks_exact(W);
-    for chunk in &mut chunks {
-        for (k, &d) in chunk.iter().enumerate() {
-            lane(k, d);
+        let delivered = if demand < old { demand } else { old };
+        *level = old - delivered;
+        sum += delivered;
+        if old > 0.0 && *level <= 0.0 {
+            transitions.push(s as u32);
         }
     }
-    for (k, &d) in chunks.remainder().iter().enumerate() {
-        lane(k, d);
-    }
-    let m = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    let sign = sign.iter().fold(0, |a, &b| a | b) >> 63;
-    let half = off.iter().any(|&o| o >= 0.5 * binade.ulp);
-    let ulps = m * binade.inv_ulp; // exact: a power-of-two scaling
-    (sign == 0 && !half && ulps.is_finite()).then_some(ulps)
+    *total = sum;
 }
 
 /// A binade `[2^e, 2^(e+1))` of the running total, where every float is
@@ -922,76 +846,6 @@ pub(crate) fn quick_depletion_bound(level: f64, d: f64) -> u64 {
     1 << (a as i64 - e as i64 - 3).clamp(0, 62)
 }
 
-/// Depletion predictions for the lazy lanes: one pass per live lane at
-/// or before which it can deplete (`u64::MAX` = none), plus one lower
-/// bound per [`CHUNK`]-lane chunk, the shape of
-/// [`CrossingState`](super::CrossingState)'s `sched`/`chunk_min`.
-pub(crate) struct Depletions {
-    due: Vec<u64>,
-    /// May sit below its chunk's earliest entry after a prediction moved
-    /// later; that costs one wasted chunk scan, never a miss.
-    chunk_min: Vec<u64>,
-}
-
-impl Depletions {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            due: vec![u64::MAX; n],
-            chunk_min: vec![u64::MAX; n.div_ceil(CHUNK)],
-        }
-    }
-
-    /// Lane `s`'s depletion check falls due at pass `due`.
-    #[inline]
-    pub(crate) fn schedule(&mut self, s: usize, due: u64) {
-        self.due[s] = due;
-        let c = &mut self.chunk_min[s / CHUNK];
-        *c = (*c).min(due);
-    }
-
-    /// The pass at which lane `s`'s check falls due.
-    pub(crate) fn due(&self, s: usize) -> u64 {
-        self.due[s]
-    }
-
-    /// Moves every lane due at or before pass `now` to `out`, ascending,
-    /// and withdraws its prediction. Visits only the chunks whose bound
-    /// has expired, re-deriving each bound exactly.
-    fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
-        for (c, bound) in self.chunk_min.iter_mut().enumerate() {
-            if *bound > now {
-                continue;
-            }
-            let c0 = c * CHUNK;
-            let c1 = (c0 + CHUNK).min(self.due.len());
-            let mut lo = u64::MAX;
-            for (s, due) in (c0..c1).zip(&mut self.due[c0..c1]) {
-                if *due <= now {
-                    *due = u64::MAX;
-                    out.push(s as u32);
-                } else {
-                    lo = lo.min(*due);
-                }
-            }
-            *bound = lo;
-        }
-    }
-
-    /// Checks that every chunk bound is at or below its chunk's earliest
-    /// prediction.
-    pub(crate) fn verify(&self) -> Result<(), String> {
-        for (c, (due, &bound)) in self.due.chunks(CHUNK).zip(&self.chunk_min).enumerate() {
-            let lo = due.iter().copied().min().unwrap_or(u64::MAX);
-            if bound > lo {
-                return Err(format!(
-                    "depletion chunk {c} bound {bound} is above its earliest prediction {lo}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 pub(crate) fn drain_sensors_naive(state: &mut WorldState, dt: f64) {
     let profile = state.cfg.sensor_profile;
     let watch_duty = state.cfg.watch_duty;
@@ -1044,8 +898,8 @@ pub(crate) fn drain_sensors_naive(state: &mut WorldState, dt: f64) {
 #[cfg(test)]
 mod tests {
     use super::{
-        closed_step, depletion_bound, pass_total, quick_depletion_bound, ulp_at, ulp_sum,
-        walk_from, Binade, Lane, Lanes, UlpSum, TIE,
+        closed_step, depletion_bound, pass_total, quick_depletion_bound, ulp_at, walk_from, Binade,
+        Lane, Lanes, UlpSum, TIE,
     };
     use crate::{SimConfig, World};
     use proptest::prelude::*;
@@ -1312,18 +1166,6 @@ mod tests {
         (0u32..95, 0u64..4, 0u64..1000, 0.0f64..1.0)
     }
 
-    /// [`lane_ulps`] and, where not `clean`, also `−0.0`, NaN, infinite
-    /// and negative lanes, which the eager pass's count must decline.
-    fn raw_lane_ulps((kind, small, k, f): (u32, u64, u64, f64), clean: bool) -> f64 {
-        match kind + if clean { 0 } else { 5 } {
-            90 => -0.0,
-            95 => f64::NAN,
-            96 => f64::INFINITY,
-            97..=99 => -(k as f64 + f) - 1.0,
-            _ => lane_ulps((kind, small, k, f)),
-        }
-    }
-
     /// The in-order sum of one pass: every live lane's draw, the
     /// depleting ones' levels instead.
     fn in_order(total: f64, lanes: &Lanes, draws: &[f64], last: &[(u32, f64)]) -> f64 {
@@ -1423,45 +1265,6 @@ mod tests {
             prop_assert!(want >= b.top);
             let got = pass_total(&mut UlpSum::default(), s0, &mut lanes, &draws, &[]);
             prop_assert_eq!(got.to_bits(), want.to_bits());
-            prop_assert!(ulp_sum(s0, &draws).is_none());
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
-
-        /// The eager pass's recounted sum reproduces the in-order sum bit
-        /// for bit, and declines exactly where its argument does not
-        /// hold: a total it cannot count in; a lane with its sign bit
-        /// set, not finite or on a half-ulp; or a sum that reaches the
-        /// binade's top.
-        #[test]
-        fn eager_ulp_sum_is_the_in_order_sum_or_declines(
-            s0 in arb_total(),
-            raw in proptest::collection::vec(arb_lane(), 0..24),
-            clean in proptest::bool::weighted(0.5),
-        ) {
-            let b = Binade::of(s0);
-            let u = b.as_ref().map_or(f64::EPSILON, |b| b.ulp);
-            let drawn: Vec<f64> = raw.iter().map(|&l| raw_lane_ulps(l, clean) * u).collect();
-            let in_order = drawn.iter().fold(s0, |sum, &d| sum + d);
-            // Lanes of 2^51 ulps and more may decline: their rounding is
-            // only checked, not exact.
-            let (must_decline, may_decline) = b.map_or((true, true), |b| {
-                let q = |d: f64| d * b.inv_ulp;
-                let must = in_order >= b.top
-                    || drawn.iter().any(|&d| {
-                        d.is_sign_negative() || !q(d).is_finite() || q(d).fract() == 0.5
-                    });
-                (must, must || drawn.iter().any(|&d| q(d) >= (1u64 << 51) as f64))
-            });
-            match ulp_sum(s0, &drawn) {
-                Some(sum) => {
-                    prop_assert_eq!(sum.to_bits(), in_order.to_bits(), "{} + {:?}", s0, drawn);
-                    prop_assert!(!must_decline, "counted {} + {:?}", s0, drawn);
-                }
-                None => prop_assert!(may_decline, "declined {} + {:?}", s0, drawn),
-            }
         }
     }
 

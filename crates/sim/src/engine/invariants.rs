@@ -47,7 +47,7 @@ fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
         .crossings
         .tick
         .saturating_add((margin / per_tick) as u64);
-    let due = state.crossings.sched[s];
+    let due = state.crossings.sched.due(s);
     if due > latest {
         return Err(format!(
             "sensor {s} drains {per_tick} J per tick with a late crossing prediction: \
@@ -81,7 +81,7 @@ fn verify_lazy_levels(state: &WorldState) -> Result<(), String> {
     if !sensors.lazy {
         return Ok(());
     }
-    sensors.depletions.verify()?;
+    sensors.depletions.verify("depletion")?;
     for s in 0..sensors.len() {
         let (level, due) = (sensors.level_at(s), sensors.depletions.due(s));
         if level > 0.0 && sensors.tick_draw_j[s] >= level && due > sensors.pass + 1 {
@@ -583,14 +583,14 @@ mod tests {
     fn expired_crossing_prediction_is_caught() {
         let mut state = tiny_state();
         crate::engine::dispatch::manage_requests(&mut state);
-        state.crossings.sched[4] = 0; // due before the scan that just ran
+        state.crossings.sched.due[4] = 0; // due before the scan that just ran
         assert!(check(&state).unwrap_err().contains("past scan tick"));
     }
 
     #[test]
     fn crossing_chunk_bound_above_prediction_is_caught() {
         let mut state = tiny_state();
-        state.crossings.sched[4] = 10; // scheduled without lowering the bound
+        state.crossings.sched.due[4] = 10; // scheduled without lowering the bound
         assert!(check(&state).unwrap_err().contains("chunk 0 bound"));
     }
 
@@ -622,7 +622,7 @@ mod tests {
         // it below threshold.
         let s = 4;
         assert!(!state.crossings.scheduled(s) && state.sensors.tick_draw_j[s] > 0.0);
-        state.crossings.sched[s] = u64::MAX - 1;
+        state.crossings.sched.due[s] = u64::MAX - 1;
         assert!(check(&state).unwrap_err().contains("sensor 4 drains"));
     }
 

@@ -60,9 +60,9 @@ pub(crate) const F_ACTIVE: u8 = 1 << 3;
 /// Sensor flag bit: fully asleep this slot (off-duty round-robin member).
 pub(crate) const F_DORMANT: u8 = 1 << 4;
 
-/// Sensors per crossing-prediction chunk: the span of one lower bound on
-/// the predicted crossing ticks.
-pub(crate) const CHUNK: usize = 1024;
+/// Ids per [`DueSchedule`] chunk: the span of one lower bound on its due
+/// ticks.
+const CHUNK: usize = 1024;
 
 /// Drain passes over which [`SensorSoA::adapt`] counts draw changes.
 const DENSITY_WINDOW: u64 = 16;
@@ -126,11 +126,8 @@ pub(crate) struct SensorSoA {
     /// changed since their [`tick_draw_j`](Self::tick_draw_j) entry was
     /// last computed. The setters below are those bits' only writers.
     draw_stale: ScanSet,
-    /// What each lane gave up in the last eager pass (J): scratch for
-    /// its drained-energy sum, empty while levels are lazy.
-    pub(crate) delivered: Vec<f64>,
     /// The pass at or before which each live lazy lane can deplete.
-    pub(crate) depletions: energy::Depletions,
+    depletions: DueSchedule,
     /// The whole-ulp count of one pass's draws in a binade of the
     /// running drain total, maintained lane by lane.
     pub(crate) sum: energy::UlpSum,
@@ -164,8 +161,7 @@ impl SensorSoA {
             suspended_count: 0,
             tick_draw_j: vec![0.0; n],
             draw_stale: ScanSet::new(n),
-            delivered: Vec::new(),
-            depletions: energy::Depletions::new(n),
+            depletions: DueSchedule::new(n),
             sum: energy::UlpSum::default(),
         }
     }
@@ -351,8 +347,8 @@ impl SensorSoA {
 
     /// Switches between lazy and eager levels. Leaving lazy mode
     /// materializes every lane at the current pass; entering it predicts
-    /// every lane's depletion and frees the eager pass's scratch. Either
-    /// way the drain sum recounts at its next use.
+    /// every lane's depletion. Either way the drain sum recounts at its
+    /// next use.
     pub(crate) fn set_lazy(&mut self, lazy: bool) {
         if lazy == self.lazy {
             return;
@@ -362,11 +358,8 @@ impl SensorSoA {
             self.restamp(s, level);
         }
         self.lazy = lazy;
-        if lazy {
-            self.delivered = Vec::new();
-        }
         self.sum = energy::UlpSum::default();
-        self.depletions = energy::Depletions::new(self.len());
+        self.depletions = DueSchedule::new(self.len());
         for s in 0..self.len() {
             self.predict(s);
         }
@@ -467,11 +460,9 @@ impl SensorSoA {
 /// no-op in the scan — no writes, no RNG — so extra bits never change
 /// world bytes):
 ///
-/// * `sched`/`chunk_min` — the predicted threshold-crossing tick of each
+/// * `sched` — the predicted threshold-crossing tick of each
 ///   above-threshold sensor (current drain rate, two-tick early slack),
-///   plus one lower bound per [`CHUNK`]-sensor chunk. A scan visits only
-///   chunks whose bound has expired, sets the due sensors' bits and
-///   re-derives the bound exactly. Memory is two fixed arrays.
+///   in a [`DueSchedule`]: a scan sets the due sensors' bits.
 /// * [`note_check`](Self::note_check) — every event that can flip a
 ///   sensor's board recovery state or change its ERC vote (liveness
 ///   changes, RV charge delivery, route abandonment, request-group
@@ -501,13 +492,9 @@ pub(crate) struct CrossingState {
     /// set, so resumed worlds re-derive their predictions on the first
     /// tick.
     tick: u64,
-    /// Predicted due tick per sensor; `u64::MAX` = no prediction. The
-    /// single source of truth for which predictions are live.
-    sched: Vec<u64>,
-    /// Per-chunk lower bound on `sched` (`u64::MAX` = nothing scheduled).
-    /// May sit below the true minimum after a prediction is moved later
-    /// or cleared; that costs one wasted chunk scan, never a miss.
-    chunk_min: Vec<u64>,
+    /// Predicted due tick per sensor. The single source of truth for
+    /// which predictions are live.
+    sched: DueSchedule,
     /// Sensors to examine at the next request scan.
     next: ScanSet,
     /// Scratch: the set a scan drains (empty between scans).
@@ -532,8 +519,7 @@ impl CrossingState {
         next.fill(num_sensors);
         Self {
             tick: 0,
-            sched: vec![u64::MAX; num_sensors],
-            chunk_min: vec![u64::MAX; num_sensors.div_ceil(CHUNK)],
+            sched: DueSchedule::new(num_sensors),
             next,
             scan: ScanSet::new(num_sensors),
             dirty_groups: ScanSet::new(2 * num_sensors),
@@ -562,7 +548,7 @@ impl CrossingState {
 
     /// Seeds every sensor for re-examination at the next request scan.
     pub(crate) fn note_check_all(&mut self) {
-        self.next.fill(self.sched.len());
+        self.next.fill(self.sched.due.len());
     }
 
     /// Whether `s` will be examined at the next request scan. Exposed
@@ -620,69 +606,31 @@ impl CrossingState {
         }
     }
 
-    /// Schedules sensor `s`'s predicted crossing at tick `due`
-    /// (`u64::MAX` withdraws the prediction).
-    #[inline]
-    fn schedule(&mut self, s: usize, due: u64) {
-        self.sched[s] = due;
-        let c = &mut self.chunk_min[s / CHUNK];
-        *c = (*c).min(due);
-    }
-
     /// Starts the request scan at tick `now`: adds the due predictions to
-    /// the next-scan set, then hands the set over whole, leaving an empty
-    /// one to collect the following scan's causes.
+    /// the next-scan set, withdrawing them, then hands the set over whole,
+    /// leaving an empty one to collect the following scan's causes.
     fn take_scan(&mut self, now: u64) -> ScanSet {
-        self.take_due(now);
+        let next = &mut self.next;
+        self.sched.take_due(now, |s| next.insert(s));
         let empty = std::mem::take(&mut self.scan);
         std::mem::replace(&mut self.next, empty)
     }
 
-    /// Moves every prediction due at or before `now` into the next-scan
-    /// set and withdraws it. Visits only the chunks whose bound has
-    /// expired, re-deriving each bound exactly.
-    fn take_due(&mut self, now: u64) {
-        for (c, bound) in self.chunk_min.iter_mut().enumerate() {
-            if *bound > now {
-                continue;
-            }
-            let c0 = c * CHUNK;
-            let c1 = (c0 + CHUNK).min(self.sched.len());
-            let mut lo = u64::MAX;
-            for (s, due) in (c0..c1).zip(&mut self.sched[c0..c1]) {
-                if *due <= now {
-                    *due = u64::MAX;
-                    self.next.insert(s);
-                } else {
-                    lo = lo.min(*due);
-                }
-            }
-            *bound = lo;
-        }
-    }
-
     /// Audits the scan state between request scans: the next-scan set is
-    /// well formed, no prediction is already expired, and every chunk
-    /// bound is at or below its chunk's earliest prediction.
+    /// well formed, no prediction is already expired, and the chunk
+    /// bounds hold.
     pub(crate) fn verify(&self) -> Result<(), String> {
         self.next.verify()?;
         self.parked.verify()?;
         self.below.verify()?;
-        if let Some(s) = self.sched.iter().position(|&due| due < self.tick) {
+        if let Some(s) = self.sched.due.iter().position(|&due| due < self.tick) {
             return Err(format!(
                 "sensor {s} kept crossing prediction {} past scan tick {}",
-                self.sched[s], self.tick
+                self.sched.due(s),
+                self.tick
             ));
         }
-        for (c, (preds, &bound)) in self.sched.chunks(CHUNK).zip(&self.chunk_min).enumerate() {
-            let lo = preds.iter().copied().min().unwrap_or(u64::MAX);
-            if bound > lo {
-                return Err(format!(
-                    "crossing chunk {c} bound {bound} is above its earliest prediction {lo}"
-                ));
-            }
-        }
-        Ok(())
+        self.sched.verify("crossing")
     }
 }
 
@@ -800,6 +748,76 @@ impl ScanSet {
             Some((w, _)) => Err(format!("scan set summary bit of word {w} is stale")),
             None => Ok(()),
         }
+    }
+}
+
+/// A due tick per id (`u64::MAX` = none) plus one lower bound per
+/// [`CHUNK`] ids, so that collecting the due entries visits only the
+/// chunks whose bound has expired: the crossing predictions of
+/// [`CrossingState`] and the depletion predictions of lazy levels
+/// (DESIGN.md §4j). A bound may sit below its chunk's earliest entry
+/// after an entry moved later or was withdrawn; that costs one wasted
+/// chunk scan, never a miss.
+struct DueSchedule {
+    due: Vec<u64>,
+    chunk_min: Vec<u64>,
+}
+
+impl DueSchedule {
+    fn new(n: usize) -> Self {
+        Self {
+            due: vec![u64::MAX; n],
+            chunk_min: vec![u64::MAX; n.div_ceil(CHUNK)],
+        }
+    }
+
+    /// Id `s` falls due at `due` (`u64::MAX` withdraws it).
+    #[inline]
+    fn schedule(&mut self, s: usize, due: u64) {
+        self.due[s] = due;
+        let c = &mut self.chunk_min[s / CHUNK];
+        *c = (*c).min(due);
+    }
+
+    fn due(&self, s: usize) -> u64 {
+        self.due[s]
+    }
+
+    /// Calls `f` on every id due at or before `now`, ascending, and
+    /// withdraws it, re-deriving each expired chunk bound exactly.
+    #[inline]
+    fn take_due(&mut self, now: u64, mut f: impl FnMut(usize)) {
+        for (c, bound) in self.chunk_min.iter_mut().enumerate() {
+            if *bound > now {
+                continue;
+            }
+            let c0 = c * CHUNK;
+            let c1 = (c0 + CHUNK).min(self.due.len());
+            let mut lo = u64::MAX;
+            for (s, due) in (c0..c1).zip(&mut self.due[c0..c1]) {
+                if *due <= now {
+                    *due = u64::MAX;
+                    f(s);
+                } else {
+                    lo = lo.min(*due);
+                }
+            }
+            *bound = lo;
+        }
+    }
+
+    /// Checks that every chunk bound is at or below its chunk's earliest
+    /// entry; `what` names the schedule in the error.
+    fn verify(&self, what: &str) -> Result<(), String> {
+        for (c, (due, &bound)) in self.due.chunks(CHUNK).zip(&self.chunk_min).enumerate() {
+            let lo = due.iter().copied().min().unwrap_or(u64::MAX);
+            if bound > lo {
+                return Err(format!(
+                    "{what} chunk {c} bound {bound} is above its earliest prediction {lo}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1235,7 +1253,8 @@ impl WorldState {
 
 #[cfg(test)]
 mod tests {
-    use super::ScanSet;
+    use super::{DueSchedule, ScanSet, CHUNK};
+    use proptest::prelude::*;
 
     fn drained(set: &mut ScanSet) -> Vec<u32> {
         let mut out = Vec::new();
@@ -1274,5 +1293,47 @@ mod tests {
         let mut set = ScanSet::new(200);
         set.words[2] = 1; // a member the summary does not mark
         assert!(set.verify().unwrap_err().contains("word 2"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over 1–3 chunks, the ragged last one included, `take_due`
+        /// hands out exactly what a naive `due ≤ now` filter does,
+        /// ascending, and leaves no expired bound. Entries are scheduled,
+        /// moved earlier, moved later (leaving a low bound behind: a
+        /// wasted chunk scan) and withdrawn between takes.
+        #[test]
+        fn due_schedule_takes_what_a_naive_filter_takes(
+            n in 1usize..=3 * CHUNK,
+            ops in proptest::collection::vec((0u8..4, 0usize..3 * CHUNK, 0u64..40), 1..120),
+        ) {
+            let mut sched = DueSchedule::new(n);
+            let mut naive = vec![u64::MAX; n];
+            let mut now = 0u64;
+            for (kind, s, k) in ops {
+                let s = s % n;
+                match kind {
+                    0 => naive[s] = now + k,
+                    1 => naive[s] = naive[s].saturating_add(k + 1),
+                    2 => naive[s] = u64::MAX,
+                    _ => {
+                        now += k / 4;
+                        let mut got = Vec::new();
+                        sched.take_due(now, |s| got.push(s));
+                        let want: Vec<usize> = (0..n).filter(|&s| naive[s] <= now).collect();
+                        prop_assert_eq!(got, want);
+                        for &s in &want {
+                            naive[s] = u64::MAX;
+                        }
+                        prop_assert!(sched.chunk_min.iter().all(|&b| b > now));
+                        continue;
+                    }
+                }
+                sched.schedule(s, naive[s]);
+                prop_assert_eq!(sched.due(s), naive[s]);
+                prop_assert_eq!(sched.verify("test"), Ok(()));
+            }
+        }
     }
 }

@@ -32,19 +32,24 @@ pub(crate) enum NetChaos {
     AbortAgent(Duration),
 }
 
-/// Deterministic chaos decision for one `(shard, attempt)` assignment.
-/// Only the first two attempts can be faulted, so `retries >= 2` always
-/// converges.
-pub(crate) fn net_chaos_plan(p: f64, hash: u64, shard: usize, attempt: u32) -> Option<NetChaos> {
+/// The fault gate of both chaos planners (this one and the worker plan
+/// in `shard.rs`): `None` at `p ≤ 0` and from a shard's third attempt
+/// on, so `retries >= 2` always converges; otherwise the RNG seeded with
+/// `seed` if it draws a fault with probability `p`, for the caller to
+/// pick the fault from.
+pub(crate) fn fault_rng(p: f64, attempt: u32, seed: u64) -> Option<StdRng> {
     if p <= 0.0 || attempt >= 2 {
         return None;
     }
-    let mut rng = StdRng::seed_from_u64(
-        hash.rotate_left(17) ^ ((shard as u64) << 24) ^ ((attempt as u64) << 48),
-    );
-    if !rng.gen_bool(p.min(1.0)) {
-        return None;
-    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    rng.gen_bool(p.min(1.0)).then_some(rng)
+}
+
+/// Deterministic chaos decision for one `(shard, attempt)` assignment,
+/// through [`fault_rng`].
+pub(crate) fn net_chaos_plan(p: f64, hash: u64, shard: usize, attempt: u32) -> Option<NetChaos> {
+    let seed = hash.rotate_left(17) ^ ((shard as u64) << 24) ^ ((attempt as u64) << 48);
+    let mut rng = fault_rng(p, attempt, seed)?;
     Some(match rng.gen_range(0u64..5) {
         0 => NetChaos::TornAssign,
         1 => NetChaos::Delay(Duration::from_millis(rng.gen_range(20u64..250))),

@@ -339,16 +339,11 @@ enum Chaos {
     Stall,
 }
 
-/// Deterministic chaos decision for one `(shard, attempt)`. Only the first
-/// two attempts can be faulted, so `retries >= 2` always converges.
+/// Deterministic chaos decision for one `(shard, attempt)`, through the
+/// gate [`fabric::chaos::fault_rng`] shares with the network plan.
 fn chaos_plan(opts: &ShardOptions, hash: u64, shard: usize, attempt: u32) -> Option<Chaos> {
-    if opts.chaos_workers <= 0.0 || attempt >= 2 {
-        return None;
-    }
-    let mut rng = StdRng::seed_from_u64(hash ^ ((shard as u64) << 20) ^ ((attempt as u64) << 52));
-    if !rng.gen_bool(opts.chaos_workers.min(1.0)) {
-        return None;
-    }
+    let seed = hash ^ ((shard as u64) << 20) ^ ((attempt as u64) << 52);
+    let mut rng = fabric::chaos::fault_rng(opts.chaos_workers, attempt, seed)?;
     if rng.gen_bool(0.5) {
         Some(Chaos::Kill(Duration::from_millis(
             rng.gen_range(20u64..400),
@@ -777,6 +772,59 @@ mod tests {
         }
         let off = ShardOptions::default();
         assert!(chaos_plan(&off, 0xabc, 0, 0).is_none());
+    }
+
+    /// Both chaos planners' decisions for one grid hash, 64 shards,
+    /// attempts 0–2 and two fault rates: one letter per decision per
+    /// row, and an FNV-1a over every decision's `Debug` text (delays
+    /// included).
+    #[test]
+    fn chaos_plans_keep_their_decision_table() {
+        use crate::fabric::chaos::{net_chaos_plan, NetChaos};
+        let (mut rows, mut text) = (Vec::new(), String::new());
+        for p in [0.3, 1.0] {
+            let opts = ShardOptions {
+                chaos_workers: p,
+                ..ShardOptions::default()
+            };
+            for attempt in 0..3 {
+                let mut row = String::new();
+                for shard in 0..64 {
+                    let (w, n) = (
+                        chaos_plan(&opts, 0xabc, shard, attempt),
+                        net_chaos_plan(p, 0xabc, shard, attempt),
+                    );
+                    text += &format!("{w:?}{n:?}");
+                    row.push(match w {
+                        None => '.',
+                        Some(Chaos::Kill(_)) => 'K',
+                        Some(Chaos::Stall) => 'S',
+                    });
+                    row.push(match n {
+                        None => '.',
+                        Some(NetChaos::TornAssign) => 'T',
+                        Some(NetChaos::Delay(_)) => 'D',
+                        Some(NetChaos::Partition) => 'P',
+                        Some(NetChaos::StallAgent) => 'S',
+                        Some(NetChaos::AbortAgent(_)) => 'A',
+                    });
+                }
+                rows.push(row);
+            }
+        }
+        // Per shard: the worker plan (`.`, `K`ill, `S`tall), then the
+        // network plan (`.`, `T`orn, `D`elay, `P`artition, `S`tall,
+        // `A`bort); rows are p = 0.3 then 1.0, attempts 0, 1, 2 each.
+        let want = [
+            "K........A.........SS....TS......P.SKS..S..AKT..K...K.........K..TKS...AKS...A...A.A.S.......S.T..K.S.K..PS.K......A...T..KS..K.",
+            "K.SPSD..S.....S.S...KA.......S.P........S......TS.ST...D......S......S...S....S.......KS...P....S.K.SA....K...S.S..P..S.S.......",
+            "................................................................................................................................",
+            "KDKASDSPSAKAKSKPKDSSSDSASTSDKAKASPSSKSSDSASAKTKPKSKPKPKSKTKAKSKTSTKSKDSAKSSAKAKDKASASSKTKTSPSSKTSPKASAKTSPSSKPKASPKAKPSTKSKSKAKD",
+            "KPSPSDKDSDSTSDSSSAKDKAKASASDKSKPSPKAKSKDSASSKPKTSSSTKTSDSDSDKDSTSTSTSSSSKSSASDSSKSSTKPKSKASPSAKDSPKDSAKPSDKSSDSASPKPKPSTSDSAKSKD",
+            "................................................................................................................................",
+        ];
+        assert_eq!(rows, want);
+        assert_eq!(crate::codec::fnv1a(text.as_bytes()), 0x7dd3_30c1_0981_03cd);
     }
 
     #[test]

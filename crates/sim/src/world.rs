@@ -401,7 +401,8 @@ impl World {
 
     /// Drain passes since sensor `s`'s lazy battery level was last
     /// materialized (diagnostics, DESIGN.md §4j; always 0 where levels
-    /// are eager: naive drain, self-discharge).
+    /// are eager: under naive drain, with self-discharge, and while most
+    /// draws change every tick).
     pub fn lazy_lane_lag(&self, s: SensorId) -> u64 {
         self.state.sensors.lag(s.index())
     }

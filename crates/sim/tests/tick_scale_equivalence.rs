@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use wrsn_core::SensorId;
-use wrsn_sim::{SimConfig, TargetMobility, World};
+use wrsn_sim::{SimConfig, TargetMobility, TraceEvent, World};
 
 prop_compose! {
     /// Small worlds biased to stress every invalidation rule: everyone
@@ -236,36 +236,55 @@ fn outage_wait_dispatch_matches_naive_scan_every_tick() {
     }
 }
 
-/// The crossing predictions are bounded per 1024-sensor chunk; every
-/// proptest world above fits in one chunk. This fixed world spans three
-/// chunks with a ragged last one (2,100 sensors), starts everyone near
-/// the 50 % threshold so crossings land in every chunk, runs with uplink
-/// loss and transient outages, and resumes the fast world from its
-/// own snapshot mid-run (predictions are rebuilt from scratch) while the
-/// naive-dispatch twin runs uninterrupted.
+/// The crossing and depletion predictions are bounded per 1024-sensor
+/// chunk; every proptest world above fits in one chunk. This fixed world
+/// spans three chunks with a ragged last one (2,100 sensors), runs with
+/// uplink loss and transient outages, and resumes the fast world from
+/// its own snapshot mid-run (predictions are rebuilt from scratch) while
+/// the naive twin runs uninterrupted. Two cases:
+///
+/// * everyone starts near the 50 % threshold, so crossings land in every
+///   chunk, against a naive-dispatch twin;
+/// * everyone starts nearly empty and levels are lazy (no
+///   self-discharge, sparse draw changes), so depletions land in every
+///   chunk, against a naive-drain twin.
 #[test]
 fn multi_chunk_dispatch_matches_naive_scan_across_resume() {
+    for depletions in [false, true] {
+        multi_chunk_lockstep(depletions);
+    }
+}
+
+fn multi_chunk_lockstep(depletions: bool) {
     let mut cfg = SimConfig::small(0.3);
     cfg.num_sensors = 2_100;
     cfg.num_targets = 20;
     cfg.num_rvs = 3;
     cfg.field_side = 60.0 * (2_100.0f64 / 60.0).sqrt();
-    cfg.initial_soc = (0.4, 0.55);
+    cfg.initial_soc = if depletions {
+        (0.001, 0.02)
+    } else {
+        (0.4, 0.55)
+    };
     cfg.faults.transients_per_day = 6.0;
     cfg.faults.transient_outage_s = (120.0, 1_800.0);
     cfg.faults.uplink_loss = 0.4;
     cfg.faults.uplink_backoff_s = 300.0;
     cfg.faults.uplink_backoff_cap_s = 3_600.0;
     cfg.min_batch_demand_j = 10e3;
+    assert_eq!(cfg.self_discharge_per_day, 0.0);
 
     let seed = 11;
     let mut fast = World::new(&cfg, seed);
-    let mut slow = naive_twin(&cfg, seed, true, false, false);
+    let mut slow = naive_twin(&cfg, seed, !depletions, depletions, false);
+    for w in [&mut fast, &mut slow] {
+        w.enable_trace(1 << 16);
+    }
     let soc = |w: &World, s: usize| w.battery(SensorId(s as u32)).soc();
     let above: Vec<bool> = (0..cfg.num_sensors)
         .map(|s| soc(&fast, s) >= cfg.recharge_threshold_frac)
         .collect();
-    let mut ticks = 0u64;
+    let (mut ticks, mut lazy_checks, mut checks) = (0u64, 0, 0);
     while !fast.finished() {
         fast.step();
         slow.step();
@@ -277,22 +296,43 @@ fn multi_chunk_dispatch_matches_naive_scan_across_resume() {
             assert_eq!(
                 fast.save_snapshot(),
                 slow.save_snapshot(),
-                "three-chunk dispatch diverged from the naive scan at t = {} s",
+                "three-chunk world diverged from its naive twin at t = {} s",
                 fast.time()
             );
+            checks += 1;
+            lazy_checks +=
+                (0..cfg.num_sensors).any(|s| fast.lazy_lane_lag(SensorId(s as u32)) > 0) as u32;
         }
     }
     assert!(slow.finished());
     assert_eq!(fast.save_snapshot(), slow.save_snapshot());
-    // Every chunk, the ragged last one included, saw predicted crossings.
+    let depleted: Vec<usize> = (fast.trace().events().iter())
+        .filter_map(|e| match e {
+            TraceEvent::SensorDepleted { sensor, .. } => Some(sensor.index()),
+            _ => None,
+        })
+        .collect();
+    // Eager only over the first density window and the one after the
+    // resume.
+    assert!(4 * lazy_checks >= 3 * checks, "levels stayed eager");
     for c0 in (0..cfg.num_sensors).step_by(1024) {
-        let crossed = (c0..(c0 + 1024).min(cfg.num_sensors))
-            .filter(|&s| above[s] && soc(&fast, s) < cfg.recharge_threshold_frac)
-            .count();
-        assert!(
-            crossed > 0,
-            "no sensor in the chunk at {c0} crossed the threshold"
-        );
+        let chunk = c0..(c0 + 1024).min(cfg.num_sensors);
+        if depletions {
+            assert!(
+                depleted.iter().any(|s| chunk.contains(s)),
+                "no sensor in the chunk at {c0} depleted"
+            );
+        } else {
+            // Every chunk, the ragged last one included, saw predicted
+            // crossings.
+            let crossed = chunk
+                .filter(|&s| above[s] && soc(&fast, s) < cfg.recharge_threshold_frac)
+                .count();
+            assert!(
+                crossed > 0,
+                "no sensor in the chunk at {c0} crossed the threshold"
+            );
+        }
     }
     let out = fast.outcome();
     assert!(out.transient_faults > 0, "no outage was exercised");
