@@ -229,6 +229,27 @@ impl Codec for u64 {
     }
 }
 
+impl Codec for i64 {
+    fn put(&self, e: &mut Enc) {
+        e.u64(*self as u64);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(d.u64()? as i64)
+    }
+}
+
+/// Low 64 bits first.
+impl Codec for i128 {
+    fn put(&self, e: &mut Enc) {
+        e.u64(*self as u64);
+        e.u64((*self >> 64) as u64);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        let (lo, hi) = (d.u64()?, d.u64()?);
+        Ok((hi as i128) << 64 | lo as i128)
+    }
+}
+
 /// A `usize` field is a plain count (`Dec::count`); length prefixes go
 /// through `Vec`/`String`, which bound them by the remaining bytes.
 impl Codec for usize {

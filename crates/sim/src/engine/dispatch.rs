@@ -49,8 +49,8 @@ pub(crate) fn manage_requests(state: &mut WorldState) {
         let mut below = 0u64;
         for (i, &s32) in batch.iter().enumerate() {
             let s = s32 as usize;
-            // Each level is read once: a lazy read walks its lane.
-            levels[i] = state.sensors.read_level(s);
+            // Each level is read once.
+            levels[i] = state.sensors.level_at(s);
             let soc = levels[i] / state.sensors.capacity[s];
             flipped |= state.crossings.rescan(s, soc < thr);
             if soc < thr && !state.sensors.failed(s) {
@@ -190,7 +190,7 @@ fn predict_crossing(state: &mut WorldState, s: usize, now: u64, level: f64) {
     let dt = state.cfg.tick_s;
     // Current since this tick's drain-phase refresh: nothing changes an
     // activity bit or a relay load between drain and dispatch.
-    let mut per_tick = state.sensors.tick_draw_j[s];
+    let mut per_tick = super::energy::to_j(state.sensors.tick_draw[s]);
     let sd = state.cfg.self_discharge_per_day;
     if sd > 0.0 {
         per_tick += level * sd * dt / 86_400.0;
@@ -330,7 +330,7 @@ pub(crate) fn should_plan(state: &mut WorldState) -> bool {
     let mut critical = false;
     for id in state.board.unassigned() {
         let s = id.index();
-        let level = state.sensors.read_level(s);
+        let level = state.sensors.level_at(s);
         demand += state.sensors.capacity[s] - level;
         if state.dispatching && demand > 0.0 {
             // Mid-wave only whether any demand is left matters (the
@@ -390,7 +390,7 @@ pub(crate) fn plan_routes(state: &mut WorldState) {
         .unassigned()
         .map(|id| {
             let s = id.index();
-            let level = state.sensors.read_level(s);
+            let level = state.sensors.level_at(s);
             RechargeRequest {
                 sensor: id,
                 position: state.sensor_pos[s],

@@ -107,15 +107,20 @@ pub(crate) fn step_rv(state: &mut WorldState, i: usize, dt: f64) {
                 let use_t = budget.min(t_full);
                 state.rvs[i].phase_time_s[2] += use_t;
                 let was_dead = battery.is_depleted();
-                let delivered = battery.charge_for(power, use_t);
-                state.sensors.set_level(si, battery.level());
+                battery.charge_for(power, use_t);
+                // The transfer rounds to units once: what it delivered is
+                // the change in the stored level, exactly.
+                let level = super::energy::to_units(battery.level());
+                let units = level - state.sensors.level(si);
+                state.sensors.set_level(si, level);
                 // Charging can carry the sensor across the request
                 // threshold before the next tick's scan; make sure the
                 // dispatch pass examines it. (A below-threshold sensor is
                 // in the next-scan set anyway — this seed is the belt to
                 // that suspender.)
                 state.crossings.note_check(si);
-                state.total_delivered_j += delivered;
+                state.total_delivered += units as i128;
+                let delivered = super::energy::to_j(units);
                 state.metrics.record_recharge_energy(delivered);
                 let src = delivered / eff;
                 let got = state.rvs[i].battery.draw(src);

@@ -13,8 +13,9 @@ use super::WorldState;
 use crate::RvPhase;
 use wrsn_core::SensorId;
 
-/// Relative tolerance for the conservation sums: f64 accumulation over
-/// millions of draw/charge events loses at most ~1 ulp per event.
+/// Relative tolerance for the fleet's conservation sum: RV batteries stay
+/// in floating point, and f64 accumulation over millions of draw/charge
+/// events loses at most ~1 ulp per event. The sensor side is exact.
 const REL_EPS: f64 = 1e-6;
 
 /// Checks that above-threshold sensor `s`, outside the next dispatch
@@ -31,7 +32,7 @@ fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
     {
         return Ok(());
     }
-    let mut per_tick = sensors.tick_draw_j[s];
+    let mut per_tick = super::energy::to_j(sensors.tick_draw[s]);
     let sd = state.cfg.self_discharge_per_day;
     if sd > 0.0 {
         per_tick += sensors.level_at(s) * sd * state.cfg.tick_s / 86_400.0;
@@ -57,42 +58,43 @@ fn verify_prediction(state: &WorldState, s: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Audits the lazy battery levels: every level read equals the debug
-/// build's eager twin stepped with the per-lane rule, no live lane is
-/// past its depletion prediction (a lane whose level is at or below its
-/// draw depletes at the next pass, which must be due by then), the
-/// prediction chunk bounds hold, and a maintained drain-sum count equals
-/// a recount at its binade.
+/// Audits the lazy battery levels: a lane is depleted exactly when its
+/// base is 0, every live lane's depletion pass is the exact one, the
+/// prediction chunk bounds hold, and the maintained live-draw sum equals
+/// a recount.
 fn verify_lazy_levels(state: &WorldState) -> Result<(), String> {
     let sensors = &state.sensors;
-    #[cfg(debug_assertions)]
-    for (s, &want) in sensors.shadow.iter().enumerate() {
-        let level = sensors.level_at(s);
-        if level.to_bits() != want.to_bits() {
-            return Err(format!(
-                "sensor {s} lazy level {level} J (base {} J at pass {} of {}) differs \
-                 from the per-lane rule's {want} J",
-                sensors.lanes.get(s).base,
-                sensors.lanes.get(s).since,
-                sensors.pass
-            ));
-        }
-    }
     if !sensors.lazy {
         return Ok(());
     }
     sensors.depletions.verify("depletion")?;
+    let mut live_draw = 0i128;
     for s in 0..sensors.len() {
-        let (level, due) = (sensors.level_at(s), sensors.depletions.due(s));
-        if level > 0.0 && sensors.tick_draw_j[s] >= level && due > sensors.pass + 1 {
+        let (base, since, d) = (sensors.base[s], sensors.since[s], sensors.tick_draw[s]);
+        if (base > 0) != (sensors.level(s) > 0) {
             return Err(format!(
-                "sensor {s} depletes at pass {} with a late depletion prediction: due at \
-                 pass {due}",
-                sensors.pass + 1
+                "sensor {s} lazy level {} units disagrees with its base {base}",
+                sensors.level(s)
             ));
         }
+        let (due, want) = (
+            sensors.depletions.due(s),
+            super::energy::depletion_pass(base, since, d),
+        );
+        if due != want {
+            return Err(format!(
+                "sensor {s} (base {base} units at pass {since}, draw {d}) has depletion \
+                 prediction {due}, not its depletion pass {want}"
+            ));
+        }
+        live_draw += if base > 0 { d as i128 } else { 0 };
     }
-    sensors.sum.verify(&sensors.lanes, &sensors.tick_draw_j)?;
+    if live_draw != sensors.live_draw {
+        return Err(format!(
+            "live-draw sum {} units disagrees with a recount {live_draw}",
+            sensors.live_draw
+        ));
+    }
     Ok(())
 }
 
@@ -211,14 +213,14 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
     let loads = state.routing.loads();
     for s in 0..n {
         let want = super::energy::tick_draw(&state.cfg, state.sensors.flags[s], loads[s + 1]);
-        let have = state.sensors.tick_draw_j[s];
-        if have.to_bits() != want.to_bits()
+        let have = state.sensors.tick_draw[s];
+        if have != want
             && !state.sensors.draw_stale.contains(s)
             && !state.routing.load_event_pending(s + 1)
         {
             return Err(format!(
-                "sensor {s} drain-rate column holds {have} J, not its from-scratch \
-                 {want} J, with no refresh pending"
+                "sensor {s} drain-rate column holds {have} units, not its from-scratch \
+                 {want} units, with no refresh pending"
             ));
         }
     }
@@ -331,19 +333,14 @@ pub(crate) fn check(state: &WorldState) -> Result<(), String> {
     verify_routing(state)?;
 
     // --- Energy conservation -------------------------------------------
-    // Sensors: stored(t) = stored(0) − drained − lost-to-hw-failure
-    //          + delivered-by-RVs.
-    let stored: f64 = (0..n).map(|s| state.sensors.level_at(s)).sum();
-    let expected = state.initial_sensor_j - state.total_drained_j - state.failure_lost_j
-        + state.total_delivered_j;
-    let scale = 1.0
-        + state.initial_sensor_j
-        + state.total_drained_j
-        + state.total_delivered_j
-        + state.failure_lost_j;
-    if (stored - expected).abs() > REL_EPS * scale {
+    // Sensors, exactly: stored(t) = stored(0) − drained −
+    // lost-to-hw-failure + delivered-by-RVs.
+    let stored: i128 = (0..n).map(|s| state.sensors.level(s) as i128).sum();
+    let expected =
+        state.initial_sensor - state.total_drained - state.failure_lost + state.total_delivered;
+    if stored != expected {
         return Err(format!(
-            "sensor energy not conserved: stored {stored} J vs expected {expected} J"
+            "sensor energy not conserved: stored {stored} units vs expected {expected} units"
         ));
     }
     // Fleet: stored(t) = stored(0) + base-station input − drawn (travel +
@@ -475,7 +472,7 @@ mod tests {
     #[test]
     fn corrupted_energy_ledger_is_caught() {
         let mut state = tiny_state();
-        state.total_drained_j += 1e6; // books claim energy that never left
+        state.total_drained += 1; // books claim a nanojoule that never left
         assert!(check(&state).unwrap_err().contains("not conserved"));
     }
 
@@ -506,10 +503,9 @@ mod tests {
         assert!(check(&state).is_err());
     }
 
-    /// `tiny_state` with lazy levels after `passes` drain phases.
+    /// `tiny_state` after `passes` lazy drain phases.
     fn drained_state(passes: usize) -> WorldState {
         let mut state = tiny_state();
-        state.sensors.set_lazy(true);
         let dt = state.cfg.tick_s;
         for _ in 0..passes {
             crate::engine::energy::drain_sensors(&mut state, dt);
@@ -518,16 +514,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_drain_sum_ulp_count_is_caught() {
+    fn stale_live_draw_sum_is_caught() {
         let mut state = drained_state(3);
-        assert_ne!(state.sensors.sum.exp, 0, "three passes leave a count");
         check(&state).unwrap();
-        // A count that moved without a lane.
-        state.sensors.sum.ulps += 1;
-        assert!(check(&state).unwrap_err().contains("drain-sum ulp count"));
+        // A sum that moved without a lane.
+        state.sensors.live_draw += 1;
+        assert!(check(&state).unwrap_err().contains("live-draw sum"));
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn stale_lazy_lane_stamp_is_caught() {
         let mut state = drained_state(5);
@@ -535,30 +529,33 @@ mod tests {
         // A lane stamped at the current pass without being materialized:
         // its level reads as if the last five passes drew nothing.
         let s = (0..state.cfg.num_sensors)
-            .find(|&s| state.sensors.tick_draw_j[s] > 0.0 && state.sensors.lanes.get(s).since == 0)
+            .find(|&s| state.sensors.tick_draw[s] > 0 && state.sensors.since[s] == 0)
             .expect("a drawing lane stamped at pass 0");
-        let mut lane = state.sensors.lanes.get(s);
-        lane.since = state.sensors.pass;
-        state.sensors.lanes.set(s, lane);
-        assert!(check(&state).unwrap_err().contains("lazy level"));
+        state.sensors.since[s] = state.sensors.pass;
+        assert!(check(&state)
+            .unwrap_err()
+            .contains("not its depletion pass"));
     }
 
     #[test]
     fn late_depletion_prediction_is_caught() {
         let mut state = drained_state(2);
         let s = 4;
-        let d = state.sensors.tick_draw_j[s];
-        assert!(d > 0.0);
+        let d = state.sensors.tick_draw[s];
+        assert!(d > 1);
         // Sensor 4 at half its draw depletes at the next pass, and its
         // prediction says so…
-        state.total_drained_j += state.sensors.level_at(s) - 0.5 * d;
-        state.sensors.set_level(s, 0.5 * d);
+        state.total_drained += (state.sensors.level(s) - d / 2) as i128;
+        state.sensors.set_level(s, d / 2);
         check(&state).unwrap();
+        let mut next = state.sensors.pass + 1;
+        assert_eq!(state.sensors.depletions.due(s), next);
         // …one moved past that pass is late.
-        state.sensors.depletions.schedule(s, u64::MAX);
+        next += 1;
+        state.sensors.depletions.schedule(s, next);
         assert!(check(&state)
             .unwrap_err()
-            .contains("late depletion prediction"));
+            .contains("not its depletion pass"));
     }
 
     #[test]
@@ -567,13 +564,13 @@ mod tests {
         crate::engine::energy::refresh_draws(&mut state);
         check(&state).unwrap();
         // A stale entry with a pending mark is the refresh's to fix…
-        state.sensors.tick_draw_j[4] *= 2.0;
+        state.sensors.set_draw(4, 2 * state.sensors.tick_draw[4]);
         state.sensors.draw_stale.insert(4);
         check(&state).unwrap();
         crate::engine::energy::refresh_draws(&mut state);
         check(&state).unwrap();
         // …one without a mark is a missed refresh.
-        state.sensors.tick_draw_j[4] *= 2.0;
+        state.sensors.set_draw(4, 2 * state.sensors.tick_draw[4]);
         assert!(check(&state)
             .unwrap_err()
             .contains("sensor 4 drain-rate column"));
@@ -604,7 +601,9 @@ mod tests {
             !state.crossings.scheduled(s),
             "fresh sensors are above threshold"
         );
-        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        let low = crate::engine::energy::to_units(
+            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s],
+        );
         state.sensors.set_level(s, low);
         assert!(check(&state)
             .unwrap_err()
@@ -621,7 +620,7 @@ mod tests {
         // prediction moves past the scan at which its current draw takes
         // it below threshold.
         let s = 4;
-        assert!(!state.crossings.scheduled(s) && state.sensors.tick_draw_j[s] > 0.0);
+        assert!(!state.crossings.scheduled(s) && state.sensors.tick_draw[s] > 0);
         state.crossings.sched.due[s] = u64::MAX - 1;
         assert!(check(&state).unwrap_err().contains("sensor 4 drains"));
     }
@@ -634,7 +633,9 @@ mod tests {
         // released request so only the recorded threshold side is stale.
         let s = 4;
         assert!(!state.crossings.scheduled(s));
-        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
+        let low = crate::engine::energy::to_units(
+            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s],
+        );
         state.sensors.set_level(s, low);
         state.board.release(SensorId(s as u32), state.t);
         assert!(check(&state)
@@ -653,8 +654,10 @@ mod tests {
         let s = (0..state.cfg.num_sensors)
             .find(|&s| state.group_of[s].is_some_and(|g| state.groups[g as usize].1 >= 2))
             .expect("a fresh world has a multi-member request group");
-        let low = 0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s];
-        state.total_drained_j += state.sensors.level_at(s) - low;
+        let low = crate::engine::energy::to_units(
+            0.1 * state.cfg.recharge_threshold_frac * state.sensors.capacity[s],
+        );
+        state.total_drained += (state.sensors.level(s) - low) as i128;
         state.sensors.set_level(s, low);
         state.crossings.note_check(s);
         crate::engine::dispatch::manage_requests(&mut state);

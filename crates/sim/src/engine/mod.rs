@@ -64,9 +64,6 @@ pub(crate) const F_DORMANT: u8 = 1 << 4;
 /// ticks.
 const CHUNK: usize = 1024;
 
-/// Drain passes over which [`SensorSoA::adapt`] counts draw changes.
-const DENSITY_WINDOW: u64 = 16;
-
 /// Per-sensor hot state in structure-of-arrays layout (DESIGN.md §4f).
 ///
 /// The per-tick loops (failure injection, liveness scans) stride over one
@@ -74,36 +71,34 @@ const DENSITY_WINDOW: u64 = 16;
 /// per-sensor booleans (was-depleted / failed / suspended / active /
 /// dormant) are packed into one byte per sensor.
 ///
-/// Battery levels are lazy (DESIGN.md §4j): each sensor's
-/// [`energy::Lane`] holds its level as of a stamped drain pass, and every
-/// pass since then drew the unchanged [`tick_draw_j`](Self::tick_draw_j)
-/// entry from it. Every read goes through [`SensorSoA::level_at`], which
-/// replays those passes bit for bit ([`energy::walk_from`]). A lane is
-/// rebased (materialized, then restamped) only where something changes
-/// it: a new draw, a charge, a failure or its depletion. Where most draws
-/// change every pass ([`SensorSoA::adapt`]), in worlds that drain
+/// Battery levels are integer lanes in whole nanojoules
+/// ([`energy::UNITS_PER_J`]), and lazy (DESIGN.md §4j): lane `s` is its
+/// level [`base`](Self::base) as of drain pass [`since`](Self::since),
+/// and every pass since then drew the unchanged
+/// [`tick_draw`](Self::tick_draw) entry from it, so its level now is
+/// `max(base − k·d, 0)` for the `k` passes in between
+/// ([`SensorSoA::level`]). A lane is rebased only where something
+/// changes it: a new draw, a charge, a failure or its depletion, which
+/// falls exactly at [`energy::depletion_pass`]. In worlds that drain
 /// level-dependently (self-discharge) and under the naive-drain oracle,
 /// levels are eager instead: every lane is current, the pass counter
 /// stands still and every stamp equals it.
 ///
-/// Battery arithmetic stays bitwise identical to the pre-SoA
-/// [`wrsn_energy::Battery`] code: [`SensorSoA::draw`] mirrors
-/// `Battery::draw` operation for operation, and the charging paths
-/// materialize a real `Battery` via [`SensorSoA::battery`] and store the
-/// level back — stored levels are always within `[0, capacity]`, so the
-/// round-trip through `Battery::with_level` is lossless.
+/// The charging paths materialize a [`wrsn_energy::Battery`] in J via
+/// [`SensorSoA::battery`] and store its level back in units with
+/// [`SensorSoA::set_level`], one rounding per transfer.
 pub(crate) struct SensorSoA {
-    /// The lazy battery lanes: each sensor's level (J) as of a stamped
-    /// drain pass, parallel to every other array here.
-    pub(crate) lanes: energy::Lanes,
+    /// Each lane's level (units) as of pass [`since`](Self::since).
+    /// Positive exactly while the battery is not depleted: a lazy lane
+    /// reaches 0 only at its depletion pass, which rebases it.
+    pub(crate) base: Vec<i64>,
+    /// The drain pass each [`base`](Self::base) is valid after.
+    pub(crate) since: Vec<u64>,
     /// Lazy drain passes run (derived: 0 at construction and decode,
     /// frozen while [`lazy`](Self::lazy) is off).
     pass: u64,
-    /// Whether levels are lazy; see the type docs and
-    /// [`SensorSoA::adapt`].
+    /// Whether levels are lazy; see the type docs.
     lazy: bool,
-    /// Passes and draw changes so far in the current [`DENSITY_WINDOW`].
-    window: (u64, u64),
     /// Battery capacity (J).
     pub(crate) capacity: Vec<f64>,
     /// Per-sensor charge model (snapshots persist it per battery).
@@ -115,94 +110,80 @@ pub(crate) struct SensorSoA {
     /// Number of sensors with [`F_SUSPENDED`] set — lets the fault
     /// phase's resume scan early-out on the (common) fault-free runs.
     suspended_count: usize,
-    /// Each sensor's activity-and-relay draw over one tick (J):
-    /// `profile.power(class, relay load) · tick_s`, `0.0` while suspended
-    /// (depletion is masked by the drain instead). Derived state, never
-    /// serialized: [`energy::refresh_draws`] brings it up to date at the
-    /// start of every drain phase, through [`SensorSoA::set_draw`]
-    /// (DESIGN.md §4j).
-    pub(crate) tick_draw_j: Vec<f64>,
+    /// Each sensor's activity-and-relay draw over one tick (units):
+    /// `profile.power(class, relay load) · tick_s` rounded once, `0`
+    /// while suspended (depletion is masked by the drain instead).
+    /// Derived state, never serialized: [`energy::refresh_draws`] brings
+    /// it up to date at the start of every drain phase, through
+    /// [`SensorSoA::set_draw`] (DESIGN.md §4j).
+    pub(crate) tick_draw: Vec<i64>,
     /// Sensors whose [`F_ACTIVE`], [`F_DORMANT`] or [`F_SUSPENDED`] bit
-    /// changed since their [`tick_draw_j`](Self::tick_draw_j) entry was
+    /// changed since their [`tick_draw`](Self::tick_draw) entry was
     /// last computed. The setters below are those bits' only writers.
     draw_stale: ScanSet,
-    /// The pass at or before which each live lazy lane can deplete.
+    /// The depletion pass of each live lazy lane.
     depletions: DueSchedule,
-    /// The whole-ulp count of one pass's draws in a binade of the
-    /// running drain total, maintained lane by lane.
-    pub(crate) sum: energy::UlpSum,
-    /// The debug audit's eager twin of the levels: stepped every pass
-    /// with the per-lane rule, compared bitwise with [`level_at`](Self::level_at).
-    #[cfg(debug_assertions)]
-    pub(crate) shadow: Vec<f64>,
+    /// The sum of the live lazy lanes' draws: what one pass drains when
+    /// no lane depletes.
+    pub(crate) live_draw: i128,
 }
 
 impl SensorSoA {
-    /// Columnizes freshly-built batteries; all flags clear, no timers,
-    /// every lane stamped at pass 0 and eager until
-    /// [`adapt`](Self::adapt) finds the draw changes sparse.
-    pub(crate) fn from_batteries(batteries: &[Battery]) -> Self {
-        let n = batteries.len();
+    /// Columnizes freshly-built or decoded lanes: all flags clear, no
+    /// timers, no draws yet, every lane stamped at pass 0, lazy unless
+    /// the world drains level-dependently.
+    pub(crate) fn new(
+        levels: Vec<i64>,
+        capacity: Vec<f64>,
+        model: Vec<ChargeModel>,
+        lazy: bool,
+    ) -> Self {
+        let n = levels.len();
         Self {
-            #[cfg(debug_assertions)]
-            shadow: batteries.iter().map(|b| b.level()).collect(),
-            lanes: energy::Lanes::new(
-                batteries
-                    .iter()
-                    .map(|b| energy::Lane::new(b.level(), 0.0, 0, 0)),
-            ),
+            base: levels,
+            since: vec![0; n],
             pass: 0,
-            lazy: false,
-            window: (0, 0),
-            capacity: batteries.iter().map(|b| b.capacity()).collect(),
-            model: batteries.iter().map(|b| b.charge_model()).collect(),
+            lazy,
+            capacity,
+            model,
             flags: vec![0; n],
             suspend_until: vec![f64::NAN; n],
             suspended_count: 0,
-            tick_draw_j: vec![0.0; n],
+            tick_draw: vec![0; n],
             draw_stale: ScanSet::new(n),
             depletions: DueSchedule::new(n),
-            sum: energy::UlpSum::default(),
+            live_draw: 0,
         }
     }
 
     /// Number of sensors.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.lanes.len()
+        self.base.len()
     }
 
-    /// Sensor `s`'s battery level now (J): its base walked forward over
-    /// the passes since its stamp at its unchanged draw.
+    /// Sensor `s`'s battery level now (units).
+    #[inline]
+    pub(crate) fn level(&self, s: usize) -> i64 {
+        energy::level_after(self.base[s], self.pass - self.since[s], self.tick_draw[s])
+    }
+
+    /// Sensor `s`'s battery level now (J).
     #[inline]
     pub(crate) fn level_at(&self, s: usize) -> f64 {
-        self.lanes.get(s).level(self.pass, || self.tick_draw_j[s])
-    }
-
-    /// [`level_at`](Self::level_at) for readers that hold the columns
-    /// mutably: a lane whose walk left its base's binade is restamped at
-    /// its level, so that its later reads take the closed form again (a
-    /// sensor waiting on the request board is read every tick). The
-    /// restamp changes no level, term or depletion prediction.
-    #[inline]
-    pub(crate) fn read_level(&mut self, s: usize) -> f64 {
-        let level = self.level_at(s);
-        if level > 0.0 && level < energy::closed_floor(self.lanes.base[s]) {
-            self.restamp(s, level);
-        }
-        level
+        energy::to_j(self.level(s))
     }
 
     /// Drain passes since lane `s` was last rebased.
     pub(crate) fn lag(&self, s: usize) -> u64 {
-        self.pass - self.lanes.get(s).since
+        self.pass - self.since[s]
     }
 
     /// Mirrors [`Battery::is_depleted`]. A base is 0 exactly when the
-    /// level is (see [`energy::Lane`]).
+    /// level is (see [`base`](Self::base)).
     #[inline]
     pub(crate) fn is_depleted(&self, s: usize) -> bool {
-        self.lanes.base[s] <= 0.0
+        self.base[s] <= 0
     }
 
     /// Sensors with non-depleted batteries, by a full O(n) recount.
@@ -216,20 +197,20 @@ impl SensorSoA {
         self.level_at(s) / self.capacity[s]
     }
 
-    /// Mirrors [`Battery::draw`] exactly (same min/subtract sequence, so
-    /// the result is bitwise identical to the pre-SoA battery code). For
-    /// the naive drain loop, which runs with every lane current.
+    /// Draws up to `demand` units from sensor `s` and returns what it
+    /// gave up, as [`Battery::draw`] does in J. For the naive drain loop,
+    /// which runs with every lane current.
     #[inline]
-    pub(crate) fn draw(&mut self, s: usize, joules: f64) -> f64 {
-        debug_assert!(joules.is_finite() && joules >= 0.0);
-        debug_assert_eq!(self.lanes.get(s).since, self.pass);
-        let level = &mut self.lanes.base[s];
-        let delivered = joules.min(*level);
+    pub(crate) fn draw(&mut self, s: usize, demand: i64) -> i64 {
+        debug_assert!(demand >= 0);
+        debug_assert_eq!(self.since[s], self.pass);
+        let level = &mut self.base[s];
+        let delivered = demand.min(*level);
         *level -= delivered;
         delivered
     }
 
-    /// Materializes sensor `s`'s battery for the charging paths
+    /// Materializes sensor `s`'s battery in J for the charging paths
     /// ([`Battery::charge_for`] / [`Battery::time_to_full`] need the
     /// stateful taper integration). Store the level back with
     /// [`SensorSoA::set_level`] after mutating.
@@ -238,130 +219,60 @@ impl SensorSoA {
         Battery::with_level(self.capacity[s], self.level_at(s)).with_charge_model(self.model[s])
     }
 
-    /// Makes `level` lane `s`'s base as of the current pass, under its
-    /// current draw, keeping its drain-sum term.
-    #[inline]
-    fn restamp(&mut self, s: usize, level: f64) {
-        let term = self.lanes.get(s).term;
-        let lane = energy::Lane::new(level, self.tick_draw_j[s], self.pass, term);
-        self.lanes.set(s, lane);
-    }
-
-    /// Writes a battery level (a charge, a revival or a failure's 0),
-    /// stamped at the current pass. A lane that turns live or dead enters
-    /// or leaves the drain sum's count. A standing depletion prediction
-    /// stays valid (early) when the level does not fall below its base,
-    /// which is at or above its current level; otherwise the lane is
-    /// predicted afresh.
-    pub(crate) fn set_level(&mut self, s: usize, level: f64) {
-        let energy::Lane {
-            base: old, term, ..
-        } = self.lanes.get(s);
-        match (old > 0.0, level > 0.0) {
-            (false, true) => self.sum.add(term),
-            (true, false) => self.sum.sub(term),
-            _ => {}
-        }
-        self.restamp(s, level);
-        #[cfg(debug_assertions)]
-        {
-            self.shadow[s] = level;
-        }
-        if !(old > 0.0 && level >= old) {
-            self.predict(s);
-        }
-    }
-
-    /// Changes sensor `s`'s per-tick draw to a different `draw`: its lane
-    /// is materialized under the old draw, restamped under the new one
-    /// with its drain-sum term swapped, and its depletion predicted
-    /// afresh by the division-free bound. A falling draw would leave the
-    /// standing prediction early, so it could be kept, but that is a
-    /// branch on the direction of the change, which a refresh's changes
-    /// take at random: its mispredictions cost more than the prediction
-    /// (DESIGN.md §4j).
-    #[inline]
-    pub(crate) fn set_draw(&mut self, s: usize, draw: f64) {
-        let old = self.tick_draw_j[s];
-        debug_assert_ne!(draw.to_bits(), old.to_bits());
-        self.window.1 += 1;
-        if !self.lazy {
-            self.tick_draw_j[s] = draw;
-            return;
-        }
-        let pass = self.pass;
-        let lane = self.lanes.get(s);
-        let level = lane.level(pass, || old);
-        let term = self.sum.term_of(draw);
-        if level > 0.0 {
-            self.sum.sub(lane.term);
-            self.sum.add(term);
-        }
-        self.lanes.set(s, lane.rebased(level, draw, pass, term));
-        self.tick_draw_j[s] = draw;
-        let due = pass.saturating_add(energy::quick_depletion_bound(level, draw));
-        self.depletions.schedule(s, due);
-    }
-
-    /// Counts one drain pass of a world whose levels may be lazy, and at
-    /// the end of each [`DENSITY_WINDOW`] picks lazy or eager levels for
-    /// the next from the draw changes of the last. The two drain phases
-    /// cost about the same at `n/9` changes per pass (DESIGN.md §4j), so
-    /// past `n/8` levels turn eager, and below `n/16` lazy again. A
-    /// `chaos-replay` world, whose waypoint targets change about 100 of
-    /// 500 draws every tick, runs eager; a paper run (6.5 per tick) stays
-    /// lazy. Either way the levels are bit for bit the same.
-    pub(crate) fn adapt(&mut self) {
-        self.window.0 += 1;
-        if self.window.0 < DENSITY_WINDOW {
-            return;
-        }
-        let (per_window, changes) = (DENSITY_WINDOW * self.len() as u64, self.window.1);
-        self.window = (0, 0);
-        if self.lazy && changes * 8 > per_window {
-            self.set_lazy(false);
-        } else if !self.lazy && changes * 16 < per_window {
-            self.set_lazy(true);
-        }
-    }
-
-    /// Schedules lazy lane `s`'s depletion check from its base by the
-    /// division-free [`energy::quick_depletion_bound`] (a no-op in eager
-    /// mode, which keeps no predictions).
-    #[inline]
-    fn predict(&mut self, s: usize) {
-        self.predict_by(s, energy::quick_depletion_bound);
-    }
-
-    /// [`predict`](Self::predict) by the given lower bound on the passes
-    /// to depletion.
-    #[inline]
-    fn predict_by(&mut self, s: usize, bound: fn(f64, f64) -> u64) {
+    /// Writes a battery level in units (a charge, a revival or a
+    /// failure's 0), stamped at the current pass. A lazy lane that turns
+    /// live or dead enters or leaves the live-draw sum, and its depletion
+    /// pass is derived afresh.
+    pub(crate) fn set_level(&mut self, s: usize, level: i64) {
         if self.lazy {
-            let lane = self.lanes.get(s);
-            let passes = bound(lane.base, self.tick_draw_j[s]);
-            self.depletions
-                .schedule(s, lane.since.saturating_add(passes));
+            let d = self.tick_draw[s];
+            self.live_draw += d as i128 * ((level > 0) as i128 - (self.base[s] > 0) as i128);
+            let due = energy::depletion_pass(level, self.pass, d);
+            self.depletions.schedule(s, due);
         }
+        (self.base[s], self.since[s]) = (level, self.pass);
     }
 
-    /// Switches between lazy and eager levels. Leaving lazy mode
-    /// materializes every lane at the current pass; entering it predicts
-    /// every lane's depletion. Either way the drain sum recounts at its
-    /// next use.
+    /// Changes sensor `s`'s per-tick draw to a different `draw`: a lazy
+    /// lane is rebased at its level under the old draw, moves its share
+    /// of the live-draw sum, and has its depletion pass derived afresh.
+    #[inline]
+    pub(crate) fn set_draw(&mut self, s: usize, draw: i64) {
+        let old = self.tick_draw[s];
+        debug_assert_ne!(draw, old);
+        if self.lazy {
+            let level = self.level(s);
+            (self.base[s], self.since[s]) = (level, self.pass);
+            if level > 0 {
+                self.live_draw += (draw - old) as i128;
+            }
+            let due = energy::depletion_pass(level, self.pass, draw);
+            self.depletions.schedule(s, due);
+        }
+        self.tick_draw[s] = draw;
+    }
+
+    /// Switches between lazy and eager levels (the naive-drain oracle
+    /// steps every level itself). Leaving lazy mode materializes every
+    /// lane at the current pass; entering it sums the live draws and
+    /// derives every depletion pass.
     pub(crate) fn set_lazy(&mut self, lazy: bool) {
         if lazy == self.lazy {
             return;
         }
         for s in 0..self.len() {
-            let level = self.level_at(s);
-            self.restamp(s, level);
+            (self.base[s], self.since[s]) = (self.level(s), self.pass);
         }
         self.lazy = lazy;
-        self.sum = energy::UlpSum::default();
+        self.live_draw = 0;
         self.depletions = DueSchedule::new(self.len());
-        for s in 0..self.len() {
-            self.predict(s);
+        if lazy {
+            for s in 0..self.len() {
+                let (level, d) = (self.base[s], self.tick_draw[s]);
+                self.live_draw += if level > 0 { d as i128 } else { 0 };
+                self.depletions
+                    .schedule(s, energy::depletion_pass(level, self.pass, d));
+            }
         }
     }
 
@@ -400,7 +311,7 @@ impl SensorSoA {
     }
 
     /// Sets one of the bits the tick draw depends on, marking the
-    /// sensor's [`tick_draw_j`](Self::tick_draw_j) entry stale when the
+    /// sensor's [`tick_draw`](Self::tick_draw) entry stale when the
     /// bit actually changes. Returns whether it did.
     #[inline]
     fn set_draw_flag(&mut self, s: usize, bit: u8, on: bool) -> bool {
@@ -1032,8 +943,10 @@ pub(crate) struct WorldState {
 
     pub(crate) metrics: EvalMetrics,
     pub(crate) next_sample: f64,
-    pub(crate) total_drained_j: f64,
-    pub(crate) total_delivered_j: f64,
+    /// Energy the sensors gave up to their draws, and energy the RVs
+    /// delivered into them (units, exact; DESIGN.md §4j).
+    pub(crate) total_drained: i128,
+    pub(crate) total_delivered: i128,
     pub(crate) deaths: u64,
     pub(crate) plans: u64,
     pub(crate) rv_shortfall_j: f64,
@@ -1088,11 +1001,12 @@ pub(crate) struct WorldState {
     pub(crate) naive_repair: bool,
 
     /// Conservation ledgers for the invariant checker: energy stored in
-    /// sensor batteries at t = 0, energy discarded when hardware
-    /// permanently fails, fleet energy at t = 0, total base-station input
-    /// into RV packs, and total energy actually drawn from RV packs.
-    pub(crate) initial_sensor_j: f64,
-    pub(crate) failure_lost_j: f64,
+    /// sensor batteries at t = 0 and energy discarded when hardware
+    /// permanently fails (units, exact), then fleet energy at t = 0,
+    /// total base-station input into RV packs, and total energy actually
+    /// drawn from RV packs (J: RV batteries stay in floating point).
+    pub(crate) initial_sensor: i128,
+    pub(crate) failure_lost: i128,
     pub(crate) initial_fleet_j: f64,
     pub(crate) rv_input_j: f64,
     pub(crate) rv_drawn_j: f64,
@@ -1110,18 +1024,16 @@ impl WorldState {
         let base = field.center();
         let sensor_pos = cfg.deployment.place(&field, cfg.num_sensors, &mut rng);
         let (soc_lo, soc_hi) = cfg.initial_soc;
-        let batteries: Vec<wrsn_energy::Battery> = (0..cfg.num_sensors)
+        let levels: Vec<i64> = (0..cfg.num_sensors)
             .map(|_| {
                 let soc = if soc_hi > soc_lo {
                     rng.gen_range(soc_lo..=soc_hi)
                 } else {
                     soc_lo
                 };
-                wrsn_energy::Battery::with_level(
-                    cfg.battery_capacity_j,
-                    cfg.battery_capacity_j * soc,
-                )
-                .with_charge_model(cfg.charge_model)
+                let battery =
+                    Battery::with_level(cfg.battery_capacity_j, cfg.battery_capacity_j * soc);
+                energy::to_units(battery.level())
             })
             .collect();
 
@@ -1146,10 +1058,16 @@ impl WorldState {
             .map(|i| RvAgent::new(RvId(i as u32), base, cfg.rv_model.battery_capacity_j))
             .collect();
 
-        let initial_sensor_j: f64 = batteries.iter().map(|b| b.level()).sum();
+        let initial_sensor = levels.iter().map(|&l| l as i128).sum();
         let initial_fleet_j = cfg.num_rvs as f64 * cfg.rv_model.battery_capacity_j;
         let routing = DynamicRoutingTree::new(cfg.num_sensors + 1, 0, cfg.data_rate_pps);
-        let sensors = SensorSoA::from_batteries(&batteries);
+        let n = cfg.num_sensors;
+        let sensors = SensorSoA::new(
+            levels,
+            vec![cfg.battery_capacity_j; n],
+            vec![cfg.charge_model; n],
+            cfg.self_discharge_per_day <= 0.0,
+        );
         let mut state = Self {
             seed,
             scheduler,
@@ -1180,8 +1098,8 @@ impl WorldState {
             rvs,
             metrics: EvalMetrics::new(),
             next_sample: 0.0,
-            total_drained_j: 0.0,
-            total_delivered_j: 0.0,
+            total_drained: 0,
+            total_delivered: 0,
             deaths: 0,
             plans: 0,
             rv_shortfall_j: 0.0,
@@ -1197,8 +1115,8 @@ impl WorldState {
             naive_dispatch: false,
             naive_drain: false,
             naive_repair: false,
-            initial_sensor_j,
-            failure_lost_j: 0.0,
+            initial_sensor,
+            failure_lost: 0,
             initial_fleet_j,
             rv_input_j: 0.0,
             rv_drawn_j: 0.0,

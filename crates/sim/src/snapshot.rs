@@ -71,8 +71,9 @@ use wrsn_net::{CommGraph, DynamicRoutingTree, TrafficLoad};
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"WRSNSNAP";
 /// Current snapshot format version. Bumped on any encoding change; old
-/// versions are rejected, not migrated.
-pub const VERSION: u32 = 1;
+/// versions are rejected, not migrated. Version 2 stores sensor levels
+/// and the sensor-side energy ledgers in whole units (DESIGN.md §4j).
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot (or a framed record, [`crate::frame`]) could not be
 /// decoded.
@@ -180,6 +181,35 @@ codec_enum! { TraceEvent, "trace-event";
 }
 
 // --- Hand-written records (their decode checks more than the shape) ------
+
+/// One sensor's battery as a snapshot stores it: its capacity (J), its
+/// level in whole units ([`engine::energy::UNITS_PER_J`]) and its charge
+/// model.
+struct SensorCell {
+    capacity: f64,
+    level: i64,
+    model: ChargeModel,
+}
+
+impl Codec for SensorCell {
+    fn put(&self, e: &mut Enc) {
+        e.put(&self.capacity).put(&self.level).put(&self.model);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        let (capacity, level, model): (f64, i64, ChargeModel) = (d.get()?, d.get()?, d.get()?);
+        ensure(
+            capacity.is_finite()
+                && capacity > 0.0
+                && (0..=engine::energy::to_units(capacity)).contains(&level),
+            || format!("sensor level {level} units outside [0, {capacity} J]"),
+        )?;
+        Ok(Self {
+            capacity,
+            level,
+            model,
+        })
+    }
+}
 
 impl Codec for Battery {
     fn put(&self, e: &mut Enc) {
@@ -303,7 +333,15 @@ pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
     e.put(&content_hash(&state.cfg)).put(&state.cfg);
     e.put(&state.seed).put(&state.rng.state()).put(&state.t);
     e.put(&state.sensor_pos).len(n);
-    (0..n).for_each(|s| sensors.battery(s).put(&mut e));
+    for s in 0..n {
+        let (capacity, level, model) = (sensors.capacity[s], sensors.level(s), sensors.model[s]);
+        SensorCell {
+            capacity,
+            level,
+            model,
+        }
+        .put(&mut e);
+    }
     flags(&mut e, SensorSoA::was_depleted);
     e.put(&state.target_pos)
         .put(&state.target_next_move)
@@ -334,8 +372,8 @@ pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
         .put(&state.rvs)
         .put(&state.metrics);
     e.put(&state.next_sample)
-        .put(&state.total_drained_j)
-        .put(&state.total_delivered_j)
+        .put(&state.total_drained)
+        .put(&state.total_delivered)
         .put(&state.deaths)
         .put(&state.plans)
         .put(&state.rv_shortfall_j);
@@ -347,8 +385,8 @@ pub(crate) fn encode(state: &WorldState) -> Vec<u8> {
         .put(&state.rv_breakdowns)
         .put(&state.uplink_drops)
         .put(&state.replan_urgent);
-    e.put(&state.initial_sensor_j)
-        .put(&state.failure_lost_j)
+    e.put(&state.initial_sensor)
+        .put(&state.failure_lost)
         .put(&state.initial_fleet_j)
         .put(&state.rv_input_j)
         .put(&state.rv_drawn_j);
@@ -382,7 +420,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
     let t = d.get()?;
 
     let sensor_pos: Vec<Point2> = sized(d.get()?, n, "sensor positions")?;
-    let batteries: Vec<Battery> = sized(d.get()?, n, "batteries")?;
+    let cells: Vec<SensorCell> = sized(d.get()?, n, "batteries")?;
     let was_depleted: Vec<bool> = sized(d.get()?, n, "was-depleted flags")?;
     let target_pos: Vec<Point2> = sized(d.get()?, m, "target positions")?;
     let target_next_move = sized(d.get()?, m, "target move times")?;
@@ -415,8 +453,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
 
     let metrics: EvalMetrics = d.get()?;
     let next_sample: f64 = d.get()?;
-    let total_drained_j = d.get()?;
-    let total_delivered_j = d.get()?;
+    let total_drained = d.get()?;
+    let total_delivered = d.get()?;
     let deaths = d.get()?;
     let plans = d.get()?;
     let rv_shortfall_j = d.get()?;
@@ -429,8 +467,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
     let rv_breakdowns = d.get()?;
     let uplink_drops = d.get()?;
     let replan_urgent = d.get()?;
-    let initial_sensor_j = d.get()?;
-    let failure_lost_j = d.get()?;
+    let initial_sensor = d.get()?;
+    let failure_lost = d.get()?;
     let initial_fleet_j = d.get()?;
     let rv_input_j = d.get()?;
     let rv_drawn_j = d.get()?;
@@ -473,6 +511,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
                 .all(|&(start, len)| start as usize + len as usize <= group_arena.len()),
         || "a cluster or request-group reference is out of range".into(),
     )?;
+    // Far below `i128::MAX`, so that the conservation audit's sum of the
+    // four cannot overflow.
+    ensure(
+        [total_drained, total_delivered, initial_sensor, failure_lost]
+            .iter()
+            .all(|v| (0..1 << 120).contains(v)),
+        || "a sensor energy ledger is negative or out of range".into(),
+    )?;
     let series = [
         metrics.coverage_series(),
         metrics.nonfunctional_series(),
@@ -505,7 +551,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
 
     // Reassemble the SoA columns from the decoded per-sensor vectors
     // (the flag setters also recount the suspended counter).
-    let mut sensors = SensorSoA::from_batteries(&batteries);
+    let mut sensors = SensorSoA::new(
+        cells.iter().map(|c| c.level).collect(),
+        cells.iter().map(|c| c.capacity).collect(),
+        cells.iter().map(|c| c.model).collect(),
+        cfg.self_discharge_per_day <= 0.0,
+    );
     for s in 0..n {
         sensors.set_was_depleted(s, was_depleted[s]);
         sensors.set_failed(s, failed[s]);
@@ -566,8 +617,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         rvs,
         metrics,
         next_sample,
-        total_drained_j,
-        total_delivered_j,
+        total_drained,
+        total_delivered,
         deaths,
         plans,
         rv_shortfall_j,
@@ -589,8 +640,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WorldState> {
         naive_dispatch: false,
         naive_drain: false,
         naive_repair: false,
-        initial_sensor_j,
-        failure_lost_j,
+        initial_sensor,
+        failure_lost,
         initial_fleet_j,
         rv_input_j,
         rv_drawn_j,

@@ -231,8 +231,8 @@ impl World {
         let state = &self.state;
         SimOutcome {
             report: state.metrics.report(),
-            total_drained_j: state.total_drained_j,
-            total_delivered_j: state.total_delivered_j,
+            total_drained_j: engine::energy::total_j(state.total_drained),
+            total_delivered_j: engine::energy::total_j(state.total_delivered),
             deaths: state.deaths,
             plans: state.plans,
             rv_energy_shortfall_j: state.rv_shortfall_j,
@@ -401,8 +401,7 @@ impl World {
 
     /// Drain passes since sensor `s`'s lazy battery level was last
     /// materialized (diagnostics, DESIGN.md §4j; always 0 where levels
-    /// are eager: under naive drain, with self-discharge, and while most
-    /// draws change every tick).
+    /// are eager: under naive drain and with self-discharge).
     pub fn lazy_lane_lag(&self, s: SensorId) -> u64 {
         self.state.sensors.lag(s.index())
     }
@@ -451,14 +450,13 @@ impl World {
     /// of the lazy battery levels. Differential-oracle knob; byte-identical
     /// by contract. Not serialized. The drain-rate column is refreshed in
     /// both modes; the naive loop steps every level itself, so switching
-    /// it on materializes every lane, and after it the levels stay eager
-    /// until the draw-change density turns them lazy again (DESIGN.md
+    /// it on materializes every lane, and switching it off makes the
+    /// levels lazy again unless the world self-discharges (DESIGN.md
     /// §4j).
     pub fn set_naive_drain(&mut self, on: bool) {
         self.state.naive_drain = on;
-        if on {
-            self.state.sensors.set_lazy(false);
-        }
+        let lazy = !on && self.state.cfg.self_discharge_per_day <= 0.0;
+        self.state.sensors.set_lazy(lazy);
     }
 
     /// Switches cluster maintenance to wholesale rebuild-from-scratch

@@ -13,7 +13,14 @@
 //!
 //! Round-trip tests alone cannot catch a codec change that shifts both
 //! sides at once; these can. A fixture only changes together with its
-//! format's version number.
+//! format's version number, with one exception: the event log and the
+//! journal record a simulated run, so a change that moves the
+//! simulation's results on purpose moves their contents while their
+//! format stays. Such a change first shows that the old files still
+//! decode and re-encode byte-identically under the new code, then
+//! regenerates them under the same name. A superseded snapshot fixture
+//! stays in the tree, and decoding it must end in a labelled version
+//! error.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -22,12 +29,16 @@ use wrsn_sim::batch::{run_supervised, JobSpec, SupervisorOptions};
 use wrsn_sim::fabric::wire::{Assign, Msg};
 use wrsn_sim::frame::{self, Tail};
 use wrsn_sim::journal::{Journal, JOURNAL_FILE};
+use wrsn_sim::snapshot::{SnapshotError, VERSION};
 use wrsn_sim::store::{log, RecordOptions, RunRecorder, LOG_FILE};
 use wrsn_sim::{SimConfig, SimOutcome, World};
 
 const LOG_FIXTURE: &str = "events-v1.log";
 const WIRE_FIXTURE: &str = "fabric-v1.bin";
-const SNAP_FIXTURE: &str = "world-v1.snap";
+const SNAP_FIXTURE: &str = "world-v2.snap";
+/// The snapshot fixture of format version 1, whose sensor levels were
+/// floating-point joules.
+const OLD_SNAP_FIXTURE: &str = "world-v1.snap";
 const JOURNAL_FIXTURE: &str = "journal-v1.jsonl";
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -244,6 +255,21 @@ fn snapshot_fixture_matches_the_pinned_world() {
     assert!(
         pinned_world().save_snapshot() == fixture(SNAP_FIXTURE),
         "snapshotting the pinned world no longer reproduces {SNAP_FIXTURE}"
+    );
+}
+
+#[test]
+fn an_old_snapshot_fixture_ends_in_a_version_error() {
+    let Err(err) = World::resume(&fixture(OLD_SNAP_FIXTURE)) else {
+        panic!("{OLD_SNAP_FIXTURE} decoded");
+    };
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        format!("unsupported snapshot version 1 (this build reads {VERSION})")
     );
 }
 

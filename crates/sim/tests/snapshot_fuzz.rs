@@ -1,5 +1,5 @@
 //! Damage to a snapshot ends in a labelled error, never a panic or an
-//! abort: every single-bit flip of the committed `world-v1.snap` fixture
+//! abort: every single-bit flip of the committed `world-v2.snap` fixture
 //! must make `World::resume` return `Ok` or `Err`.
 //!
 //! A flip that still decodes must leave a world that later code can index
@@ -15,7 +15,7 @@ use wrsn_sim::World;
 
 #[test]
 fn no_single_bit_flip_of_the_snapshot_fixture_panics() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/world-v1.snap");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/world-v2.snap");
     let bytes = std::fs::read(&path).expect("fixture");
     // Every panic is caught and counted below; keep the hook from
     // printing thousands of them.

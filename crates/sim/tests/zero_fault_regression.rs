@@ -2,12 +2,16 @@
 //! zero (the default [`FaultConfig::none`]), runs take **exactly** the
 //! random draws a pre-chaos build took, so outcomes are byte-identical.
 //!
-//! The literals below were captured from the engine immediately before
-//! the fault-injection subsystem was added. They are exact f64 values
-//! (Debug-formatted, round-trip precise) — any drift, even in the last
-//! ulp, means a code path consumed RNG draws or reordered arithmetic on
-//! a zero-fault run, which breaks seed reproducibility for every
-//! existing experiment. Compare with `==`, not a tolerance.
+//! The literals below were first captured from the engine immediately
+//! before the fault-injection subsystem was added, and re-captured once
+//! when sensor energy became whole nanojoules (the integer-ledger
+//! baseline: every draw, charge and ledger rounds differently, while the
+//! deaths, plans, failures, coverage and event counts stayed the same).
+//! They are exact f64 values (Debug-formatted, round-trip precise) — any
+//! drift, even in the last ulp, means a code path consumed RNG draws or
+//! reordered arithmetic on a zero-fault run, which breaks seed
+//! reproducibility for every existing experiment. Compare with `==`, not
+//! a tolerance.
 //!
 //! The sample-phase accounting rides on the same contract: it draws
 //! **no** RNG and must reproduce the pinned sampled reports (coverage %,
@@ -59,15 +63,15 @@ fn assert_pinned(cfg: &SimConfig, seed: u64, pin: &Pin) {
 }
 
 #[test]
-fn default_run_matches_pre_chaos_baseline() {
+fn default_run_matches_integer_ledger_baseline() {
     let cfg = tiny(4.0);
     assert_eq!(cfg.faults, FaultConfig::none());
     assert_pinned(
         &cfg,
         5,
         &Pin {
-            drained: 92851.33355769393,
-            delivered: 5558.532725011551,
+            drained: 92851.333557408,
+            delivered: 5558.532725011,
             deaths: 0,
             plans: 1,
             fails: 0,
@@ -79,7 +83,7 @@ fn default_run_matches_pre_chaos_baseline() {
 }
 
 #[test]
-fn failure_injection_run_matches_pre_chaos_baseline() {
+fn failure_injection_run_matches_integer_ledger_baseline() {
     // Permanent failures predate the chaos engine; their RNG draws must
     // interleave exactly as before.
     let mut cfg = tiny(4.0);
@@ -88,8 +92,8 @@ fn failure_injection_run_matches_pre_chaos_baseline() {
         &cfg,
         31,
         &Pin {
-            drained: 85061.20696353287,
-            delivered: 5608.718064185016,
+            drained: 85061.206963296,
+            delivered: 5608.718064184,
             deaths: 0,
             plans: 1,
             fails: 12,
@@ -101,7 +105,7 @@ fn failure_injection_run_matches_pre_chaos_baseline() {
 }
 
 #[test]
-fn legacy_activation_run_matches_pre_chaos_baseline() {
+fn legacy_activation_run_matches_integer_ledger_baseline() {
     // Full-time activation with a busy fleet: exercises the dispatch and
     // fleet paths (6 planning waves) where the uplink hook now sits.
     let mut cfg = tiny(3.0);
@@ -111,12 +115,12 @@ fn legacy_activation_run_matches_pre_chaos_baseline() {
         &cfg,
         7,
         &Pin {
-            drained: 115125.27491052421,
-            delivered: 204665.93757964927,
+            drained: 115125.274910304,
+            delivered: 204665.937579643,
             deaths: 0,
             plans: 6,
             fails: 0,
-            travel_m: 785.6177117475676,
+            travel_m: 785.6177117475672,
             coverage_pct: 100.0,
             alive: 60,
         },
@@ -124,9 +128,10 @@ fn legacy_activation_run_matches_pre_chaos_baseline() {
 }
 
 #[test]
-fn teleport_heavy_run_matches_coverage_cache_introduction_baseline() {
-    // Captured when an incremental coverage cache landed (since replaced
-    // by a per-read rota probe), from a run whose 6-hourly target
+fn teleport_heavy_run_matches_integer_ledger_baseline() {
+    // First captured when an incremental coverage cache landed (since
+    // replaced by a per-read rota probe; re-captured at the integer-ledger
+    // baseline), from a run whose 6-hourly target
     // teleports force ~16 cluster rebuilds. Any change to the
     // sample-phase accounting that perturbs RNG order or the sampled
     // coverage series shows up as exact-literal drift here.
@@ -137,8 +142,8 @@ fn teleport_heavy_run_matches_coverage_cache_introduction_baseline() {
         &cfg,
         23,
         &Pin {
-            drained: 93253.36593657905,
-            delivered: 177488.55034036186,
+            drained: 93253.365936288,
+            delivered: 177488.550340358,
             deaths: 0,
             plans: 4,
             fails: 0,
@@ -180,30 +185,28 @@ fn big(days: f64) -> SimConfig {
 /// battery bit pattern, every activity/liveness flag, the relay loads,
 /// the full trace and the sampled metrics series — so any fast path that
 /// perturbs a single byte of state (not just the aggregate report) fails
-/// this pin. Captured from the engine immediately before the SoA /
-/// incremental-routing refactor landed.
+/// this pin. First captured from the engine immediately before the SoA /
+/// incremental-routing refactor landed; re-captured once when sensor
+/// levels became whole nanojoules (snapshot format version 2).
 ///
 /// Release-only: a day of a 10k-sensor world under the debug-build
 /// per-tick invariant sweep takes minutes; the release property/CI suite
 /// runs it in seconds.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10k-sensor pin runs in the release suite")]
-fn large_scale_run_matches_pre_soa_baseline() {
+fn large_scale_run_matches_integer_ledger_baseline() {
     let cfg = big(1.0);
     assert_eq!(cfg.faults, FaultConfig::none());
     let mut w = World::new(&cfg, 41);
     w.enable_trace(2_000_000);
     let out = w.run();
-    assert_eq!(out.total_drained_j, 3859059.696699011, "drained drifted");
-    assert_eq!(
-        out.total_delivered_j, 922023.9818123144,
-        "delivered drifted"
-    );
+    assert_eq!(out.total_drained_j, 3859059.695904116, "drained drifted");
+    assert_eq!(out.total_delivered_j, 922023.981812322, "delivered drifted");
     assert_eq!(out.deaths, 124);
     assert_eq!(out.plans, 4);
     assert_eq!(out.permanent_failures, 0);
     assert_eq!(
-        out.report.travel_distance_m, 4062.1307552744556,
+        out.report.travel_distance_m, 4062.1307552744565,
         "travel drifted"
     );
     assert_eq!(out.report.coverage_ratio_pct, 99.80661553050105);
@@ -211,14 +214,14 @@ fn large_scale_run_matches_pre_soa_baseline() {
     assert_eq!(w.trace().events().len(), 1548);
     assert_eq!(
         fnv1a(&w.save_snapshot()),
-        0x01260074fce9ce14,
-        "snapshot bytes drifted: some state byte differs from the pre-SoA engine"
+        0xa7564edbc91a8edd,
+        "snapshot bytes drifted: some state byte differs from the integer-ledger baseline"
     );
     // The alive counter matches its recount at scale too.
     assert_eq!(w.alive_count(), w.oracle_alive_count());
 }
 
-/// Prints the literals for [`large_scale_run_matches_pre_soa_baseline`].
+/// Prints the literals for [`large_scale_run_matches_integer_ledger_baseline`].
 /// Run manually after an *intentional* engine-behavior change:
 /// `cargo test --release -p wrsn-sim --test zero_fault_regression -- --ignored capture --nocapture`
 #[test]
