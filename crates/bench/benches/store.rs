@@ -16,6 +16,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+use wrsn_sim::codec::checksum;
 use wrsn_sim::store::{snap_file_name, RecordOptions, RunRecorder, StoredRun};
 use wrsn_sim::{FaultConfig, SimConfig, TargetMobility, World};
 
@@ -67,13 +68,6 @@ fn ticks() -> [(&'static str, u64); 3] {
     ]
 }
 
-/// FNV-1a 64, the hash a snapshot-chain marker stores for its link.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Seconds spent in each step of one materialization of `tick`.
 #[derive(Default)]
 struct Phases {
@@ -100,7 +94,7 @@ fn materialize_in_phases(dir: &Path, tick: u64) -> (Phases, World) {
         .expect("a link at or before the tick");
     let blob = std::fs::read(dir.join(snap_file_name(m.tick))).expect("read the link");
     assert!(
-        blob.len() as u64 == m.bytes && fnv1a(&blob) == m.hash,
+        blob.len() as u64 == m.bytes && checksum(&blob) == m.hash,
         "link verifies"
     );
     p.link = t.elapsed().as_secs_f64();

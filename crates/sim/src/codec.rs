@@ -142,7 +142,9 @@ pub(crate) fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<()> {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`.
+/// FNV-1a 64-bit over `bytes`: the identity hash behind
+/// [`crate::SimConfig::content_hash`] and [`crate::journal::grid_hash`],
+/// whose values are pinned. Damage checks use [`checksum`].
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -150,6 +152,101 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+/// The four lanes before any block.
+const LANES: [u64; 4] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+/// `merge(LANES)`: the start of the sum of a payload shorter than a block.
+const NO_BLOCKS: u64 = merge(LANES);
+
+/// One lane step: a bijection of `acc` for a fixed word, and of the word
+/// for a fixed `acc`.
+const fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Folds the four lanes into one state, a bijection of each lane when
+/// the others are fixed.
+const fn merge(lanes: [u64; 4]) -> u64 {
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    let mut i = 0;
+    while i < 4 {
+        h = (h ^ round(0, lanes[i])).wrapping_mul(P1).wrapping_add(P4);
+        i += 1;
+    }
+    h
+}
+
+/// Folds one word into the state, a bijection of each when the other is
+/// fixed.
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ round(0, word))
+        .rotate_left(27)
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// The little-endian word in `bytes`, which callers slice to 8 bytes.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte slice"))
+}
+
+/// The damage check of every frame trailer and snapshot-chain link
+/// (DESIGN.md §4k): a 64-bit sum that reads `bytes` eight at a time.
+///
+/// Little-endian 32-byte blocks feed four independent multiply–rotate
+/// lanes, one word each; the lanes merge into one state, the length is
+/// added, then each remaining whole word and finally the zero-padded
+/// last word (when the length is not a multiple of 8) are folded in, and
+/// the state is avalanched. Every step is a bijection of its state, so a
+/// change confined to one aligned 8-byte word always changes the sum.
+/// Its values are part of the `WRSNEVTL` and `WRSNFAB1` formats (version
+/// 2) and of every snapshot-chain marker, so `tests/codec_pins.rs` pins
+/// them.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let blocks = bytes.chunks_exact(32);
+    let rest = blocks.remainder();
+    let mut h = if bytes.len() < 32 {
+        NO_BLOCKS
+    } else {
+        let mut lanes = LANES;
+        for block in blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = round(*lane, word(&block[8 * i..8 * i + 8]));
+            }
+        }
+        merge(lanes)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = rest.chunks_exact(8);
+    for w in &mut words {
+        h = fold(h, word(w));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // The padded word without a copy: the last eight bytes shifted
+        // down, or the bytes themselves when there are fewer than eight.
+        let padded = match bytes.len() {
+            n if n >= 8 => word(&bytes[n - 8..]) >> (64 - 8 * tail.len()),
+            _ => tail.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)),
+        };
+        h = fold(h, padded);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// A value with one binary encoding: `put` appends it, `get` reads it
@@ -387,3 +484,102 @@ macro_rules! codec_id {
 codec_id! { SensorId RvId ClusterId TargetId }
 
 codec_struct! { Point2 { x, y } }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// [`checksum`] as its doc defines it: the lanes always merge, and the
+    /// last word is padded by a copy.
+    fn by_definition(bytes: &[u8]) -> u64 {
+        let mut lanes = LANES;
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = round(*lane, word(&block[8 * i..8 * i + 8]));
+            }
+        }
+        let mut h = merge(lanes).wrapping_add(bytes.len() as u64);
+        let mut words = blocks.remainder().chunks_exact(8);
+        for w in &mut words {
+            h = fold(h, word(w));
+        }
+        if !words.remainder().is_empty() {
+            let mut padded = [0u8; 8];
+            padded[..words.remainder().len()].copy_from_slice(words.remainder());
+            h = fold(h, u64::from_le_bytes(padded));
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn checksum_matches_its_definition_at_every_length() {
+        let bytes: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 11) as u8)
+            .collect();
+        for n in 0..=bytes.len() {
+            assert_eq!(
+                checksum(&bytes[..n]),
+                by_definition(&bytes[..n]),
+                "length {n}"
+            );
+        }
+    }
+
+    /// A nonzero 64-bit value derived from `salt` and `i` (splitmix64).
+    fn delta(salt: u64, i: usize) -> u64 {
+        let mut z = salt.wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) | 1
+    }
+
+    /// Random payloads of 0–300 bytes, every tail length 0–7 equally often.
+    fn payloads() -> impl Strategy<Value = Vec<u8>> {
+        (0usize..8, 0usize..=37).prop_flat_map(|(tail, words)| {
+            proptest::collection::vec(0u8..=255, (8 * words + tail).min(300))
+        })
+    }
+
+    proptest! {
+        /// Each damage below must move the sum.
+        #[test]
+        fn checksum_catches_word_bit_and_length_damage(
+            payload in payloads(),
+            salt in 0u64..u64::MAX,
+        ) {
+            let sum = checksum(&payload);
+            // Any replacement of one aligned word (the partial last word
+            // included): XOR a nonzero delta confined to its bytes.
+            for (i, start) in (0..payload.len()).step_by(8).enumerate() {
+                let mut damaged = payload.clone();
+                let word = &mut damaged[start..(start + 8).min(payload.len())];
+                for (b, d) in word.iter_mut().zip(delta(salt, i).to_le_bytes()) {
+                    *b ^= d;
+                }
+                prop_assert!(checksum(&damaged) != sum, "word {i} replaced");
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut damaged = payload.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(checksum(&damaged) != sum, "bit {bit} flipped");
+            }
+            for k in 1..=16 {
+                if k <= payload.len() {
+                    let cut = &payload[..payload.len() - k];
+                    prop_assert!(checksum(cut) != sum, "truncated by {k}");
+                }
+                for fill in [0, delta(salt, k) as u8] {
+                    let mut longer = payload.clone();
+                    longer.resize(payload.len() + k, fill);
+                    prop_assert!(checksum(&longer) != sum, "extended by {k} x {fill:#04x}");
+                }
+            }
+        }
+    }
+}

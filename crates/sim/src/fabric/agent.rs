@@ -33,6 +33,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -257,11 +258,17 @@ fn run_assignment(
         let jobs = &assign.jobs;
         let journal = &journal;
         let sup = &sup;
+        // The runner's sender drops when it ends, returning or panicking,
+        // which wakes the streaming loop at once instead of after a
+        // whole `STREAM_INTERVAL`.
+        let (ended_tx, ended) = mpsc::channel::<()>();
         let runner = scope.spawn(move || {
+            let _ended = ended_tx;
             let _ = run_supervised(jobs, sup, Some(journal));
         });
         let mut counter = 0u64;
         let mut offset = seed.len() as u64;
+        let mut finished = false;
         loop {
             if let Some(t) = abort_at {
                 if Instant::now() >= t {
@@ -269,10 +276,6 @@ fn run_assignment(
                     return Err("chaos order: severed the connection mid-run".to_string());
                 }
             }
-            // Snapshot `finished` *before* draining: anything journaled
-            // before this observation is caught by the drain below, so
-            // the final `Done` never races past a `done` line.
-            let finished = runner.is_finished();
             counter += 1;
             writer
                 .send(&Msg::Heartbeat { counter })
@@ -287,7 +290,14 @@ fn run_assignment(
             if finished {
                 break;
             }
-            std::thread::sleep(STREAM_INTERVAL);
+            // Observe the end *before* the next drain: anything journaled
+            // before it is caught by that drain, so the final `Done` never
+            // races past a `done` line. Once the sender is gone the loop
+            // drains once more and stops, so it never spins on it.
+            finished = matches!(
+                ended.recv_timeout(STREAM_INTERVAL),
+                Err(RecvTimeoutError::Disconnected)
+            );
         }
         let (ok, error) = match runner.join() {
             Ok(()) => (true, String::new()),

@@ -109,7 +109,7 @@ codec_struct! {
 
 impl Record for Msg {
     const MAGIC: [u8; 8] = *b"WRSNFAB1";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 }
 
 fn decode_jobs(d: &mut Dec) -> Result<Vec<JobSpec>, SnapshotError> {

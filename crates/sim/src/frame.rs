@@ -6,13 +6,15 @@
 //! # Format
 //!
 //! ```text
-//! [ magic (8 bytes) | version u32 ]                       header, once
-//! [ len u32 | payload (len bytes) | fnv1a(payload) u64 ]  frame, repeated
+//! [ magic (8 bytes) | version u32 ]                          header, once
+//! [ len u32 | payload (len bytes) | checksum(payload) u64 ]  frame, repeated
 //! ```
 //!
-//! all little-endian. A [`Record`] type names its magic and version and
-//! encodes one payload with its [`crate::codec::Codec`]; everything else —
-//! header, length bound, checksum, damage handling — lives here.
+//! all little-endian; the trailer is [`crate::codec::checksum`] (version
+//! 1 of both formats used FNV-1a there). A [`Record`] type names its
+//! magic and version and encodes one payload with its
+//! [`crate::codec::Codec`]; everything else — header, length bound,
+//! checksum, damage handling — lives here.
 //!
 //! # Damage model
 //!
@@ -35,7 +37,7 @@
 use std::io::{Read, Write};
 use std::marker::PhantomData;
 
-use crate::codec::{fnv1a, Codec, Dec, Enc};
+use crate::codec::{checksum, Codec, Dec, Enc};
 use crate::snapshot::SnapshotError;
 
 /// Length of the `magic | version` header that opens every framed
@@ -142,7 +144,7 @@ fn step<R: Record>(bytes: &[u8]) -> Step<R> {
     let (Ok(payload), Ok(stored)) = (d.take(len as usize), d.u64()) else {
         return Step::Need;
     };
-    if fnv1a(payload) != stored {
+    if checksum(payload) != stored {
         return Step::Corrupt(format!("checksum mismatch (stored {stored:#018x})"));
     }
     let mut d = Dec::new(payload);
@@ -299,7 +301,7 @@ impl<R: Record, Out: Write> Writer<R, Out> {
         rec.put(e);
         let len = (e.buf.len() - start - 4) as u32;
         e.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        let sum = fnv1a(&e.buf[start + 4..]);
+        let sum = checksum(&e.buf[start + 4..]);
         e.u64(sum);
     }
 

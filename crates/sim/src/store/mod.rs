@@ -140,7 +140,7 @@ pub struct SnapMarker {
     pub tick: u64,
     /// Snapshot file length in bytes.
     pub bytes: u64,
-    /// FNV-1a 64 of the snapshot file.
+    /// [`crate::codec::checksum`] of the snapshot file.
     pub hash: u64,
 }
 

@@ -12,7 +12,7 @@
 
 use super::log::{LogRecord, LogWriter, LOG_FILE};
 use super::StoreError;
-use crate::codec::fnv1a;
+use crate::codec::checksum;
 use crate::frame::Writer;
 use crate::{SimConfig, World};
 use std::path::{Path, PathBuf};
@@ -284,7 +284,7 @@ impl RunRecorder {
         self.log.push(&LogRecord::Snap {
             tick: self.tick,
             bytes: blob.len() as u64,
-            hash: fnv1a(&blob),
+            hash: checksum(&blob),
         });
         self.last_snap_tick = self.tick;
         Ok(())
@@ -292,8 +292,8 @@ impl RunRecorder {
 }
 
 /// The snapshot file for `tick`, read once: its bytes when it exists and
-/// matches its marker's length + FNV-1a hash.
+/// matches its marker's length and [`checksum`].
 pub(super) fn read_snap(dir: &Path, tick: u64, bytes: u64, hash: u64) -> Option<Vec<u8>> {
     let blob = std::fs::read(dir.join(snap_file_name(tick))).ok()?;
-    (blob.len() as u64 == bytes && fnv1a(&blob) == hash).then_some(blob)
+    (blob.len() as u64 == bytes && checksum(&blob) == hash).then_some(blob)
 }

@@ -7,15 +7,19 @@
 //! * `SimConfig::content_hash` (FNV-1a over the canonical config
 //!   encoding) under every scheduler, target mobility, deployment and
 //!   ERP setting;
-//! * the framed `WRSNEVTL` bytes of one `LogRecord::Event` per trace
-//!   event kind.
+//! * the payload of one `LogRecord::Event` per trace event kind, framed
+//!   as `WRSNEVTL` version 1 framed it (FNV-1a trailer): version 2 only
+//!   changed the trailer, so the version-1 pins still hold;
+//! * `codec::checksum`, the frame trailer and snapshot-chain link check,
+//!   over fixed inputs.
 //!
 //! A changed literal means a changed wire format: bump that format's
 //! version instead of editing the pin.
 
 use wrsn_core::{RvId, SchedulerKind, SensorId};
 use wrsn_geom::Deployment;
-use wrsn_sim::frame;
+use wrsn_sim::codec::checksum;
+use wrsn_sim::frame::{self, Record, HEADER_LEN};
 use wrsn_sim::store::log::LogRecord;
 use wrsn_sim::{SimConfig, TargetMobility, TraceEvent};
 
@@ -150,7 +154,44 @@ fn log_bytes_pin_every_trace_event_tag() {
     ];
     for (event, pin) in pins {
         let bytes = frame::encode(&[LogRecord::Event { tick: 72, event }]);
-        let h = fnv1a(&bytes);
+        let (header, frame) = bytes.split_at(HEADER_LEN);
+        let (body, trailer) = frame.split_at(frame.len() - 8);
+        let payload = &body[4..];
+        assert_eq!(
+            trailer,
+            checksum(payload).to_le_bytes(),
+            "{event:?} trailer"
+        );
+        let v1 = [
+            &header[..LogRecord::MAGIC.len()],
+            &1u32.to_le_bytes(),
+            body,
+            &fnv1a(payload).to_le_bytes(),
+        ]
+        .concat();
+        let h = fnv1a(&v1);
         assert_eq!(h, pin, "{event:?}: {h:#018x}");
+    }
+}
+
+/// `n` fixed bytes that are neither constant nor periodic in 8.
+fn pattern(n: usize) -> Vec<u8> {
+    (0..n as u32)
+        .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8)
+        .collect()
+}
+
+#[test]
+fn checksum_pins_fixed_inputs() {
+    let pins = [
+        (0, 0x3fdf_455f_9dcf_1e62),
+        (1, 0x27d8_ce3f_728d_7ae2),
+        (26, 0xf0ca_cafa_0e3a_69e6),
+        (33, 0xccab_3905_6607_9536),
+        (100_000, 0xaebb_e928_c3e9_4716),
+    ];
+    for (len, pin) in pins {
+        let h = checksum(&pattern(len));
+        assert_eq!(h, pin, "{len} bytes: {h:#018x}");
     }
 }

@@ -18,27 +18,31 @@
 //! simulation's results on purpose moves their contents while their
 //! format stays. Such a change first shows that the old files still
 //! decode and re-encode byte-identically under the new code, then
-//! regenerates them under the same name. A superseded snapshot fixture
-//! stays in the tree, and decoding it must end in a labelled version
-//! error.
+//! regenerates them under the same name. A superseded fixture of any
+//! format (snapshot, event log or wire stream) stays in the tree, and
+//! decoding it must end in a labelled version error, never a panic.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use wrsn_sim::batch::{run_supervised, JobSpec, SupervisorOptions};
 use wrsn_sim::fabric::wire::{Assign, Msg};
-use wrsn_sim::frame::{self, Tail};
+use wrsn_sim::frame::{self, Reader, Record, Tail};
 use wrsn_sim::journal::{Journal, JOURNAL_FILE};
 use wrsn_sim::snapshot::{SnapshotError, VERSION};
-use wrsn_sim::store::{log, RecordOptions, RunRecorder, LOG_FILE};
+use wrsn_sim::store::{log, RecordOptions, RunRecorder, StoreError, StoredRun, LOG_FILE};
 use wrsn_sim::{SimConfig, SimOutcome, World};
 
-const LOG_FIXTURE: &str = "events-v1.log";
-const WIRE_FIXTURE: &str = "fabric-v1.bin";
+const LOG_FIXTURE: &str = "events-v2.log";
+const WIRE_FIXTURE: &str = "fabric-v2.bin";
 const SNAP_FIXTURE: &str = "world-v2.snap";
 /// The snapshot fixture of format version 1, whose sensor levels were
 /// floating-point joules.
 const OLD_SNAP_FIXTURE: &str = "world-v1.snap";
+/// The event log and wire stream of format version 1, whose frame
+/// trailers (and snapshot-chain marker hashes) were FNV-1a.
+const OLD_LOG_FIXTURE: &str = "events-v1.log";
+const OLD_WIRE_FIXTURE: &str = "fabric-v1.bin";
 const JOURNAL_FIXTURE: &str = "journal-v1.jsonl";
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -147,8 +151,8 @@ fn single_worker() -> SupervisorOptions {
     }
 }
 
-/// A fresh scratch directory for one journal test.
-fn journal_dir(tag: &str) -> PathBuf {
+/// A fresh scratch directory for one test.
+fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wrsn-golden-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
@@ -274,8 +278,49 @@ fn an_old_snapshot_fixture_ends_in_a_version_error() {
 }
 
 #[test]
+fn an_old_log_fixture_ends_in_a_version_error() {
+    let bytes = fixture(OLD_LOG_FIXTURE);
+    let err = log::decode(&bytes).expect_err("decoded");
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        "{err:?}"
+    );
+
+    let dir = scratch_dir("old-log");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join(LOG_FILE), &bytes).expect("copy");
+    let opened = StoredRun::open(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let err = opened.expect_err("opened");
+    assert!(
+        matches!(
+            err,
+            StoreError::Snapshot(SnapshotError::UnsupportedVersion(1))
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn an_old_wire_fixture_ends_in_a_version_error() {
+    let bytes = fixture(OLD_WIRE_FIXTURE);
+    let err = frame::decode::<Msg>(&bytes).expect_err("decoded");
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        "{err:?}"
+    );
+    let err = Reader::<Msg, _>::new(&bytes[..])
+        .recv()
+        .expect_err("received");
+    assert_eq!(
+        err,
+        format!("peer speaks WRSNFAB1 v1, expected v{}", Msg::VERSION)
+    );
+}
+
+#[test]
 fn journal_fixture_matches_a_fresh_sweep() {
-    let dir = journal_dir("journal-fresh");
+    let dir = scratch_dir("journal-fresh");
     let jobs = pinned_jobs();
     let journal = Journal::create(&dir, &jobs).expect("create");
     run_supervised(&jobs, &single_worker(), Some(&journal));
@@ -290,7 +335,7 @@ fn journal_fixture_matches_a_fresh_sweep() {
 
 #[test]
 fn journal_fixture_resumes_to_the_fresh_outcomes() {
-    let dir = journal_dir("journal-resume");
+    let dir = scratch_dir("journal-resume");
     std::fs::create_dir_all(&dir).expect("mkdir");
     std::fs::write(dir.join(JOURNAL_FILE), fixture(JOURNAL_FIXTURE)).expect("copy");
     let jobs = pinned_jobs();
