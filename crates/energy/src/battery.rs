@@ -251,6 +251,66 @@ impl Battery {
         }
         time
     }
+
+    /// [`Battery::time_to_full`], or `None` when that time provably
+    /// exceeds `horizon_s + 1e-9`, decided in O(1) without walking the
+    /// taper.
+    ///
+    /// `Some(t)` is always `time_to_full(power_w)`, bit for bit. `None`
+    /// guarantees both `time_to_full(power_w) > horizon_s + 1e-9` and
+    /// `time_to_full(power_w) - 1e-9 > horizon_s` as evaluated in `f64`,
+    /// so a caller that finishes a charge when `horizon_s >= t - 1e-9`
+    /// reaches the same decision either way.
+    ///
+    /// # Why the bound holds
+    ///
+    /// Let `u = 2⁻⁵³` (unit roundoff), `d` the computed deficit and `N`
+    /// the walk's step count. The bound is only tried when `min_accept ∈
+    /// [0, 1]`, `taper_start` is finite, `power_w > 0` and `horizon_s ∈
+    /// [0, ∞)`; anything else walks.
+    ///
+    /// 1. *Each step is at least `chunk / power_w`.* `acceptance` is `1`
+    ///    or `1 + t·(min_accept − 1)` with `t ∈ [0, 1]`, which lies in `[0,
+    ///    1]` when `min_accept` does (each rounding is monotone), so the
+    ///    step's power is at most `power_w` and `fl(chunk / p) ≥ fl(chunk /
+    ///    power_w)` (`p = 0` gives `∞`).
+    /// 2. *The chunks add up to the deficit less the fullness slack.* The
+    ///    walk stops at the first level `≥ fl(capacity − 1e-9)`. Every full
+    ///    step adds `fl(capacity·0.01)`; once the deficit is below that, the
+    ///    level is above half the capacity, so `capacity − level` is exact
+    ///    and the next step lands on `capacity`. Hence `N ≤ 102`. Each level
+    ///    update rounds by at most `2u·capacity`, so the chunks' exact sum is
+    ///    at least `d − 1e-9 − 206u·capacity`.
+    /// 3. *Summing loses little.* A recursive sum of `N` non-negative
+    ///    quotients is at least `(1 − u)^(N+1)` of their exact sum, i.e.
+    ///    within `2⁻⁴⁶` relatively. Underflowed quotients lose at most
+    ///    `2⁻¹⁰⁷⁴` each, far below the `1e-9` a skip must clear.
+    ///
+    /// So `E = d − 2e-9 − capacity·2⁻⁴⁰` (the `2⁻⁴⁰` term also absorbs the
+    /// rounding of computing `E`) is at most the chunks' sum, and
+    /// `lower = fl(E / power_w)·(1 − 2⁻⁴⁰)` is at most the walk's result.
+    /// The walk is skipped when `lower > horizon_s + 2e-9 +
+    /// horizon_s·2⁻³⁰`, a threshold that after its own rounding still
+    /// exceeds `horizon_s·(1 + 2⁻³¹) + 1.99e-9`, which puts the walk's
+    /// result past both `fl(horizon_s + 1e-9)` and, less `1e-9`, past
+    /// `horizon_s`. A non-finite `lower` (a subnormal `power_w`) walks.
+    pub fn time_to_full_within(&self, power_w: f64, horizon_s: f64) -> Option<f64> {
+        const TWO_POW_M40: f64 = 1.0 / (1u64 << 40) as f64;
+        const TWO_POW_M30: f64 = 1.0 / (1u64 << 30) as f64;
+        let m = self.model;
+        let bounded = (0.0..=1.0).contains(&m.min_accept)
+            && m.taper_start.is_finite()
+            && power_w > 0.0
+            && (0.0..f64::INFINITY).contains(&horizon_s);
+        if bounded {
+            let energy = self.deficit() - 2e-9 - self.capacity * TWO_POW_M40;
+            let lower = energy / power_w * (1.0 - TWO_POW_M40);
+            if lower.is_finite() && lower > horizon_s + 2e-9 + horizon_s * TWO_POW_M30 {
+                return None;
+            }
+        }
+        Some(self.time_to_full(power_w))
+    }
 }
 
 #[cfg(test)]
@@ -339,7 +399,116 @@ mod tests {
         assert_eq!(empty.time_to_full(0.0), f64::INFINITY);
     }
 
+    /// Checks `time_to_full_within`'s contract for one input: `None` only
+    /// when the walk's time is past the horizon plus the 1e-9 finish slack
+    /// (also as the fleet tests it, `t - 1e-9 > horizon`), else the walk's
+    /// time bit for bit.
+    fn assert_within_contract(b: &Battery, power: f64, horizon: f64) {
+        let t = b.time_to_full(power);
+        match b.time_to_full_within(power, horizon) {
+            None => assert!(
+                t > horizon + 1e-9 && t - 1e-9 > horizon,
+                "skipped a walk of {t} s within horizon {horizon} s: {b:?} at {power} W"
+            ),
+            Some(got) => assert_eq!(
+                got.to_bits(),
+                t.to_bits(),
+                "{b:?} at {power} W, horizon {horizon} s"
+            ),
+        }
+    }
+
+    #[test]
+    fn time_to_full_within_edge_cases() {
+        let empty = Battery::with_level(10_800.0, 0.0);
+        // No power: the walk's infinity is returned, never skipped.
+        assert_eq!(empty.time_to_full_within(0.0, 60.0), Some(f64::INFINITY));
+        // A far-off finish is skipped; a reachable one is walked.
+        assert_eq!(empty.time_to_full_within(3.0, 60.0), None);
+        let t = empty.time_to_full(3.0);
+        assert_eq!(empty.time_to_full_within(3.0, t), Some(t));
+        for horizon in [
+            0.0,
+            1e-9,
+            60.0,
+            t * (1.0 - 1e-12),
+            t,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_within_contract(&empty, 3.0, horizon);
+        }
+        // The bound is tight on a flat charge: a horizon a millionth short
+        // of an ideal charge's time is already skipped.
+        let ideal = empty.with_charge_model(ChargeModel::ideal());
+        let t = ideal.time_to_full(3.0);
+        assert_eq!(ideal.time_to_full_within(3.0, t * (1.0 - 1e-6)), None);
+        // Full, or within the 1e-9 slack of full: zero time, never skipped.
+        for level in [10_800.0, 10_800.0 - 5e-10, 10_800.0 - 1e-9] {
+            let b = Battery::with_level(10_800.0, level);
+            assert_eq!(b.time_to_full_within(3.0, 0.0), Some(0.0));
+        }
+        // Just past the slack: a tiny time, walked at horizon 0.
+        let b = Battery::with_level(10_800.0, 10_800.0 - 4e-9);
+        assert_within_contract(&b, 3.0, 0.0);
+        assert!(b.time_to_full_within(3.0, 0.0).is_some());
+        // Models outside `min_accept ∈ [0, 1]` always walk.
+        for min_accept in [-0.5, 1.5, f64::NAN] {
+            let b = empty.with_charge_model(ChargeModel {
+                taper_start: 0.5,
+                min_accept,
+            });
+            assert!(b.time_to_full_within(3.0, 0.0).is_some());
+        }
+        // Extreme powers stay within the contract (a subnormal one walks).
+        for power in [5e-324, 1e-300, 1e-9, 1e9, 1e300, f64::MAX] {
+            for horizon in [0.0, 60.0, 1e300] {
+                assert_within_contract(&empty, power, horizon);
+            }
+        }
+    }
+
+    /// Horizons around a walk of `t` seconds: absolute ones from 0 to
+    /// ~10⁷ s and relative ones within `10⁻ᵏ` of `t`, where a loose bound
+    /// would skip a finish.
+    fn horizon(t: f64, kind: u8, x: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => 10f64.powf(x * 7.0) - 1.0,
+            _ if !t.is_finite() => x * 1e6,
+            2 => t * (1.0 - 10f64.powf(-x * 16.0)),
+            3 => t * (1.0 + 10f64.powf(-x * 16.0)),
+            4 => (t - 1e-9 * x * 4.0).max(0.0),
+            _ => t * x * 2.0,
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn prop_time_to_full_within_matches_the_walk(
+            cap_exp in 0.0f64..6.0,
+            fill in prop_oneof![0.0f64..1.0, 0.999f64..1.0, 0.0f64..1e-12, 0.999_999_999_999f64..1.0],
+            model in (0u8..3, -0.5f64..1.5, -0.5f64..1.5),
+            power_exp in prop_oneof![-3.0f64..4.0, -3.0f64..4.0, -310.0f64..308.0],
+            horizon_kind in 0u8..6,
+            horizon_x in 0.0f64..1.0,
+        ) {
+            let cap = 10f64.powf(cap_exp);
+            let model = match model {
+                (0, ..) => ChargeModel::nimh(),
+                (1, ..) => ChargeModel::ideal(),
+                (_, taper_start, min_accept) => ChargeModel { taper_start, min_accept },
+            };
+            let b = Battery::with_level(cap, cap * fill).with_charge_model(model);
+            let power = 10f64.powf(power_exp);
+            let t = b.time_to_full(power);
+            assert_within_contract(&b, power, horizon(t, horizon_kind, horizon_x));
+            // Within the slack of full.
+            let near = Battery::with_level(cap, cap - 1e-9 * horizon_x * 2.0).with_charge_model(model);
+            assert_within_contract(&near, power, horizon(t, horizon_kind, horizon_x));
+        }
+
         #[test]
         fn prop_level_always_bounded(
             cap in 1.0f64..10_000.0,

@@ -10,6 +10,7 @@
 use super::WorldState;
 use crate::RvPhase;
 use wrsn_core::SensorId;
+use wrsn_energy::Battery;
 use wrsn_geom::Point2;
 
 /// Moves RV `i` toward `goal` for at most `budget` seconds. Returns
@@ -40,6 +41,23 @@ fn travel(state: &mut WorldState, i: usize, goal: Point2, budget: f64) -> (f64, 
     state.rv_shortfall_j += energy - got;
     state.metrics.record_travel(d, energy);
     (if arrived { dist / speed } else { budget }, arrived)
+}
+
+/// Seconds until `battery` is full at `power` W, or `f64::INFINITY` when
+/// it provably cannot be full within `budget` s plus the 1e-9 finish slack
+/// ([`Battery::time_to_full_within`]). An infinite time charges for the
+/// whole budget and does not finish, the same decision the exact time
+/// makes, so the taper walk runs only on the tick a charge can finish.
+fn time_to_full(battery: &Battery, power: f64, budget: f64) -> f64 {
+    battery
+        .time_to_full_within(power, budget)
+        .unwrap_or_else(|| {
+            debug_assert!(
+                battery.time_to_full(power) - 1e-9 > budget,
+                "skipped the taper walk of a charge that finishes within {budget} s"
+            );
+            f64::INFINITY
+        })
 }
 
 /// Advances RV `i` by one tick of exact sub-tick execution.
@@ -97,7 +115,7 @@ pub(crate) fn step_rv(state: &mut WorldState, i: usize, dt: f64) {
                 // integration; the level is written back below.
                 let si = s.index();
                 let mut battery = state.sensors.battery(si);
-                let t_full = battery.time_to_full(power);
+                let t_full = time_to_full(&battery, power, budget);
                 if t_full <= 1e-9 {
                     // Service complete: clear the request, revive
                     // routing if the sensor was dead, move on.
@@ -156,7 +174,7 @@ pub(crate) fn step_rv(state: &mut WorldState, i: usize, dt: f64) {
             }
             RvPhase::SelfCharging => {
                 let power = state.cfg.base_charge_power_w;
-                let t_full = state.rvs[i].battery.time_to_full(power);
+                let t_full = time_to_full(&state.rvs[i].battery, power, budget);
                 if t_full <= 1e-9 {
                     state.rvs[i].phase = RvPhase::Idle;
                     continue;

@@ -74,11 +74,15 @@ pub(crate) fn check_header(
 ) -> Result<(), SnapshotError> {
     let mut d = Dec::new(bytes);
     if d.take(magic.len())? != magic {
-        return Err(SnapshotError::BadMagic);
+        return Err(SnapshotError::BadMagic { expected: magic });
     }
     match d.u32()? {
         v if v == version => Ok(()),
-        v => Err(SnapshotError::UnsupportedVersion(v)),
+        found => Err(SnapshotError::UnsupportedVersion {
+            magic,
+            found,
+            expected: version,
+        }),
     }
 }
 
@@ -231,9 +235,9 @@ impl<R: Record, In: Read> Reader<R, In> {
             if !self.saw_header && self.buf.len() >= HEADER_LEN {
                 let magic = String::from_utf8_lossy(&R::MAGIC);
                 check_header(&self.buf, R::MAGIC, R::VERSION).map_err(|e| match e {
-                    SnapshotError::UnsupportedVersion(v) => {
-                        format!("peer speaks {magic} v{v}, expected v{}", R::VERSION)
-                    }
+                    SnapshotError::UnsupportedVersion {
+                        found, expected, ..
+                    } => format!("peer speaks {magic} v{found}, expected v{expected}"),
                     _ => format!("peer did not send the {magic} header"),
                 })?;
                 self.pos = HEADER_LEN;

@@ -81,13 +81,21 @@ pub const VERSION: u32 = 2;
 pub enum SnapshotError {
     /// The blob ended before the expected data did.
     Truncated,
-    /// The leading bytes are not [`MAGIC`] — not a snapshot at all.
-    BadMagic,
-    /// The snapshot was written by an incompatible format version.
-    UnsupportedVersion(
+    /// The leading bytes are not the expected format's magic ([`MAGIC`]
+    /// for a snapshot) — not that format at all.
+    BadMagic {
+        /// The magic the reader expected.
+        expected: [u8; 8],
+    },
+    /// The bytes were written by an incompatible version of their format.
+    UnsupportedVersion {
+        /// The format's magic ([`MAGIC`] for a snapshot).
+        magic: [u8; 8],
         /// The version found in the header.
-        u32,
-    ),
+        found: u32,
+        /// The version this build reads.
+        expected: u32,
+    },
     /// Structurally invalid content (bad enum tag, inconsistent lengths,
     /// header hash that doesn't match the embedded config, …).
     Corrupt(String),
@@ -99,11 +107,19 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
-            SnapshotError::BadMagic => write!(f, "not a WRSN snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
+            SnapshotError::BadMagic { expected } => {
+                let magic = String::from_utf8_lossy(expected);
+                write!(f, "not a {magic} stream (bad magic)")
+            }
+            SnapshotError::UnsupportedVersion {
+                magic,
+                found,
+                expected,
+            } => {
+                let magic = String::from_utf8_lossy(magic);
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads {VERSION})"
+                    "unsupported {magic} version {found} (this build reads {expected})"
                 )
             }
             SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
@@ -728,7 +744,8 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let err = World::resume(b"NOTASNAPxxxxxxxxxxxxxxxx").unwrap_err();
-        assert!(matches!(err, SnapshotError::BadMagic));
+        assert!(matches!(err, SnapshotError::BadMagic { expected: MAGIC }));
+        assert_eq!(err.to_string(), "not a WRSNSNAP stream (bad magic)");
     }
 
     #[test]
@@ -737,7 +754,11 @@ mod tests {
         let mut blob = w.save_snapshot();
         blob[MAGIC.len()..frame::HEADER_LEN].copy_from_slice(&(VERSION + 1).to_le_bytes());
         let err = World::resume(&blob).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(v) if v == VERSION + 1));
+        assert!(matches!(
+            err,
+            SnapshotError::UnsupportedVersion { magic: MAGIC, found, expected: VERSION }
+                if found == VERSION + 1
+        ));
     }
 
     #[test]

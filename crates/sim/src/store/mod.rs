@@ -58,7 +58,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store i/o error: {e}"),
-            StoreError::Snapshot(e) => write!(f, "store snapshot error: {e}"),
+            StoreError::Snapshot(e) => write!(f, "store decode error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "store corrupt: {msg}"),
             StoreError::OutOfRange { tick, last } => {
                 write!(

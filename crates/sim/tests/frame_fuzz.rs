@@ -277,7 +277,7 @@ fn random_bit_flips_never_decode_clean<C: Codec>() {
                 );
                 assert!(matches!(
                     e,
-                    SnapshotError::BadMagic | SnapshotError::UnsupportedVersion(_)
+                    SnapshotError::BadMagic { .. } | SnapshotError::UnsupportedVersion { .. }
                 ));
             }
         }
@@ -331,7 +331,10 @@ fn foreign_headers_and_garbage_tails_are_flagged<C: Codec>() {
         },
     ];
     for bytes in &foreign {
-        assert!(matches!(C::decode(bytes), Err(SnapshotError::BadMagic)));
+        assert!(matches!(
+            C::decode(bytes),
+            Err(SnapshotError::BadMagic { expected }) if expected == magic
+        ));
         assert_reader_agrees::<C::R>(bytes, 1, "foreign header");
     }
 
@@ -340,7 +343,8 @@ fn foreign_headers_and_garbage_tails_are_flagged<C: Codec>() {
     future[magic.len()..HEADER_LEN].copy_from_slice(&(version + 1).to_le_bytes());
     assert!(matches!(
         C::decode(&future),
-        Err(SnapshotError::UnsupportedVersion(v)) if v == version + 1
+        Err(SnapshotError::UnsupportedVersion { magic: m, found, expected })
+            if m == magic && found == version + 1 && expected == version
     ));
     assert_reader_agrees::<C::R>(&future, 1, "future version");
 

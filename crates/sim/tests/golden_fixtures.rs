@@ -268,12 +268,12 @@ fn an_old_snapshot_fixture_ends_in_a_version_error() {
         panic!("{OLD_SNAP_FIXTURE} decoded");
     };
     assert!(
-        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        matches!(err, SnapshotError::UnsupportedVersion { found: 1, .. }),
         "{err:?}"
     );
     assert_eq!(
         err.to_string(),
-        format!("unsupported snapshot version 1 (this build reads {VERSION})")
+        format!("unsupported WRSNSNAP version 1 (this build reads {VERSION})")
     );
 }
 
@@ -281,10 +281,15 @@ fn an_old_snapshot_fixture_ends_in_a_version_error() {
 fn an_old_log_fixture_ends_in_a_version_error() {
     let bytes = fixture(OLD_LOG_FIXTURE);
     let err = log::decode(&bytes).expect_err("decoded");
+    let expected = format!(
+        "unsupported WRSNEVTL version 1 (this build reads {})",
+        log::LogRecord::VERSION
+    );
     assert!(
-        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        matches!(err, SnapshotError::UnsupportedVersion { found: 1, .. }),
         "{err:?}"
     );
+    assert_eq!(err.to_string(), expected);
 
     let dir = scratch_dir("old-log");
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -295,10 +300,11 @@ fn an_old_log_fixture_ends_in_a_version_error() {
     assert!(
         matches!(
             err,
-            StoreError::Snapshot(SnapshotError::UnsupportedVersion(1))
+            StoreError::Snapshot(SnapshotError::UnsupportedVersion { found: 1, .. })
         ),
         "{err:?}"
     );
+    assert_eq!(err.to_string(), format!("store decode error: {expected}"));
 }
 
 #[test]
@@ -306,8 +312,15 @@ fn an_old_wire_fixture_ends_in_a_version_error() {
     let bytes = fixture(OLD_WIRE_FIXTURE);
     let err = frame::decode::<Msg>(&bytes).expect_err("decoded");
     assert!(
-        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        matches!(err, SnapshotError::UnsupportedVersion { found: 1, .. }),
         "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "unsupported WRSNFAB1 version 1 (this build reads {})",
+            Msg::VERSION
+        )
     );
     let err = Reader::<Msg, _>::new(&bytes[..])
         .recv()
